@@ -13,7 +13,8 @@ manifest is the only file allowed to differ between identical reruns
 (wall time); every other output is byte-reproducible.
 
 Exit status: 0 on success, 1 when a numerical flag fired (divergence,
-excessive residual, failed suite), 2 on usage errors.
+floating-point overflow, excessive residual, failed suite), 2 on usage
+errors.  Every exit 1 leaves a report and a manifest.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .gsnorm import (WeightParams, e_space_norm, gevrey_order_estimate,
                      holo_bound_check)
 from .heat import (ESpaceDivergenceError, desmooth_complex, desmooth_fourier,
                    smooth)
-from .pairing import antiwick_pair, antiwick_pair_reference
-from .quantize import AntiWickFromSymbol, assemble_antiwick, position_grid_of
+from .pairing import (RESIDUAL_FLAG_THRESHOLD, antiwick_pair,
+                      antiwick_pair_reference)
+from .quantize import (AntiWickFromSymbol, DenseKernel, assemble_antiwick,
+                       kernel_from_weyl, position_grid_of, weyl_from_kernel)
 
 SUITES = ("hermite-bound", "gs-constant", "holo-bound", "e-space", "gevrey",
           "heat-roundtrip", "pairing-consistency")
@@ -51,11 +54,6 @@ SUITES = ("hermite-bound", "gs-constant", "holo-bound", "e-space", "gevrey",
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        # forwarded as a hint; BLAS pools read these at first use
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     outdir = Path(args.outdir or os.environ.get("AWSYM_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -63,24 +61,24 @@ def main(argv=None) -> int:
     inputs: dict[str, str] = {}
     outputs: list[Path] = []
     try:
-        status, report_name, report = args.handler(args, outdir, inputs,
-                                                   outputs)
-    except ESpaceDivergenceError as exc:
-        report_name = getattr(args, "out", None) or \
-            f"{args.command}-report.json"
-        report = {"command": args.command, "flags": ["e-space-divergent"],
+        status, report = args.handler(args, outdir, inputs, outputs)
+    except (ESpaceDivergenceError, FloatingPointError) as exc:
+        flag = "e-space-divergent" \
+            if isinstance(exc, ESpaceDivergenceError) else "floating-point"
+        report = {"command": args.command, "flags": [flag],
                   "error": str(exc)}
-        path = outdir / report_name
+        path = outdir / _report_name(args)
         write_json(path, report)
         outputs.append(path)
         _write_manifest(args, outdir, inputs, outputs, started)
         print(f"[awsym] numerical flag: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            NotImplementedError) as exc:
         print(f"[awsym] usage error: {exc}", file=sys.stderr)
         return 2
 
-    path = outdir / report_name
+    path = outdir / _report_name(args)
     write_json(path, report)
     outputs.append(path)
     _write_manifest(args, outdir, inputs, outputs, started)
@@ -95,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="anti-Wick / Weyl symbol calculus toolkit")
     parser.add_argument("--outdir", default=None,
                         help="output directory (default: $AWSYM_OUTDIR or .)")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="parallelism hint forwarded to the BLAS pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="heat-smooth a stored field")
@@ -184,22 +180,35 @@ def _write_manifest(args, outdir: Path, inputs: dict, outputs: list[Path],
     write_json(outdir / f"{name}.manifest.json", manifest)
 
 
+def _report_name(args) -> str:
+    if args.command == "check":
+        return f"check-{args.suite}.json"
+    if args.command == "pair":
+        return args.out
+    return f"{args.command}-report.json"
+
+
 def _register_input(inputs: dict, path) -> Path:
     path = Path(path)
     inputs[str(path)] = sha256_file(path)
     return path
 
 
+def _save_output(obj, outdir: Path, name: str, outputs: list[Path]) -> None:
+    """Save a field or kernel as manifest + binary and register both."""
+    path = outdir / name
+    (save_kernel if isinstance(obj, DenseKernel) else save_field)(obj, path)
+    outputs.extend([path, path.parent / (path.stem + ".bin")])
+
+
 # ---------------------------------------------------------------------------
-# command handlers: return (exit status, report name, report dict)
+# command handlers: return (exit status, report dict)
 # ---------------------------------------------------------------------------
 
 def _cmd_smooth(args, outdir, inputs, outputs):
     field = load_field(_register_input(inputs, args.input))
     out = smooth(field)
-    out_path = outdir / args.out
-    save_field(out, out_path)
-    outputs.extend([out_path, out_path.parent / (out_path.stem + ".bin")])
+    _save_output(out, outdir, args.out, outputs)
     if args.csv:
         csv_path = outdir / (Path(args.out).stem + ".csv")
         export_csv(out, csv_path)
@@ -207,7 +216,7 @@ def _cmd_smooth(args, outdir, inputs, outputs):
     report = {"command": "smooth", "input": args.input,
               "output": args.out,
               "boundary_magnitude": out.boundary_magnitude()}
-    return 0, "smooth-report.json", report
+    return 0, report
 
 
 def _cmd_desmooth(args, outdir, inputs, outputs):
@@ -224,9 +233,7 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
             grid = make_grid(u.dim, 256, 8.0)
         report_obj = desmooth_complex(u, grid, strip_halfwidth=args.strip,
                                       y_nodes=args.ynodes)
-    out_path = outdir / args.out
-    save_field(report_obj.result, out_path)
-    outputs.extend([out_path, out_path.parent / (out_path.stem + ".bin")])
+    _save_output(report_obj.result, outdir, args.out, outputs)
     report = {
         "command": "desmooth",
         "method": report_obj.method,
@@ -236,10 +243,10 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
         "y_nodes": report_obj.y_nodes,
         "output": args.out,
     }
-    status = 1 if report_obj.residual > 1e-4 else 0
+    status = 1 if report_obj.residual > RESIDUAL_FLAG_THRESHOLD else 0
     if status:
         report["flags"] = ["excessive-residual"]
-    return status, "desmooth-report.json", report
+    return status, report
 
 
 def _cmd_assemble(args, outdir, inputs, outputs):
@@ -249,41 +256,33 @@ def _cmd_assemble(args, outdir, inputs, outputs):
     if args.refined:
         pos = pos.refined()
     kernel = assemble_antiwick(op, pos)
-    out_path = outdir / args.out
-    save_kernel(kernel, out_path)
-    outputs.extend([out_path, out_path.parent / (out_path.stem + ".bin")])
+    _save_output(kernel, outdir, args.out, outputs)
     report = {"command": "antiwick-assemble", "refined": args.refined,
               "kernel_grid": {"dim": pos.dim, "N": pos.npoints,
                               "L": pos.half_extent},
               "output": args.out}
-    return 0, "antiwick-assemble-report.json", report
+    return 0, report
 
 
 def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
-    from .quantize import weyl_from_kernel
     kernel = load_kernel(_register_input(inputs, args.kernel))
     sigma = weyl_from_kernel(kernel)
-    out_path = outdir / args.out
-    save_field(sigma, out_path)
-    outputs.extend([out_path, out_path.parent / (out_path.stem + ".bin")])
+    _save_output(sigma, outdir, args.out, outputs)
     report = {"command": "weyl-from-kernel", "output": args.out,
               "phase_grid": {"dim": sigma.grid.dim, "N": sigma.grid.npoints,
                              "L": sigma.grid.half_extent}}
-    return 0, "weyl-from-kernel-report.json", report
+    return 0, report
 
 
 def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
-    from .quantize import kernel_from_weyl
     sigma = load_field(_register_input(inputs, args.symbol))
     kernel = kernel_from_weyl(sigma)
-    out_path = outdir / args.out
-    save_kernel(kernel, out_path)
-    outputs.extend([out_path, out_path.parent / (out_path.stem + ".bin")])
+    _save_output(kernel, outdir, args.out, outputs)
     report = {"command": "kernel-from-weyl", "output": args.out,
               "kernel_grid": {"dim": kernel.grid.dim,
                               "N": kernel.grid.npoints,
                               "L": kernel.grid.half_extent}}
-    return 0, "kernel-from-weyl-report.json", report
+    return 0, report
 
 
 def _cmd_pair(args, outdir, inputs, outputs):
@@ -307,7 +306,7 @@ def _cmd_pair(args, outdir, inputs, outputs):
         "quadrature_error_estimate": result.quadrature_error_estimate,
         "flags": list(result.flags),
     }
-    return (1 if result.flags else 0), args.out, report
+    return (1 if result.flags else 0), report
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def _cmd_check(args, outdir, inputs, outputs):
     passed, params, values = runner(args)
     report = {"suite": suite, "params": params, "values": values,
               "pass": bool(passed)}
-    return (0 if passed else 1), f"check-{suite}.json", report
+    return (0 if passed else 1), report
 
 
 def _suite_hermite(args):

@@ -34,6 +34,7 @@ __all__ = [
     "SampledField",
     "make_grid",
     "sample",
+    "centered_fft",
     "fourier",
     "inverse_fourier",
     "inner",
@@ -207,19 +208,26 @@ def sample(f: AnalyticGaussianSum, g: Grid,
     return SampledField(g, f.eval_axes(g.axes(), y))
 
 
+def centered_fft(vals: np.ndarray, axes=None,
+                 inverse: bool = False) -> np.ndarray:
+    """Unweighted fftshift(fftn(ifftshift(vals))) over ``axes`` (default
+    all); ``inverse`` uses ifftn.  Callers apply the quadrature weight."""
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    return np.fft.fftshift(transform(np.fft.ifftshift(vals, axes=axes),
+                                     axes=axes), axes=axes)
+
+
 def fourier(f: SampledField) -> SampledField:
     """Discrete continuous-convention transform of a centered-grid field."""
-    h = f.grid.spacing
-    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    vals *= h**f.grid.dim
+    vals = centered_fft(f.values)
+    vals *= f.grid.spacing**f.grid.dim
     return SampledField(f.grid.freq, vals)
 
 
 def inverse_fourier(f: SampledField) -> SampledField:
     """Adjoint convention exp(+2 i pi x . xi); exact inverse of fourier()."""
-    two_l = 2.0 * f.grid.half_extent
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(f.values)))
-    vals *= two_l**f.grid.dim
+    vals = centered_fft(f.values, inverse=True)
+    vals *= (2.0 * f.grid.half_extent)**f.grid.dim
     return SampledField(f.grid.freq, vals)
 
 

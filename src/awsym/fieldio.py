@@ -146,8 +146,8 @@ def load_kernel(manifest_path) -> DenseKernel:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if manifest.get("kind") != "dense-kernel":
         raise ValueError("manifest does not describe a dense kernel")
-    grid = Grid(int(manifest["dim"]), int(manifest["N"]),
-                float(manifest["L"]))
+    grid = make_grid(int(manifest["dim"]), int(manifest["N"]),
+                     float(manifest["L"]))
     m = grid.size
     values = _read_binary(manifest_path.parent / manifest["data"], m * m)
     return DenseKernel(grid, values.reshape(m, m))

@@ -254,11 +254,9 @@ def _holo_rect_max(u: AnalyticGaussianSum, w: WeightParams,
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     coords = [mesh[j] + 1j * mesh[u.dim + j] for j in range(u.dim)]
     log_u = u.log_abs(*coords)
-    phi = sum(0.5 * w.lam * np.abs(mesh[j] / w.const_a) ** (1.0 / w.lam)
-              for j in range(u.dim))
-    psi = sum(2.0 * (1.0 - w.mu)
-              * np.abs(w.const_a * mesh[u.dim + j]) ** (1.0 / (1.0 - w.mu))
-              for j in range(u.dim))
+    # one axis at a time: the sparse mesh axes do not stack into one array
+    phi = sum(phi_weight(mesh[j][None], w) for j in range(u.dim))
+    psi = sum(psi_weight(mesh[u.dim + j][None], w) for j in range(u.dim))
     log_ratio = phi + log_u - psi
     peak = float(np.max(log_ratio))
     if peak > 700.0:

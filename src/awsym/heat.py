@@ -68,12 +68,15 @@ class DesmoothReport:
     y_nodes: Optional[int] = None
 
 
+def _sq_norm(grid: Grid) -> np.ndarray:
+    """|xi|^2 on the grid nodes."""
+    sq = grid.axis_nodes()**2
+    return reduce(np.add.outer, [sq] * grid.dim) if grid.dim > 1 else sq
+
+
 def _multiplier(grid: Grid, sign: float) -> np.ndarray:
     """exp(sign * pi |xi|^2 / 2) on the frequency grid nodes."""
-    nodes = grid.axis_nodes()
-    sq = reduce(np.add.outer, [nodes**2] * grid.dim) if grid.dim > 1 \
-        else nodes**2
-    return np.exp(sign * 0.5 * math.pi * sq)
+    return np.exp(sign * 0.5 * math.pi * _sq_norm(grid))
 
 
 def smooth(f: SampledField) -> SampledField:
@@ -114,9 +117,7 @@ def desmooth_fourier(u: SampledField,
     mag = np.abs(spec.values)
     mask = mag >= rel_threshold * float(mag.max())
 
-    nodes = spec.grid.axis_nodes()
-    sq = reduce(np.add.outer, [nodes**2] * spec.grid.dim) \
-        if spec.grid.dim > 1 else nodes**2
+    sq = _sq_norm(spec.grid)
     with np.errstate(divide="ignore"):
         log_gain = np.where(mag > 0.0, np.log(mag), -np.inf) \
             + 0.5 * math.pi * sq
@@ -133,7 +134,7 @@ def desmooth_fourier(u: SampledField,
         lifted = np.where(mask, spec.values * np.exp(0.5 * math.pi * sq), 0.0)
     phi = inverse_fourier(SampledField(spec.grid, lifted))
 
-    axis_abs = np.abs(nodes)
+    axis_abs = np.abs(spec.grid.axis_nodes())
     kept_cut = 0.0
     if mask.any():
         profile = reduce(np.maximum.outer, [axis_abs] * spec.grid.dim) \

@@ -16,15 +16,19 @@ and Weyl symbols (no extra (2 pi)^{-n} factor; see the package README).
 
 Half-step geometry
 ------------------
-The Weyl transforms exchange K(x + t/2, x - t/2) with the symbol, so
-kernels destined for them live on a grid with twice the resolution of the
-phase-space position axis: midpoints land on even refined nodes and t/2
-offsets land on refined nodes exactly, never interpolated.  Constructors
-simply build on the grid they are given; pass ``phase_grid_position_axis
-.refined()`` when the kernel will be transformed.  The transforms also
-require the phase grid to be self-dual (N = 4 L^2, so the frequency nodes
-coincide with the position nodes); that is what makes the t-slice
-transform land exactly on the xi axis of the same grid.
+Kernels are read in midpoint/difference coordinates: entry (u, v) is
+K(m + t/2, m - t/2) with m = (x_u + x_v)/2, on the half-step lattice
+s = u + v, and t = x_u - x_v.  Anti-Wick assembly (a Gaussian in m times a
+Fourier sum in t) and kernel_from_weyl (an interpolated symbol in m,
+transformed over xi into t) both build a midpoint x difference product
+and read it on node pairs through :func:`_contract_on_pairs`.  Kernels
+destined for the Weyl transforms live on the 2x refinement of the
+phase-space position axis, so phase-grid midpoints land on even refined
+nodes and t/2 offsets on refined nodes exactly, never interpolated; pass
+``.refined()`` of that axis when the kernel will be transformed.  The
+transforms also require a self-dual phase grid (N = 4 L^2, frequency
+nodes == position nodes), which makes the t-slice transform land exactly
+on the xi axis of the same grid.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import Grid, GridMismatchError, SampledField, inner
+from .core import Grid, GridMismatchError, SampledField, centered_fft, inner
 
 __all__ = [
     "CoherentCombo",
@@ -50,7 +53,6 @@ __all__ = [
     "weyl_from_kernel",
     "kernel_from_weyl",
     "apply_operator",
-    "apply",
     "identity_kernel",
     "position_grid_of",
     "require_self_dual",
@@ -181,10 +183,10 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     """Quadrature of the anti-Wick superposition into a dense kernel.
 
     M[u, v] = sum_X F(X) Psi_X(x_u) conj(Psi_X(x_v)) dX  over the phase
-    grid carrying F.  The xi sum is a Fourier sum in the difference
-    x_u - x_v only, so it is evaluated once per difference and the
-    remaining x sum is contracted diagonal by diagonal; rows therefore
-    reduce deterministically.
+    grid carrying F.  Per axis, with m = (x_u + x_v)/2 and t = x_u - x_v,
+    Psi_X(x_u) conj(Psi_X(x_v)) = sqrt(2) e^{-2 pi (m-x)^2} e^{-pi t^2/2}
+    e^{2 i pi t xi}: the xi sum (with e^{-pi t^2/2} folded in) is a Fourier
+    sum in t alone and the x sum a Gaussian in m alone.
     """
     phase = op.symbol.grid
     n = op.position_dim
@@ -193,72 +195,57 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
             f"position grid dim {pos_grid.dim} incompatible with the "
             f"dim-{phase.dim} phase grid of the symbol")
 
-    np_axis = phase.npoints
-    hx_phase = phase.spacing
-    hxi = phase.spacing
-    pos_nodes = pos_grid.axis_nodes()
-    phase_nodes = phase.axis_nodes()
     npos = pos_grid.npoints
+    phase_nodes = phase.axis_nodes()
 
-    fvals = op.symbol.values.reshape((np_axis,) * (2 * n))
-
-    # xi sums: G[x_vec, m_vec] with t = m * h_pos, m = -(N-1) .. N-1
+    # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - (N-1)) h_pos
     diffs = np.arange(-(npos - 1), npos) * pos_grid.spacing
-    phase_mat = np.exp(2j * PI * np.outer(phase_nodes, diffs)) * hxi
-    g_tab = fvals
+    phase_mat = np.exp(2j * PI * np.outer(phase_nodes, diffs)) \
+        * (phase.spacing * np.exp(-0.5 * PI * diffs * diffs))
+    tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
     for _ in range(n):
         # contract the leading xi axis (axis n of the remaining block)
-        g_tab = np.tensordot(g_tab, phase_mat, axes=([n], [0]))
-    # g_tab axes: (x_1..x_n, m_1..m_n)
+        tab = np.tensordot(tab, phase_mat, axes=([n], [0]))
 
-    w_mat = np.exp(-PI * (pos_nodes[:, None] - phase_nodes[None, :]) ** 2)
-    scale = 2.0 ** (n / 2.0) * hx_phase**n
-
-    mat = np.zeros((pos_grid.size, pos_grid.size), dtype=complex)
-    ndiff = 2 * npos - 1
-    for m_vec in iter_product(range(ndiff), repeat=n):
-        offsets = [m - (npos - 1) for m in m_vec]
-        block = g_tab[(slice(None),) * n + tuple(m_vec)]
-        idx_ranges = []
-        for j, off in enumerate(offsets):
-            lo = max(0, -off)
-            hi = npos - max(0, off)
-            vs = np.arange(lo, hi)
-            idx_ranges.append(vs)
-            pair = w_mat[vs + off, :] * w_mat[vs, :]
-            block = np.moveaxis(
-                np.tensordot(pair, block, axes=([1], [j])), 0, j)
-        vals = scale * block
-        umesh = np.meshgrid(*[vs + off for vs, off in zip(idx_ranges, offsets)],
-                            indexing="ij")
-        vmesh = np.meshgrid(*idx_ranges, indexing="ij")
-        rows = np.ravel_multi_index([m.ravel() for m in umesh],
-                                    (npos,) * n) if n > 1 \
-            else umesh[0].ravel()
-        cols = np.ravel_multi_index([m.ravel() for m in vmesh],
-                                    (npos,) * n) if n > 1 \
-            else vmesh[0].ravel()
-        mat[rows, cols] = vals.ravel()
+    w_mid = np.exp(-2.0 * PI * np.subtract.outer(_midpoints(pos_grid),
+                                                 phase_nodes) ** 2)
+    for j in range(n):
+        tab = _contract_on_pairs(w_mid, tab, j, n + j, npos)
+    # tab axes: (u_1..u_n, v_1..v_n)
+    mat = tab.reshape(pos_grid.size, pos_grid.size)
+    mat *= 2.0 ** (n / 2.0) * phase.spacing**n
     return DenseKernel(pos_grid, mat)
+
+
+def _midpoints(g: Grid) -> np.ndarray:
+    """Midpoints (x_u + x_v) / 2 of one axis, indexed by s = u + v."""
+    return -g.half_extent + 0.5 * g.spacing * np.arange(2 * g.npoints - 1)
+
+
+def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
+                       diff_axis: int, npts: int) -> np.ndarray:
+    """out[.., u, .., v, ..] = sum_k w_mid[u+v, k] tab[.., k, .., u-v+N-1, ..]
+
+    for N = ``npts``, u in place of ``mid_axis`` and v of ``diff_axis``.
+    u + v and u - v share a parity, so each parity class is one product
+    over that class's rows of ``w_mid`` and columns of ``tab``: the full
+    (2N - 1)^2 midpoint x difference table is never formed.
+    """
+    tab = np.moveaxis(tab, (mid_axis, diff_axis), (0, 1))
+    out = np.empty((npts, npts) + tab.shape[2:], dtype=complex)
+    u, v = np.indices((npts, npts))
+    for parity in (0, 1):
+        pick = (u + v) % 2 == parity
+        uc, vc = u[pick], v[pick]
+        part = np.tensordot(w_mid[parity::2],
+                            tab[:, (npts - 1 + parity) % 2::2], axes=1)
+        out[uc, vc] = part[(uc + vc) // 2, (uc - vc + npts - 1) // 2]
+    return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
 
 
 # ---------------------------------------------------------------------------
 # Weyl transforms
 # ---------------------------------------------------------------------------
-
-def _centered_fft_lastaxes(vals: np.ndarray, n: int, spacing: float,
-                           inverse: bool = False) -> np.ndarray:
-    """Continuous-convention transform along the trailing n axes."""
-    axes = tuple(range(vals.ndim - n, vals.ndim))
-    shifted = np.fft.ifftshift(vals, axes=axes)
-    if inverse:
-        out = np.fft.ifftn(shifted, axes=axes)
-        weight = (spacing * vals.shape[-1]) ** n   # (2 Lf)^n
-    else:
-        out = np.fft.fftn(shifted, axes=axes)
-        weight = spacing**n
-    return np.fft.fftshift(out, axes=axes) * weight
-
 
 def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
     """Weyl symbol of a kernel by transforming the midpoint slices.
@@ -301,9 +288,8 @@ def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
     slices = karr[tuple(np.broadcast_arrays(*(idx_u + idx_v)))]
     slices = np.where(valid, slices, 0.0)
 
-    t_spacing = phase.spacing
-    sigma = _centered_fft_lastaxes(slices, n, t_spacing)
-    return SampledField(phase, sigma)
+    sigma = centered_fft(slices, axes=tuple(range(n, 2 * n)))
+    return SampledField(phase, sigma * phase.spacing**n)
 
 
 def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
@@ -326,28 +312,23 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     length = phase.half_extent
     require_self_dual(Grid(1, np_axis, length), "kernel_from_weyl")
 
-    nk = 2 * np_axis
-    hk = length / np_axis           # refined spacing = h_phase / 2
+    kgrid = Grid(1, 2 * np_axis, length)
+    nk = kgrid.npoints
     nodes = phase.axis_nodes()      # also the xi and eta nodes (self-dual)
-    hxi = phase.spacing
 
     # trig coefficients along x: sigma(x_j, xi_k) = sum_r C[r,k] e^{2 i pi x_j eta_r}
-    coeff = np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(symbol.values, axes=0), axis=0),
-        axes=0) / np_axis
+    coeff = centered_fft(symbol.values, axes=(0,)) / np_axis
 
-    deltas = np.arange(-(nk - 1), nk)             # t = delta * hk
-    e_t = np.exp(2j * PI * np.outer(nodes, deltas * hk)) * hxi
-    r_tab = coeff @ e_t                            # R[eta, delta]
-    mids = -length + 0.5 * hk * np.arange(2 * nk - 1)
-    p_tab = np.exp(2j * PI * np.outer(mids, nodes))  # P[s, r]
-    t_tab = p_tab @ r_tab                             # T[s, delta]
+    deltas = np.arange(-(nk - 1), nk)       # t = delta * refined spacing
+    e_t = np.exp(2j * PI * np.outer(nodes, deltas * kgrid.spacing)) \
+        * phase.spacing
+    r_tab = coeff @ e_t                                      # R[eta, delta]
+    p_tab = np.exp(2j * PI * np.outer(_midpoints(kgrid), nodes))  # P[s, eta]
+    mat = _contract_on_pairs(p_tab, r_tab, 0, 1, nk)
 
     uu = np.arange(nk)[:, None]
-    vv = np.arange(nk)[None, :]
-    mat = t_tab[uu + vv, uu - vv + (nk - 1)]
-    mat[np.abs(uu - vv) > np_axis] = 0.0
-    return DenseKernel(Grid(1, nk, length), mat)
+    mat[np.abs(uu - uu.T) > np_axis] = 0.0
+    return DenseKernel(kgrid, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +356,3 @@ def apply_operator(op: OperatorRep, f: SampledField) -> SampledField:
     if isinstance(op, AntiWickFromSymbol):
         return apply_operator(assemble_antiwick(op, f.grid), f)
     raise TypeError(f"not an operator representation: {type(op)!r}")
-
-
-apply = apply_operator

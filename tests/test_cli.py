@@ -8,8 +8,8 @@ import pytest
 
 from awsym import (SampledField, gaussian_1d, make_grid, radial_gaussian,
                    sample)
-from awsym.fieldio import (gaussian_to_obj, load_field, save_field,
-                           sha256_file, write_json)
+from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
+                           save_field, sha256_file, write_json)
 
 
 def run_cli(*args, cwd=None):
@@ -110,6 +110,47 @@ def test_pair_ill_posed_exits_with_numerical_flag(workdir):
     assert r.returncode == 1
     report = json.loads((workdir / "pr7.json").read_text())
     assert "e-space-divergent" in report["flags"]
+
+
+def test_overflow_guard_exits_with_numerical_flag(tmp_path):
+    # white noise keeps every frequency, so the regularized division would
+    # need e^{pi xi^2 / 2} up to |xi| = 32 (log magnitude ~1608)
+    g = make_grid(1, 1024, 8.0)
+    noise = np.random.default_rng(0).standard_normal(g.shape)
+    save_field(SampledField(g, noise), tmp_path / "noise.json")
+    r = run_cli("--outdir", str(tmp_path), "desmooth",
+                "--method", "fourier-regularized",
+                "--input", str(tmp_path / "noise.json"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    assert report["flags"] == ["floating-point"]
+    assert (tmp_path / "desmooth.manifest.json").exists()
+
+
+def test_kernel_from_weyl_dim_four_is_usage_error(tmp_path):
+    g = make_grid(4, 8, 2.0)
+    save_field(SampledField(g, np.zeros(g.shape)), tmp_path / "s4.json")
+    r = run_cli("--outdir", str(tmp_path), "kernel-from-weyl",
+                "--symbol", str(tmp_path / "s4.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("dim,npoints", [(1, 7), (3, 8)])
+def test_invalid_kernel_manifest_is_rejected(tmp_path, dim, npoints):
+    size = npoints**dim
+    (tmp_path / "k.bin").write_bytes(np.zeros(size * size, "<c16").tobytes())
+    write_json(tmp_path / "k.json",
+               {"kind": "dense-kernel", "dim": dim, "N": npoints, "L": 2.0,
+                "shape": [size, size], "layout": "row-major",
+                "dtype": "complex128-le", "data": "k.bin"})
+    with pytest.raises(ValueError):
+        load_kernel(tmp_path / "k.json")
+    r = run_cli("--outdir", str(tmp_path), "weyl-from-kernel",
+                "--kernel", str(tmp_path / "k.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
 
 
 def test_usage_error_exit_code(tmp_path):

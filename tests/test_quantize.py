@@ -93,14 +93,17 @@ class TestAssemble:
     def test_gaussian_symbol_against_double_quadrature(self, phase64,
                                                        grid64):
         op = AntiWickFromSymbol(sample(radial_gaussian(2, math.pi), phase64))
-        k = assemble_antiwick(op, grid64)
-        psi = coherent_state((0.0, 0.0), grid64)
-        got = inner(apply_operator(k, psi), psi)
-        oracle = antiwick_matrix_element(
-            lambda x0, xis: np.exp(-math.pi * (x0**2 + xis**2)),
-            coherent_state_func(0.0, 0.0), coherent_state_func(0.0, 0.0),
-            phase_extent=4.0, phase_n=161, pos_extent=8.0, pos_n=2001)
-        assert abs(got - oracle) / abs(oracle) < 1e-6
+        kernels = [assemble_antiwick(op, g)
+                   for g in (grid64, grid64.refined())]
+        for point in ((0.0, 0.0), (0.75, -1.25)):
+            oracle = antiwick_matrix_element(
+                lambda x0, xis: np.exp(-math.pi * (x0**2 + xis**2)),
+                coherent_state_func(*point), coherent_state_func(*point),
+                phase_extent=4.0, phase_n=161, pos_extent=8.0, pos_n=2001)
+            for k in kernels:
+                psi = coherent_state(point, k.grid)
+                got = inner(apply_operator(k, psi), psi)
+                assert abs(got - oracle) / abs(oracle) < 1e-6
 
     def test_self_adjoint_for_real_symbol(self, phase64, grid64):
         op = AntiWickFromSymbol(sample(radial_gaussian(2, 1.5), phase64))
@@ -258,6 +261,26 @@ class TestTwoDimensionalPositionSpace:
         mesh = np.meshgrid(ax, ax, ax, ax, indexing="ij")
         ref = 4.0 * np.exp(-2 * math.pi * sum(m**2 for m in mesh))
         assert np.max(np.abs(sigma.values - ref)) < 2e-2
+
+    def test_tensor_symbol_assembles_to_kron(self, pos2, phase4):
+        # F(x1, x2, xi1, xi2) = F1(x1, xi1) F2(x2, xi2) factors the kernel
+        # as kron(M1, M2): pins the axis order and both parity classes of
+        # the pair gather against the 1-d assembly
+        phase2 = make_grid(2, phase4.npoints, phase4.half_extent)
+        f1 = sample(tensor(gaussian_1d(1.5, center=0.5, coeff=0.8 + 0.6j),
+                           gaussian_1d(2.0, center=-0.75, power=1)), phase2)
+        f2 = sample(tensor(gaussian_1d(2.5, center=-0.25, power=1),
+                           gaussian_1d(1.2, center=1.0, coeff=0.3 - 0.9j)),
+                    phase2)
+        f = SampledField(phase4, np.einsum("ac,bd->abcd", f1.values,
+                                           f2.values))
+        for g in (pos2, pos2.refined()):
+            g1 = make_grid(1, g.npoints, g.half_extent)
+            m1 = assemble_antiwick(AntiWickFromSymbol(f1), g1).matrix
+            m2 = assemble_antiwick(AntiWickFromSymbol(f2), g1).matrix
+            m = assemble_antiwick(AntiWickFromSymbol(f), g).matrix
+            ref = np.kron(m1, m2)
+            assert np.max(np.abs(m - ref)) / np.max(np.abs(ref)) < 1e-13
 
     def test_unit_symbol_identity(self, pos2, phase4):
         op = AntiWickFromSymbol(SampledField(phase4, np.ones(phase4.shape)))
