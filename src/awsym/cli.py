@@ -121,10 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="assemble a dense kernel from an anti-Wick symbol")
     p.add_argument("--symbol", required=True, help="phase-space field manifest")
     p.add_argument("--out", default="kernel.json")
-    p.add_argument("--refined", dest="refined", action="store_true",
+    p.add_argument("--refined", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="build on the doubled position grid (default)")
-    p.add_argument("--no-refined", dest="refined", action="store_false")
+                   help="build on the doubled position grid (default: on)")
     p.set_defaults(handler=_cmd_assemble)
 
     p = sub.add_parser("weyl-from-kernel", help="Weyl symbol of a kernel")

@@ -130,8 +130,9 @@ def make_grid(dim: int, npoints: int, half_extent: float) -> Grid:
         raise ValueError(f"npoints must be even (got {npoints})")
     if npoints < 8:
         raise ValueError(f"npoints must be at least 8 (got {npoints})")
-    if not half_extent > 0.0:
-        raise ValueError(f"half_extent must be positive (got {half_extent})")
+    if not 0.0 < half_extent < math.inf:
+        raise ValueError(
+            f"half_extent must be positive and finite (got {half_extent})")
     return Grid(dim, npoints, float(half_extent))
 
 

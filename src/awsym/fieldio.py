@@ -69,7 +69,51 @@ def _read_binary(path: Path, count: int) -> np.ndarray:
     if raw.size != count:
         raise ValueError(
             f"{path}: expected {count} complex samples, found {raw.size}")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{path}: samples must be finite (found NaN or Inf)")
     return raw.astype(complex)
+
+
+def _inside(base_dir, rel, what: str) -> Path:
+    """base_dir / rel resolved; ValueError unless it lies inside base_dir.
+
+    A file named by a manifest or an operator spec is read only from the
+    directory that names it (or below), never through "../" or an
+    absolute path.
+    """
+    base = Path(base_dir).resolve()
+    if not isinstance(rel, str):
+        raise ValueError(f"{what} path must be a string, got {rel!r}")
+    path = (base / rel).resolve()
+    if not path.is_relative_to(base):
+        raise ValueError(f"{what} path {rel!r} lies outside {base}")
+    return path
+
+
+def _read_manifest(manifest_path, kind=None) -> tuple[Grid, np.ndarray]:
+    """Validated grid and flat samples of a field (kind None) or kernel.
+
+    The "data" path must resolve inside the manifest's own directory.
+    """
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or "data" not in manifest:
+        raise ValueError(f"{manifest_path}: not a manifest with a data path")
+    if manifest.get("kind") != kind:
+        raise ValueError(f"{manifest_path}: kind {manifest.get('kind')!r}, "
+                         f"expected {kind!r}")
+    if manifest.get("dtype") != _FIELD_DTYPE:
+        raise ValueError(f"unsupported dtype {manifest.get('dtype')!r}")
+    if manifest.get("layout") != "row-major":
+        raise ValueError(f"unsupported layout {manifest.get('layout')!r}")
+    try:
+        grid = make_grid(int(manifest["dim"]), int(manifest["N"]),
+                         float(manifest["L"]))
+    except (TypeError, OverflowError) as exc:   # e.g. "N": null or 1e400
+        raise ValueError(f"{manifest_path}: bad grid entry ({exc})") from exc
+    data = _inside(manifest_path.parent, manifest["data"], "data")
+    count = grid.size if kind is None else grid.size ** 2
+    return grid, _read_binary(data, count)
 
 
 def save_field(f: SampledField, manifest_path) -> dict:
@@ -90,15 +134,7 @@ def save_field(f: SampledField, manifest_path) -> dict:
 
 
 def load_field(manifest_path) -> SampledField:
-    manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("dtype") != _FIELD_DTYPE:
-        raise ValueError(f"unsupported dtype {manifest.get('dtype')!r}")
-    if manifest.get("layout") != "row-major":
-        raise ValueError(f"unsupported layout {manifest.get('layout')!r}")
-    grid = make_grid(int(manifest["dim"]), int(manifest["N"]),
-                     float(manifest["L"]))
-    values = _read_binary(manifest_path.parent / manifest["data"], grid.size)
+    grid, values = _read_manifest(manifest_path)
     return SampledField(grid, values.reshape(grid.shape))
 
 
@@ -142,15 +178,8 @@ def save_kernel(k: DenseKernel, manifest_path) -> dict:
 
 
 def load_kernel(manifest_path) -> DenseKernel:
-    manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("kind") != "dense-kernel":
-        raise ValueError("manifest does not describe a dense kernel")
-    grid = make_grid(int(manifest["dim"]), int(manifest["N"]),
-                     float(manifest["L"]))
-    m = grid.size
-    values = _read_binary(manifest_path.parent / manifest["data"], m * m)
-    return DenseKernel(grid, values.reshape(m, m))
+    grid, values = _read_manifest(manifest_path, kind="dense-kernel")
+    return DenseKernel(grid, values.reshape(grid.size, grid.size))
 
 
 # -- analytic objects --------------------------------------------------------
@@ -210,12 +239,13 @@ def operator_from_obj(obj: dict, base_dir: Path) -> OperatorRep:
     kind = obj.get("type")
     if kind == "antiwick-symbol":
         if "field" in obj:
-            return AntiWickFromSymbol(load_field(base_dir / obj["field"]))
+            return AntiWickFromSymbol(
+                load_field(_inside(base_dir, obj["field"], "field")))
         grid = grid_from_obj(obj["grid"])
         symbol = gaussian_from_obj(obj["symbol"])
         return AntiWickFromSymbol(sample(symbol, grid))
     if kind == "coherent-combo":
         return combo_from_obj(obj["terms"])
     if kind == "dense-kernel":
-        return load_kernel(base_dir / obj["manifest"])
+        return load_kernel(_inside(base_dir, obj["manifest"], "manifest"))
     raise ValueError(f"unknown operator type {kind!r}")

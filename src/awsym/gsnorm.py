@@ -10,12 +10,19 @@ the package leans on:
 * ``hermite_sup`` / ``hermite_bound_margin``
                       -- the derivative-of-Gaussian sup bound
                          sqrt(2) (2 pi)^{1/4} sqrt(m!) (m+1)^{1/4},
+* ``hermite_l2_log_margin`` -- the matching L2 bound sqrt(2 pi) m!,
 * ``gevrey_order_estimate`` -- least-squares Gevrey order of derivative sups.
 
 All factorial and sup arithmetic runs in log space; sup norms are taken
 over grids that provably contain every stationary point of the probed
 Gaussian sums, with the boundary value checked against the interior
-maximum as the tail guard.
+maximum as the tail guard.  ``gs_constant`` reduces one axis at a time,
+so each derivative order takes its weighted sups for every alpha at once.
+
+The Hermite checks share one grid t_k = k h (h = 5/16384) and one pass of
+the scaled recurrence for all orders up to MAX_HERMITE_ORDER (orders up to
+8 read a small table of their own); the sups and L2 norms of each pass are
+cached, the recurrence arrays are not.
 
 Membership is always reported as an estimate over finite ranges together
 with a stabilization diagnostic; nothing here claims a proof.
@@ -23,14 +30,14 @@ with a stabilization diagnostic; nothing here claims a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gaussians import (AnalyticGaussianSum, gaussian_derivative_values,
-                        sum_derivative_values)
+from .gaussians import AnalyticGaussianSum, sum_derivative_values
 
 __all__ = [
     "WeightParams",
@@ -131,6 +138,23 @@ def _multi_indices(dim: int, max_total: int):
     yield from rec((), max_total, dim)
 
 
+def _weighted_sups(absd: np.ndarray, coord_pows) -> np.ndarray:
+    """sup_x |x^alpha| absd(x) for every alpha in the box, axis by axis.
+
+    Entry [alpha] equals np.max(absd * |x_0|^a_0 * |x_1|^a_1 * ...) bit for
+    bit: rounding is monotone, so for q >= 0 the max over x_j of c * p
+    times q is the max of c * p * q, and each axis is reduced as soon as
+    its power has been multiplied in.
+    """
+    sups = absd
+    for j, pows in enumerate(coord_pows):
+        shape = [1] * sups.ndim
+        shape[j] = -1   # the leading j axes already index alpha_0..alpha_{j-1}
+        sups = np.stack([np.max(sups * p.reshape(shape), axis=j)
+                         for p in pows], axis=j)
+    return sups
+
+
 @dataclass
 class GSEstimate:
     """Empirical Gelfand-Shilov data for one (lambda, mu) pair."""
@@ -175,32 +199,26 @@ def gs_constant(u: AnalyticGaussianSum, lam: float, mu: float,
         points_per_axis = 4097 if u.dim == 1 else (257 if u.dim == 2 else 49)
 
     axes = _sup_axes(u, max_alpha + max_beta, points_per_axis)
-    coord_pows = {}
+    # |x_j|^a for a = 0..max_alpha, one row per power
+    coord_pows = [[np.abs(ax) ** a for a in range(max_alpha + 1)]
+                  for ax in axes]
+    alphas = [(alpha, sum(alpha),
+               lam * sum(math.lgamma(a + 1) for a in alpha))
+              for alpha in _multi_indices(u.dim, max_alpha)]
 
     best_by_total: dict[int, float] = {}
     for beta in _multi_indices(u.dim, max_beta):
-        dvals = sum_derivative_values(u, beta, axes)
-        absd = np.abs(dvals)
-        for alpha in _multi_indices(u.dim, max_alpha):
-            total = sum(alpha) + sum(beta)
+        sups = _weighted_sups(np.abs(sum_derivative_values(u, beta, axes)),
+                              coord_pows)
+        mu_beta = mu * sum(math.lgamma(b + 1) for b in beta)
+        for alpha, order, lam_alpha in alphas:
+            total = order + sum(beta)
             if total == 0:
                 continue
-            weighted = absd
-            for j, aj in enumerate(alpha):
-                if aj:
-                    key = (j, aj)
-                    if key not in coord_pows:
-                        shape = [1] * u.dim
-                        shape[j] = -1
-                        coord_pows[key] = (np.abs(axes[j]) ** aj).reshape(shape)
-                    weighted = weighted * coord_pows[key]
-            sup = float(np.max(weighted))
+            sup = float(sups[alpha])
             if sup == 0.0:
                 continue
-            log_ratio = (math.log(sup)
-                         - lam * sum(math.lgamma(a + 1) for a in alpha)
-                         - mu * sum(math.lgamma(b + 1) for b in beta))
-            cand = log_ratio / total
+            cand = (math.log(sup) - lam_alpha - mu_beta) / total
             if cand > best_by_total.get(total, -math.inf):
                 best_by_total[total] = cand
 
@@ -345,36 +363,78 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
 # derivative-of-Gaussian bound (Hermite recurrence)
 # ---------------------------------------------------------------------------
 
-def _hermite_scaled_sup(m: int, points: int = 16385) -> float:
-    """sup_t |d^m/dt^m e^{-t^2/2}| / sqrt(m!), via the stable recurrence."""
+# node spacing t_k = k h of the shared Hermite grid: the finest spacing of
+# the former per-order grids (16385 nodes on [0, 5], order zero)
+_HERMITE_STEP = 5.0 / 16384
+# orders up to this one are read from a small table of their own, so a lone
+# low-order call (a process's first check, say m = 0) costs milliseconds,
+# not the full pass to MAX_HERMITE_ORDER
+_HERMITE_LOW_TOP = 8
+
+
+@functools.cache
+def _hermite_table(top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Sups and squared L2 norms of g_m = f_m / sqrt(m!), m = 0..top.
+
+    One pass of the recurrence g_{m+1} = (-t g_m - sqrt(m) g_{m-1}) / sqrt(m+1)
+    runs over the shared grid t_k = k h.  Order m reads sup |g_m| over
+    0 <= t <= sqrt(2m) + 5 (|g_m| is even) and the trapezoid value of
+    int g_m^2 over |t| <= sqrt(2m) + 8, the nodes inside each domain.  The
+    recurrence is pointwise in t and each order reduces its own prefix of
+    nodes, so an order's entries do not depend on ``top``.  Only the two
+    tuples are cached, never the recurrence arrays.
+    """
+    h = _HERMITE_STEP
+    t = np.arange(int((math.sqrt(2.0 * top) + 8.0) / h) + 1) * h
+    g_prev = np.zeros_like(t)
+    g = np.exp(-0.5 * t * t)
+    work = np.empty_like(t)
+    sups, sq_norms = [], []
+    for m in range(top + 1):
+        if m:
+            np.multiply(t, g, out=work)
+            g_prev *= math.sqrt(m - 1)
+            g_prev += work
+            g_prev /= -math.sqrt(m)
+            g_prev, g = g, g_prev
+        head = g[:int((math.sqrt(2.0 * m) + 5.0) / h) + 1]
+        sups.append(max(float(head.max()), float(-head.min())))
+        # trapezoid on nodes -K..K from the half-line nodes 0..K
+        n_l2 = int((math.sqrt(2.0 * m) + 8.0) / h) + 1
+        sq = np.square(g[:n_l2], out=work[:n_l2])
+        sq_norms.append(h * (2.0 * float(sq.sum()) - float(sq[0])
+                             - float(sq[-1])))
+    return tuple(sups), tuple(sq_norms)
+
+
+def _hermite_entry(m: int) -> tuple[float, float]:
+    """(sup |g_m|, ||g_m||^2) from the low-order or the full table."""
     if m < 0 or m > MAX_HERMITE_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_HERMITE_ORDER}]")
-    reach = math.sqrt(2.0 * m) + 5.0
-    t = np.linspace(0.0, reach, points)   # |f_m| is even
-    g = gaussian_derivative_values(m, t, keep=1)[0]
-    return float(np.max(np.abs(g))) * math.exp(-0.5 * math.lgamma(m + 1))
+    sups, sq_norms = _hermite_table(
+        _HERMITE_LOW_TOP if m <= _HERMITE_LOW_TOP else MAX_HERMITE_ORDER)
+    return sups[m], sq_norms[m]
 
 
 def hermite_sup(m: int) -> float:
-    """sup_x |d^m/dx^m e^{-x^2/2}| over the real line (dense grid + tails)."""
-    return _hermite_scaled_sup(m) * math.exp(0.5 * math.lgamma(m + 1))
+    """sup_x |d^m/dx^m e^{-x^2/2}| over the real line, on the shared grid."""
+    return _hermite_entry(m)[0] * math.exp(0.5 * math.lgamma(m + 1))
 
 
 def hermite_bound_margin(m: int) -> float:
     """Ratio bound/sup for sqrt(2) (2 pi)^{1/4} sqrt(m!) (m+1)^{1/4}; >= 1 expected."""
     log_bound_scaled = (0.5 * math.log(2.0) + 0.25 * math.log(TWO_PI)
                         + 0.25 * math.log(m + 1.0))
-    return math.exp(log_bound_scaled - math.log(_hermite_scaled_sup(m)))
+    return math.exp(log_bound_scaled - math.log(_hermite_entry(m)[0]))
 
 
-def hermite_l2_log_margin(m: int, points: int = 16385) -> float:
-    """log( sqrt(2 pi) m! ) - log ||d^m e^{-x^2/2}||_{L2}^2; >= 0 expected."""
-    reach = math.sqrt(2.0 * m) + 8.0
-    t = np.linspace(-reach, reach, points)
-    g = gaussian_derivative_values(m, t, keep=1)[0]
-    scaled_sq = g * g * math.exp(-math.lgamma(m + 1))   # |f_m|^2 / m!
-    integral = float(np.trapezoid(scaled_sq, t))
-    return 0.5 * math.log(TWO_PI) - math.log(integral)
+def hermite_l2_log_margin(m: int) -> float:
+    """log( sqrt(2 pi) m! ) - log ||d^m e^{-x^2/2}||_{L2}^2; >= 0 expected.
+
+    The squared norm is the trapezoid value on the shared grid of
+    ``_hermite_table``; orders are capped at MAX_HERMITE_ORDER.
+    """
+    return 0.5 * math.log(TWO_PI) - math.log(_hermite_entry(m)[1])
 
 
 # ---------------------------------------------------------------------------

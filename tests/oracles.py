@@ -85,3 +85,88 @@ def antiwick_matrix_element(symbol_func, f_func, g_func,
         fvals = symbol_func(x0, xs)
         total += wx[i] * np.sum(wx * fvals * bra_f * np.conj(bra_g)) * hx * hx
     return total
+
+
+def hermite_function_reference(m_max: int = 30):
+    """Sups and squared L2 norms of h_m = He_m(t) e^{-t^2/2} / sqrt(m!).
+
+    d^m/dt^m e^{-t^2/2} = (-1)^m He_m(t) e^{-t^2/2}, so these are the scaled
+    derivative-of-Gaussian sups and norms.  He_m comes from
+    ``numpy.polynomial.hermite_e`` on grids unrelated to the library's:
+    the sup is located on a coarse grid and polished on a dense local one,
+    the norm is a trapezoid on a fine symmetric grid.  Returns two lists
+    indexed by m = 0..m_max.
+    """
+    from math import factorial, sqrt
+
+    from numpy.polynomial import hermite_e
+
+    sups, sq_norms = [], []
+    for m in range(m_max + 1):
+        coef = np.zeros(m + 1)
+        coef[m] = 1.0
+        scale = 1.0 / sqrt(factorial(m))
+
+        def h(t):
+            return hermite_e.hermeval(t, coef) * np.exp(-0.5 * t * t) * scale
+
+        reach = np.sqrt(2.0 * m + 1.0) + 6.0
+        ts = np.linspace(0.0, reach, 40001)
+        k = int(np.argmax(np.abs(h(ts))))
+        step = ts[1] - ts[0]
+        local = np.linspace(max(ts[k] - step, 0.0), ts[k] + step, 20001)
+        sups.append(float(np.max(np.abs(h(local)))))
+
+        xs, dx = trapezoid_grid(reach + 4.0, 120001)
+        w = np.ones_like(xs)
+        w[0] = w[-1] = 0.5
+        sq_norms.append(float(np.sum(h(xs) ** 2 * w) * dx))
+    return sups, sq_norms
+
+
+def gs_constant_brute_force(u, lam: float, mu: float, max_alpha: int,
+                            max_beta: int, points_per_axis: int):
+    """(a_est, a_by_total_order) from the per-(alpha, beta) full-grid loop.
+
+    This is the loop ``gs_constant`` ran before its axis-by-axis
+    reduction: for every pair it forms |x^alpha d^beta u| on the whole
+    sup grid and takes one maximum.  It shares the derivative values and
+    the sup grid with the library, so it checks the reduction only.
+    """
+    import itertools
+    import math
+
+    from awsym.gaussians import sum_derivative_values
+    from awsym.gsnorm import _sup_axes
+
+    def indices(top):
+        return [idx for idx in itertools.product(range(top + 1),
+                                                 repeat=u.dim)
+                if sum(idx) <= top]
+
+    axes = _sup_axes(u, max_alpha + max_beta, points_per_axis)
+    best: dict[int, float] = {}
+    for beta in indices(max_beta):
+        absd = np.abs(sum_derivative_values(u, beta, axes))
+        for alpha in indices(max_alpha):
+            total = sum(alpha) + sum(beta)
+            if total == 0:
+                continue
+            weighted = absd
+            for j, aj in enumerate(alpha):
+                shape = [1] * u.dim
+                shape[j] = -1
+                weighted = weighted * (np.abs(axes[j]) ** aj).reshape(shape)
+            sup = float(np.max(weighted))
+            if sup == 0.0:
+                continue
+            cand = (math.log(sup)
+                    - lam * sum(math.lgamma(a + 1) for a in alpha)
+                    - mu * sum(math.lgamma(b + 1) for b in beta)) / total
+            best[total] = max(best.get(total, -math.inf), cand)
+    running = -math.inf
+    cumulative = []
+    for total in range(1, max_alpha + max_beta + 1):
+        running = max(running, best.get(total, -math.inf))
+        cumulative.append(math.exp(running))
+    return math.exp(running), tuple(cumulative)

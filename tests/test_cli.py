@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from awsym import (SampledField, gaussian_1d, make_grid, radial_gaussian,
-                   sample)
+from awsym import (SampledField, cli, gaussian_1d, identity_kernel,
+                   make_grid, radial_gaussian, sample)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
-                           save_field, sha256_file, write_json)
+                           save_field, save_kernel, sha256_file, write_json)
+from test_fieldio import poison_sample
 
 
 def run_cli(*args, cwd=None):
@@ -151,6 +152,69 @@ def test_invalid_kernel_manifest_is_rejected(tmp_path, dim, npoints):
                 "--kernel", str(tmp_path / "k.json"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+
+
+def test_non_finite_input_is_usage_error(tmp_path):
+    g = make_grid(1, 64, 4.0)
+    save_field(sample(gaussian_1d(1.0), g), tmp_path / "f.json")
+    poison_sample(tmp_path / "f.bin", 10, complex(np.nan, 0.0))
+    r = run_cli("--outdir", str(tmp_path / "out"), "smooth",
+                "--input", str(tmp_path / "f.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    save_kernel(identity_kernel(g), tmp_path / "k.json")
+    poison_sample(tmp_path / "k.bin", 3, complex(0.0, np.inf))
+    r = run_cli("--outdir", str(tmp_path / "out"), "weyl-from-kernel",
+                "--kernel", str(tmp_path / "k.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_escaping_data_path_is_usage_error(tmp_path, absolute):
+    g = make_grid(1, 64, 4.0)
+    save_field(sample(gaussian_1d(1.0), g), tmp_path / "outside.json")
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    manifest = json.loads((tmp_path / "outside.json").read_text())
+    manifest["data"] = str(tmp_path / "outside.bin") if absolute \
+        else "../outside.bin"
+    write_json(inner / "f.json", manifest)
+    r = run_cli("--outdir", str(tmp_path / "out"), "smooth",
+                "--input", str(inner / "f.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "smoothed.json").exists()
+
+
+def test_escaping_operator_path_is_usage_error(workdir):
+    sub = workdir / "sub"
+    sub.mkdir()
+    write_json(sub / "op.json",
+               {"type": "antiwick-symbol", "field": "../F.json"})
+    r = run_cli("--outdir", str(workdir / "out"), "pair",
+                "--operator", str(sub / "op.json"),
+                "--test-function", str(workdir / "u.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "lies outside" in r.stderr
+
+
+def test_refined_flag_parses_both_ways(tmp_path):
+    parser = cli._build_parser()
+    base = ["antiwick-assemble", "--symbol", "F.json"]
+    assert parser.parse_args(base).refined is True
+    assert parser.parse_args(base + ["--refined"]).refined is True
+    assert parser.parse_args(base + ["--no-refined"]).refined is False
+    phase = make_grid(2, 16, 4.0)
+    save_field(sample(radial_gaussian(2, math.pi), phase), tmp_path / "F.json")
+    assert cli.main(["--outdir", str(tmp_path), "antiwick-assemble",
+                     "--symbol", str(tmp_path / "F.json"),
+                     "--no-refined"]) == 0
+    report = json.loads(
+        (tmp_path / "antiwick-assemble-report.json").read_text())
+    assert report["refined"] is False
+    assert report["kernel_grid"]["N"] == 16
 
 
 def test_usage_error_exit_code(tmp_path):

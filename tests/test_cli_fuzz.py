@@ -1,0 +1,127 @@
+"""The CLI contract under malformed field and kernel manifests.
+
+Each example starts from a valid 8-point field or kernel, breaks its
+manifest or binary in one to three ways (wrong grid entries, bad dtype or
+kind, short or non-finite binaries, samples scaled until their transforms
+overflow, data paths that leave the manifest directory, manifests that
+are not JSON objects) and runs ``cli.main()``
+in process.  The contract: exit 0, 1 or 2, nothing escapes ``main``, and
+every exit 1 leaves a report and a run manifest.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from awsym import cli, gaussian_1d, identity_kernel, make_grid, sample
+from awsym.fieldio import save_field, save_kernel
+
+GRID = make_grid(1, 8, 2.0)
+KEYS = ("dim", "N", "L", "dtype", "layout", "kind", "data", "shape")
+# stands for the absolute path of a valid binary outside the manifest
+# directory, which only exists once the example's directory does
+OUTSIDE_ABSOLUTE = "<outside-absolute>"
+
+values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(("complex64-le", "column-major", "dense-kernel",
+                     "../missing.bin", "../outside.bin", "f.bin",
+                     OUTSIDE_ABSOLUTE)))
+
+mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(KEYS), values),
+    st.tuples(st.just("drop"), st.sampled_from(KEYS)),
+    st.tuples(st.just("truncate"), st.integers(0, 1100)),
+    st.tuples(st.just("poison"), st.integers(0, 63),
+              st.sampled_from((complex(np.nan, 0.0), complex(0.0, np.inf),
+                               complex(-np.inf, 1.0)))),
+    # finite samples whose transforms overflow: a numerical flag, exit 1
+    st.tuples(st.just("scale"), st.sampled_from((1e300, 1e306, -1e306))),
+    st.tuples(st.just("replace"),
+              st.sampled_from(("[]", "3", '"f.bin"', "{", ""))),
+)
+
+COMMANDS = {
+    "field": [["smooth"], ["desmooth", "--method", "fourier-regularized"]],
+    "kernel": [["weyl-from-kernel"]],
+}
+
+
+def build_input(root: Path, kind: str) -> tuple[Path, dict]:
+    inner = root / "in"
+    inner.mkdir()
+    if kind == "field":
+        obj, save = sample(gaussian_1d(1.0), GRID), save_field
+    else:
+        obj, save = identity_kernel(GRID), save_kernel
+    save(obj, root / "outside.json")
+    manifest = save(obj, inner / "f.json")
+    return inner / "f.json", manifest
+
+
+def apply(mutation, manifest_path: Path, manifest: dict, root: Path):
+    """Apply one mutation; returns the manifest (or None once replaced)."""
+    op = mutation[0]
+    bin_path = manifest_path.parent / "f.bin"
+    if op == "set":
+        value = mutation[2]
+        if value == OUTSIDE_ABSOLUTE:
+            value = str(root / "outside.bin")
+        if manifest is not None:
+            manifest[mutation[1]] = value
+    elif op == "drop":
+        if manifest is not None:
+            manifest.pop(mutation[1], None)
+    elif op == "truncate":
+        bin_path.write_bytes(bin_path.read_bytes()[:mutation[1]])
+    elif op == "scale":
+        data = bin_path.read_bytes()
+        whole = len(data) // 16 * 16
+        with np.errstate(over="ignore", invalid="ignore"):  # repeated scales
+            raw = np.frombuffer(data[:whole], dtype="<c16") * mutation[1]
+        bin_path.write_bytes(raw.astype("<c16").tobytes() + data[whole:])
+    elif op == "poison":
+        data = bin_path.read_bytes()
+        whole = len(data) // 16 * 16
+        raw = np.frombuffer(data[:whole], dtype="<c16").copy()
+        if raw.size:
+            raw[mutation[1] % raw.size] = mutation[2]
+            bin_path.write_bytes(raw.tobytes() + data[whole:])
+    else:
+        manifest_path.write_text(mutation[1], encoding="utf-8")
+        return None
+    return manifest
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(COMMANDS)), data=st.data(),
+       edits=st.lists(mutations, min_size=1, max_size=3))
+def test_malformed_manifests_keep_the_cli_contract(kind, data, edits):
+    command = data.draw(st.sampled_from(COMMANDS[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        manifest_path, manifest = build_input(root, kind)
+        for mutation in edits:
+            manifest = apply(mutation, manifest_path, manifest, root)
+        if manifest is not None:
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        outdir = root / "out"
+        option = "--input" if kind == "field" else "--kernel"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            status = cli.main(["--outdir", str(outdir), *command,
+                               option, str(manifest_path)])
+        assert status in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if status == 1:
+            assert (outdir / f"{command[0]}-report.json").exists()
+            assert (outdir / f"{command[0]}.manifest.json").exists()

@@ -32,6 +32,8 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 8, 0.0)
         with pytest.raises(ValueError):
+            make_grid(1, 8, math.inf)
+        with pytest.raises(ValueError):
             make_grid(3, 8, 4.0)
         with pytest.raises(ValueError):
             make_grid(1, 4, 4.0)

@@ -110,3 +110,66 @@ def test_digest_and_json_determinism(tmp_path, grid64):
     write_json(tmp_path / "r2.json", {"a": [1.5, 0.25], "b": 2})
     assert (tmp_path / "r1.json").read_bytes() \
         == (tmp_path / "r2.json").read_bytes()
+
+
+def poison_sample(bin_path, index, value):
+    """Overwrite one complex sample of a stored binary in place."""
+    raw = np.frombuffer(bin_path.read_bytes(), dtype="<c16").copy()
+    raw[index] = value
+    bin_path.write_bytes(raw.tobytes())
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_non_finite_samples_are_rejected(tmp_path, grid64, bad):
+    save_field(sample(gaussian_1d(1.0), grid64), tmp_path / "f.json")
+    poison_sample(tmp_path / "f.bin", 5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        load_field(tmp_path / "f.json")
+    save_kernel(identity_kernel(grid64), tmp_path / "k.json")
+    poison_sample(tmp_path / "k.bin", 70, bad)
+    with pytest.raises(ValueError, match="finite"):
+        load_kernel(tmp_path / "k.json")
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_data_path_must_stay_in_manifest_dir(tmp_path, grid64, absolute):
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    save_field(sample(gaussian_1d(1.0), grid64), tmp_path / "outside.json")
+    save_kernel(identity_kernel(grid64), tmp_path / "koutside.json")
+    for name, stored, loader in (("f.json", "outside.bin", load_field),
+                                 ("k.json", "koutside.bin", load_kernel)):
+        manifest = json.loads((tmp_path / stored.replace(".bin", ".json"))
+                              .read_text())
+        manifest["data"] = str(tmp_path / stored) if absolute \
+            else "../" + stored
+        write_json(inner / name, manifest)
+        with pytest.raises(ValueError, match="lies outside"):
+            loader(inner / name)
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_operator_paths_must_stay_in_spec_dir(tmp_path, grid64, phase64,
+                                              absolute):
+    save_field(sample(radial_gaussian(2, math.pi), phase64),
+               tmp_path / "F.json")
+    save_kernel(identity_kernel(grid64), tmp_path / "kernel.json")
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    for kind, key, name in (("antiwick-symbol", "field", "F.json"),
+                            ("dense-kernel", "manifest", "kernel.json")):
+        path = str(tmp_path / name) if absolute else "../" + name
+        with pytest.raises(ValueError, match="lies outside"):
+            operator_from_obj({"type": kind, key: path}, inner)
+        # an absolute path inside the spec's directory is accepted
+        operator_from_obj({"type": kind, key: str(tmp_path / name)}, tmp_path)
+
+
+def test_field_and_kernel_manifests_are_not_interchangeable(tmp_path,
+                                                            grid64):
+    save_field(sample(gaussian_1d(1.0), grid64), tmp_path / "f.json")
+    save_kernel(identity_kernel(grid64), tmp_path / "k.json")
+    with pytest.raises(ValueError, match="kind"):
+        load_kernel(tmp_path / "f.json")
+    with pytest.raises(ValueError, match="kind"):
+        load_field(tmp_path / "k.json")

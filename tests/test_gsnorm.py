@@ -7,8 +7,11 @@ from awsym import (WeightParams, e_space_norm, gaussian_1d,
                    gevrey_order_estimate, gs_constant, hermite_bound_margin,
                    hermite_l2_log_margin, hermite_sup, holo_bound_check,
                    phi_weight, psi_weight)
-from awsym.gaussians import AnalyticGaussianSum, GaussFactor
-from awsym.gsnorm import e_space_divergent
+from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
+                             gaussian_derivative_values, tensor)
+from awsym.gsnorm import (MAX_HERMITE_ORDER, _hermite_table,
+                          e_space_divergent)
+from oracles import gs_constant_brute_force, hermite_function_reference
 
 
 def grower():
@@ -81,6 +84,29 @@ class TestGSConstant:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             gs_constant(gaussian_1d(1.0), 0.5, 0.5, 50, 10)
+
+    @pytest.mark.parametrize("u,lam,mu,max_alpha,max_beta,points", [
+        (gaussian_1d(math.pi), 0.5, 0.5, 10, 10, 4097),
+        (gaussian_1d(1.5, power=1) + gaussian_1d(math.pi, coeff=0.4),
+         0.5, 0.45, 16, 16, 1025),
+        (tensor(gaussian_1d(2.0, center=0.3), gaussian_1d(3.0, power=1)),
+         0.5, 0.5, 10, 10, 65),
+        (tensor(gaussian_1d(2.0, center=0.3, coeff=1 + 2j),
+                gaussian_1d(3.0, power=1))
+         + tensor(gaussian_1d(1.7, power=2, coeff=0.3 - 1j),
+                  gaussian_1d(2.5, center=-0.4)), 0.7, 0.4, 6, 8, 49),
+        (tensor(tensor(gaussian_1d(2.0), gaussian_1d(3.0, power=1)),
+                gaussian_1d(1.5, center=0.2, coeff=0.5j)), 0.5, 0.5, 4, 4,
+         17),
+    ])
+    def test_matches_per_pair_full_grid_loop(self, u, lam, mu, max_alpha,
+                                             max_beta, points):
+        est = gs_constant(u, lam, mu, max_alpha, max_beta,
+                          points_per_axis=points)
+        a_est, by_order = gs_constant_brute_force(u, lam, mu, max_alpha,
+                                                  max_beta, points)
+        assert est.a_est == a_est
+        assert est.a_by_total_order == by_order
 
 
 class TestHoloBound:
@@ -161,6 +187,31 @@ class TestHermite:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             hermite_sup(201)
+        with pytest.raises(ValueError):
+            hermite_l2_log_margin(201)
+
+    def test_sups_and_l2_against_hermite_e(self):
+        sups, sq_norms = hermite_function_reference(30)
+        for m in range(31):
+            scale = math.sqrt(math.factorial(m))
+            assert hermite_sup(m) == pytest.approx(sups[m] * scale, rel=1e-6)
+            assert hermite_l2_log_margin(m) == pytest.approx(
+                0.5 * math.log(2 * math.pi) - math.log(sq_norms[m]),
+                abs=1e-10)
+
+    def test_low_order_table_is_a_prefix(self):
+        sups, norms = _hermite_table(MAX_HERMITE_ORDER)
+        low_sups, low_norms = _hermite_table(8)
+        assert low_sups == sups[:9]
+        assert low_norms == norms[:9]
+
+    @pytest.mark.parametrize("m", [60, 128, 197, 200])
+    def test_high_order_sups_match_per_order_recurrence(self, m):
+        # the former per-order path: its own recurrence on its own grid
+        t = np.linspace(0.0, math.sqrt(2.0 * m) + 5.0, 40001)
+        g = gaussian_derivative_values(m, t, keep=1)[0]
+        assert hermite_sup(m) == pytest.approx(float(np.max(np.abs(g))),
+                                               rel=1e-4)
 
 
 class TestGevrey:
