@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -354,67 +354,81 @@ def tensor(*sums: AnalyticGaussianSum) -> AnalyticGaussianSum:
 
 
 # -- stable high derivatives -------------------------------------------------
+# The scaled Hermite recurrence lives here alone: every Gaussian derivative
+# in the package, gsnorm's Hermite tables included, is one pass of it.
+
+def scaled_hermite_orders(top: int, t: np.ndarray,
+                          work: np.ndarray | None = None):
+    """Yield g_j = f_j / sqrt(j!) at t for j = 0..top, f_j = d^j e^{-t^2/2}.
+
+    One in-place pass of g_{j+1} = (-t g_j - sqrt(j) g_{j-1}) / sqrt(j+1):
+    a yielded array is overwritten two steps later.  A caller passing its
+    own ``work`` (t's shape, the scratch for t g_j) may use it between steps.
+    """
+    t = np.asarray(t, dtype=float)
+    g_prev = np.zeros_like(t)
+    g = np.exp(-0.5 * t * t)
+    work = np.empty_like(t) if work is None else work
+    for j in range(top + 1):
+        if j:   # rounds like the expression above, signed zeros included
+            np.multiply(t, g, out=work)
+            g_prev *= -math.sqrt(j - 1)
+            g_prev -= work
+            g_prev /= math.sqrt(j)
+            g_prev, g = g, g_prev
+        yield g
+
 
 def gaussian_derivative_values(m: int, t: np.ndarray,
                                keep: int = 1) -> list[np.ndarray]:
-    """Values of d^j/dt^j e^{-t^2/2} for j = m-keep+1 .. m, recurrence-based.
-
-    The recurrence is carried in the scaled form g_j = f_j / sqrt(j!), which
-    stays O(1) for all probed orders; the√(j!) factor is restored at the end.
-    Returns the last ``keep`` orders (lowest first), which is what the
-    Leibniz expansion of polynomial-times-Gaussian derivatives consumes.
-    """
+    """Values of d^j/dt^j e^{-t^2/2} for j = m-keep+1 .. m, lowest first."""
     if m < 0:
         raise ValueError("order must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    g_prev = np.zeros_like(t)
-    g_cur = np.exp(-t * t / 2.0)
-    ring: list[np.ndarray] = [g_cur.copy()]
-    for j in range(m):
-        g_next = (-t * g_cur - math.sqrt(j) * g_prev) / math.sqrt(j + 1)
-        g_prev, g_cur = g_cur, g_next
-        ring.append(g_cur.copy())
-        if len(ring) > keep:
-            ring.pop(0)
-    out = []
-    for offset, g in enumerate(ring[-keep:]):
-        j = m - (len(ring[-keep:]) - 1 - offset)
-        out.append(g * math.exp(0.5 * math.lgamma(j + 1)))
-    return out
+    return [g * math.exp(0.5 * math.lgamma(j + 1))
+            for j, g in enumerate(scaled_hermite_orders(m, t)) if j > m - keep]
 
 
 def factor_derivative_values(factor: GaussFactor, m: int,
                              x: np.ndarray) -> np.ndarray:
-    """d^m/dx^m of a single axis factor at real points, evaluated stably.
+    """Rows n = 0..m: d^n/dx^n of a single axis factor at real points.
 
-    Leibniz on (u^p) * e^{-a u^2} with the Gaussian block reduced to the
-    scaled-recurrence values of d^j e^{-t^2/2} at t = sqrt(2a) u.
+    Leibniz on (u^p) * e^{-a u^2}, the Gaussian block being d^j e^{-t^2/2}
+    at t = sqrt(2a) u for every j from one recurrence pass.
     """
     if factor.width <= 0.0:
         raise ValueError("stable derivative evaluation needs width > 0")
     u = np.asarray(x, dtype=float) - factor.center
     s = math.sqrt(2.0 * factor.width)
     p = factor.power
-    keep = min(p, m) + 1
-    gvals = gaussian_derivative_values(m, s * u, keep=keep)
-    total = np.zeros_like(u)
-    for k in range(min(p, m) + 1):
-        falling = math.perm(p, k)
-        fx = gvals[keep - 1 - k]           # order m-k
-        total = total + (math.comb(m, k) * falling
-                         * u ** (p - k) * s ** (m - k) * fx)
-    return factor.coeff * total
+    fvals = gaussian_derivative_values(m, s * u, keep=m + 1)
+    rows = np.empty((m + 1,) + u.shape, dtype=complex)
+    for n in range(m + 1):
+        rows[n] = factor.coeff * sum(
+            math.comb(n, k) * math.perm(p, k) * u ** (p - k) * s ** (n - k)
+            * fvals[n - k] for k in range(min(p, n) + 1))
+    return rows
+
+
+def sum_derivatives(u: AnalyticGaussianSum,
+                    order_list: Sequence[Sequence[int]],
+                    axes: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """∂^beta u on a tensor grid of real nodes, lazily for each beta listed.
+
+    One table per product term and axis, up to that axis' top order,
+    serves every beta.
+    """
+    if len(axes) != u.dim or any(len(beta) != u.dim or min(beta) < 0
+                                 for beta in order_list):
+        raise ValueError("need axes and nonnegative orders for every axis")
+    tables = [[factor_derivative_values(f, max(b[j] for b in order_list), ax)
+               for j, (f, ax) in enumerate(zip(term, axes))]
+              for term in u.terms]
+    zero = np.zeros(tuple(len(ax) for ax in axes), dtype=complex)
+    return (sum((reduce(np.multiply.outer, [r[b] for r, b in zip(rows, beta)])
+                 for rows in tables), zero) for beta in order_list)
 
 
 def sum_derivative_values(u: AnalyticGaussianSum, orders: Sequence[int],
                           axes: Sequence[np.ndarray]) -> np.ndarray:
     """∂^orders u on a tensor grid of real nodes, one order per axis."""
-    if len(orders) != u.dim or len(axes) != u.dim:
-        raise ValueError("orders/axes must match the dimension")
-    shape = tuple(len(ax) for ax in axes)
-    total = np.zeros(shape, dtype=complex)
-    for term in u.terms:
-        axis_vals = [factor_derivative_values(f, m, ax)
-                     for f, m, ax in zip(term, orders, axes)]
-        total += reduce(np.multiply.outer, axis_vals)
-    return total
+    return next(sum_derivatives(u, [orders], axes))

@@ -19,10 +19,10 @@ Gaussian sums, with the boundary value checked against the interior
 maximum as the tail guard.  ``gs_constant`` reduces one axis at a time,
 so each derivative order takes its weighted sups for every alpha at once.
 
-The Hermite checks share one grid t_k = k h (h = 5/16384) and one pass of
-the scaled recurrence for all orders up to MAX_HERMITE_ORDER (orders up to
-8 read a small table of their own); the sups and L2 norms of each pass are
-cached, the recurrence arrays are not.
+The scaled Hermite recurrence lives in :mod:`awsym.gaussians` alone; each
+check runs it once per grid for all its orders.  The Hermite checks share
+one grid t_k = k h (h = 5/16384) up to MAX_HERMITE_ORDER (orders up to 8
+read a small table of their own) and cache each pass's sups and L2 norms.
 
 Membership is always reported as an estimate over finite ranges together
 with a stabilization diagnostic; nothing here claims a proof.
@@ -37,7 +37,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gaussians import AnalyticGaussianSum, sum_derivative_values
+from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, scaled_hermite_orders,
+                        sum_derivatives)
 
 __all__ = [
     "WeightParams",
@@ -118,24 +119,18 @@ def _axis_extent(u: AnalyticGaussianSum, axis: int, extra_order: int) -> float:
 
 def _sup_axes(u: AnalyticGaussianSum, extra_order: int,
               points_per_axis: int) -> list[np.ndarray]:
-    return [np.linspace(-_axis_extent(u, j, extra_order),
-                        _axis_extent(u, j, extra_order), points_per_axis)
-            for j in range(u.dim)]
+    extents = [_axis_extent(u, j, extra_order) for j in range(u.dim)]
+    return [np.linspace(-r, r, points_per_axis) for r in extents]
 
 
 def _multi_indices(dim: int, max_total: int):
-    if dim == 1:
-        for k in range(max_total + 1):
-            yield (k,)
+    """Length-dim multi-indices of total order <= max_total, lexicographic."""
+    if dim == 0:
+        yield ()
         return
-    def rec(prefix, remaining, axes_left):
-        if axes_left == 1:
-            for k in range(remaining + 1):
-                yield prefix + (k,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + (k,), remaining - k, axes_left - 1)
-    yield from rec((), max_total, dim)
+    for k in range(max_total + 1):
+        for rest in _multi_indices(dim - 1, max_total - k):
+            yield (k,) + rest
 
 
 def _weighted_sups(absd: np.ndarray, coord_pows) -> np.ndarray:
@@ -206,10 +201,10 @@ def gs_constant(u: AnalyticGaussianSum, lam: float, mu: float,
                lam * sum(math.lgamma(a + 1) for a in alpha))
               for alpha in _multi_indices(u.dim, max_alpha)]
 
+    betas = list(_multi_indices(u.dim, max_beta))
     best_by_total: dict[int, float] = {}
-    for beta in _multi_indices(u.dim, max_beta):
-        sups = _weighted_sups(np.abs(sum_derivative_values(u, beta, axes)),
-                              coord_pows)
+    for beta, d_beta in zip(betas, sum_derivatives(u, betas, axes)):
+        sups = _weighted_sups(np.abs(d_beta), coord_pows)
         mu_beta = mu * sum(math.lgamma(b + 1) for b in beta)
         for alpha, order, lam_alpha in alphas:
             total = order + sum(beta)
@@ -277,7 +272,7 @@ def _holo_rect_max(u: AnalyticGaussianSum, w: WeightParams,
     psi = sum(psi_weight(mesh[u.dim + j][None], w) for j in range(u.dim))
     log_ratio = phi + log_u - psi
     peak = float(np.max(log_ratio))
-    if peak > 700.0:
+    if peak > _EXP_GUARD:
         return math.inf
     return math.exp(peak)
 
@@ -305,6 +300,19 @@ def e_space_divergent(u: AnalyticGaussianSum) -> bool:
     return False
 
 
+def strip_rule(strip_halfwidth: float,
+               nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid y nodes and weights over the strip |y| <= strip_halfwidth."""
+    if not (math.isfinite(strip_halfwidth) and strip_halfwidth > 0.0):
+        raise ValueError("strip half-width must be finite and positive, "
+                         f"got {strip_halfwidth}")
+    ys = np.linspace(-strip_halfwidth, strip_halfwidth, nodes)
+    wy = np.full(nodes, ys[1] - ys[0])
+    wy[0] *= 0.5
+    wy[-1] *= 0.5
+    return ys, wy
+
+
 def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
                  strip_halfwidth: float = 3.0,
                  x_points: int = 2049, y_points: int = 129,
@@ -322,40 +330,29 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if moment > 16:
         raise ValueError("moment weight is capped at m = 16")
+    ys, wy = strip_rule(strip_halfwidth, y_points)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
-    ys = np.linspace(-strip_halfwidth, strip_halfwidth, y_points)
-    wy = np.full(y_points, ys[1] - ys[0])
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
 
-    if u.dim == 1:
-        ext = x_extent or _axis_extent(u, 0, moment)
+    def axis_integral(factors, j):
+        """Strip integral over axis j of |sum of the factors|, weighted."""
+        ext = x_extent or _axis_extent(u, j, moment)
         xs = np.linspace(-ext, ext, x_points)
         hx = xs[1] - xs[0]
         weight = (1.0 + np.abs(xs)) ** moment
         total = 0.0
         for y, wyk in zip(ys, wy):
-            vals = np.zeros(x_points, dtype=complex)
-            for term in u.terms:
-                vals += term[0].shifted_values(xs, y, -TWO_PI * y * y)
+            vals = sum(f.shifted_values(xs, y, -TWO_PI * y * y)
+                       for f in factors)
             total += wyk * hx * float(np.sum(np.abs(vals) * weight))
-        return ESpaceReport(total, False, strip_halfwidth, moment)
+        return total
 
-    total = 0.0
-    for term in u.terms:
-        prod = 1.0
-        for j, f in enumerate(term):
-            ext = x_extent or _axis_extent(u, j, moment)
-            xs = np.linspace(-ext, ext, x_points)
-            hx = xs[1] - xs[0]
-            weight = (1.0 + np.abs(xs)) ** moment
-            axis_int = 0.0
-            for y, wyk in zip(ys, wy):
-                vals = f.shifted_values(xs, y, -TWO_PI * y * y)
-                axis_int += wyk * hx * float(np.sum(np.abs(vals) * weight))
-            prod *= axis_int
-        total += prod
+    if u.dim == 1:
+        total = axis_integral([term[0] for term in u.terms], 0)
+    else:
+        total = sum(math.prod(axis_integral([f], j)
+                              for j, f in enumerate(term))
+                    for term in u.terms)
     return ESpaceReport(total, False, strip_halfwidth, moment)
 
 
@@ -376,9 +373,9 @@ _HERMITE_LOW_TOP = 8
 def _hermite_table(top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Sups and squared L2 norms of g_m = f_m / sqrt(m!), m = 0..top.
 
-    One pass of the recurrence g_{m+1} = (-t g_m - sqrt(m) g_{m-1}) / sqrt(m+1)
-    runs over the shared grid t_k = k h.  Order m reads sup |g_m| over
-    0 <= t <= sqrt(2m) + 5 (|g_m| is even) and the trapezoid value of
+    One pass of ``gaussians.scaled_hermite_orders`` runs over the shared
+    grid t_k = k h.  Order m reads sup |g_m| over 0 <= t <= sqrt(2m) + 5
+    (|g_m| is even) and the trapezoid value of
     int g_m^2 over |t| <= sqrt(2m) + 8, the nodes inside each domain.  The
     recurrence is pointwise in t and each order reduces its own prefix of
     nodes, so an order's entries do not depend on ``top``.  Only the two
@@ -386,17 +383,9 @@ def _hermite_table(top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """
     h = _HERMITE_STEP
     t = np.arange(int((math.sqrt(2.0 * top) + 8.0) / h) + 1) * h
-    g_prev = np.zeros_like(t)
-    g = np.exp(-0.5 * t * t)
     work = np.empty_like(t)
     sups, sq_norms = [], []
-    for m in range(top + 1):
-        if m:
-            np.multiply(t, g, out=work)
-            g_prev *= math.sqrt(m - 1)
-            g_prev += work
-            g_prev /= -math.sqrt(m)
-            g_prev, g = g, g_prev
+    for m, g in enumerate(scaled_hermite_orders(top, t, work)):
         head = g[:int((math.sqrt(2.0 * m) + 5.0) / h) + 1]
         sups.append(max(float(head.max()), float(-head.min())))
         # trapezoid on nodes -K..K from the half-line nodes 0..K
@@ -473,11 +462,11 @@ def gevrey_order_estimate(u: AnalyticGaussianSum, m_max: int = 40,
         points_per_axis = 4097 if u.dim == 1 else 129
 
     axes = _sup_axes(u, m_max, points_per_axis)
+    unit = [0] * u.dim
+    unit[axis] = 1
+    order_list = [[m * e for e in unit] for m in range(2, m_max + 1)]
     sups = []
-    for m in range(2, m_max + 1):
-        orders = [0] * u.dim
-        orders[axis] = m
-        vals = sum_derivative_values(u, orders, axes)
+    for vals in sum_derivatives(u, order_list, axes):
         sup = float(np.max(np.abs(vals)))
         if sup == 0.0:
             return GevreyFit(math.nan, math.nan, math.nan, math.nan,

@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, SampledField, fourier, inverse_fourier, sample
-from .gaussians import AnalyticGaussianSum, OverflowGuardError
-from .gsnorm import e_space_divergent
+from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
+from .gsnorm import TWO_PI, e_space_divergent, strip_rule
 
 __all__ = [
     "DesmoothReport",
@@ -46,8 +46,6 @@ __all__ = [
     "desmooth_fourier",
     "desmooth_complex",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 class ESpaceDivergenceError(ValueError):
@@ -122,7 +120,7 @@ def desmooth_fourier(u: SampledField,
         log_gain = np.where(mag > 0.0, np.log(mag), -np.inf) \
             + 0.5 * math.pi * sq
     peak = float(np.max(log_gain[mask])) if mask.any() else -math.inf
-    if peak > 700.0:
+    if peak > _EXP_GUARD:
         raise OverflowGuardError(
             f"regularized division overflows double precision "
             f"(max log magnitude {peak:.1f}); raise rel_threshold or "
@@ -161,18 +159,15 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
-    if strip_halfwidth <= 0.0 or y_nodes < 4:
-        raise ValueError("need a positive strip and at least 4 y nodes")
+    if y_nodes < 4:
+        raise ValueError("need at least 4 y nodes")
+    ys, wy = strip_rule(strip_halfwidth, y_nodes)
     u.require_gaussian_decay("complex-shift desmoothing")
     if e_space_divergent(u):
         raise ESpaceDivergenceError(
             "strip integrand grows (some axis width >= 2 pi); the "
             "complex-shift construction diverges for this input")
 
-    ys = np.linspace(-strip_halfwidth, strip_halfwidth, y_nodes)
-    wy = np.full(y_nodes, ys[1] - ys[0])
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
     g1 = Grid(1, g.npoints, g.half_extent)
     xs = g1.axis_nodes()
 

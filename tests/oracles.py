@@ -124,6 +124,25 @@ def hermite_function_reference(m_max: int = 30):
     return sups, sq_norms
 
 
+def gaussian_derivative_recurrence(m: int, t) -> np.ndarray:
+    """d^m/dt^m e^{-t^2/2} at t from its own scaled recurrence.
+
+    A literal per-order loop, run from order zero on every call, written
+    out here so the library's shared Hermite pass is checked against code
+    it does not share: g_{j+1} = (-t g_j - sqrt(j) g_{j-1}) / sqrt(j+1)
+    with g_j = f_j / sqrt(j!), and sqrt(m!) restored at the end.
+    """
+    import math
+
+    t = np.asarray(t, dtype=float)
+    g_prev = np.zeros_like(t)
+    g_cur = np.exp(-t * t / 2.0)
+    for j in range(m):
+        g_next = (-t * g_cur - math.sqrt(j) * g_prev) / math.sqrt(j + 1)
+        g_prev, g_cur = g_cur, g_next
+    return g_cur * math.exp(0.5 * math.lgamma(m + 1))
+
+
 def gs_constant_brute_force(u, lam: float, mu: float, max_alpha: int,
                             max_beta: int, points_per_axis: int):
     """(a_est, a_by_total_order) from the per-(alpha, beta) full-grid loop.

@@ -129,6 +129,28 @@ def test_overflow_guard_exits_with_numerical_flag(tmp_path):
     assert (tmp_path / "desmooth.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command,strip", [
+    ("desmooth", "nan"), ("desmooth", "inf"), ("desmooth", "-1"),
+    ("pair", "nan")])
+def test_bad_strip_halfwidth_is_usage_error(tmp_path, capsys, command, strip):
+    phase = make_grid(2, 16, 4.0)
+    save_field(sample(radial_gaussian(2, math.pi), phase), tmp_path / "F.json")
+    write_json(tmp_path / "op.json",
+               {"type": "antiwick-symbol", "field": "F.json"})
+    write_json(tmp_path / "u.json", gaussian_to_obj(radial_gaussian(2, 2.0)))
+    if command == "desmooth":
+        args = ["desmooth", "--method", "complex-shift",
+                "--input", str(tmp_path / "u.json"),
+                "--grid", '{"dim": 2, "N": 16, "L": 4.0}']
+    else:
+        args = ["pair", "--operator", str(tmp_path / "op.json"),
+                "--test-function", str(tmp_path / "u.json")]
+    out = tmp_path / "out"
+    assert cli.main(["--outdir", str(out), *args, "--strip", strip]) == 2
+    assert "strip half-width" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
 def test_kernel_from_weyl_dim_four_is_usage_error(tmp_path):
     g = make_grid(4, 8, 2.0)
     save_field(SampledField(g, np.zeros(g.shape)), tmp_path / "s4.json")

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from awsym import gaussian_1d, tensor
 from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
                              OverflowGuardError, factor_derivative_values,
-                             sum_derivative_values)
+                             sum_derivative_values, sum_derivatives)
 
 from oracles import heat_convolution_quadrature
 
@@ -109,13 +109,41 @@ def test_log_abs_handles_growth():
 
 def test_stable_derivative_values_match_symbolic():
     factor = GaussFactor(1.2, 2, 1.7, 0.3)
-    u = AnalyticGaussianSum(1, ((factor,),))
-    d5 = u
-    for _ in range(5):
-        d5 = d5.derivative(0)
+    dn = AnalyticGaussianSum(1, ((factor,),))
     xs = np.linspace(-3, 3, 101)
     stable = factor_derivative_values(factor, 5, xs)
-    assert_allclose(stable, d5(xs.astype(complex)).real, atol=1e-10)
+    assert stable.shape == (6, 101)
+    for n in range(6):
+        assert_allclose(stable[n], dn(xs.astype(complex)).real, atol=1e-10)
+        dn = dn.derivative(0)
+
+
+def test_sum_derivatives_match_symbolic_chain_2d():
+    u = (tensor(gaussian_1d(1.3, center=0.2, power=1, coeff=0.8 - 0.5j),
+                gaussian_1d(2.1, center=-0.4))
+         + tensor(gaussian_1d(2.7, coeff=0.3j),
+                  gaussian_1d(1.6, center=0.1, power=2)))
+    xs = np.linspace(-2.0, 2.0, 9)
+    ys = np.linspace(-1.5, 1.5, 7)
+    betas = [(0, 0), (2, 0), (1, 3), (0, 4), (3, 2)]
+    grid = (xs[:, None].astype(complex), ys[None, :].astype(complex))
+    for beta, stable in zip(betas, sum_derivatives(u, betas, [xs, ys])):
+        d = u
+        for axis, order in enumerate(beta):
+            for _ in range(order):
+                d = d.derivative(axis)
+        assert_allclose(stable, d(*grid), rtol=1e-10, atol=1e-10)
+
+
+def test_sum_derivatives_rejects_bad_orders():
+    u = tensor(gaussian_1d(1.0), gaussian_1d(2.0))
+    xs = np.linspace(-1, 1, 5)
+    with pytest.raises(ValueError):
+        sum_derivatives(u, [(1, 0), (2,)], [xs, xs])
+    with pytest.raises(ValueError):
+        sum_derivatives(u, [(1, -1)], [xs, xs])
+    with pytest.raises(ValueError):
+        sum_derivative_values(u, [1, 1], [xs])
 
 
 def test_sum_derivative_values_2d():

@@ -11,7 +11,8 @@ from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
                              gaussian_derivative_values, tensor)
 from awsym.gsnorm import (MAX_HERMITE_ORDER, _hermite_table,
                           e_space_divergent)
-from oracles import gs_constant_brute_force, hermite_function_reference
+from oracles import (gaussian_derivative_recurrence, gs_constant_brute_force,
+                     hermite_function_reference)
 
 
 def grower():
@@ -161,6 +162,11 @@ class TestESpace:
         with pytest.raises(ValueError):
             e_space_norm(gaussian_1d(1.0), 17, 3.0)
 
+    @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan, math.inf])
+    def test_strip_halfwidth_validation(self, strip):
+        with pytest.raises(ValueError, match="strip half-width"):
+            e_space_norm(gaussian_1d(1.0), 0, strip)
+
 
 class TestHermite:
     def test_order_zero(self):
@@ -209,9 +215,19 @@ class TestHermite:
     def test_high_order_sups_match_per_order_recurrence(self, m):
         # the former per-order path: its own recurrence on its own grid
         t = np.linspace(0.0, math.sqrt(2.0 * m) + 5.0, 40001)
-        g = gaussian_derivative_values(m, t, keep=1)[0]
+        g = gaussian_derivative_recurrence(m, t)
         assert hermite_sup(m) == pytest.approx(float(np.max(np.abs(g))),
                                                rel=1e-4)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 97])
+    def test_shared_pass_repeats_per_order_recurrence(self, m):
+        # same update, same rounding: every kept order agrees bit for bit
+        t = np.linspace(-12.0, 12.0, 3001)
+        keep = min(m + 1, 4)
+        got = gaussian_derivative_values(m, t, keep=keep)
+        for offset, values in enumerate(got):
+            want = gaussian_derivative_recurrence(m - keep + 1 + offset, t)
+            assert values.tobytes() == want.tobytes()
 
 
 class TestGevrey:
