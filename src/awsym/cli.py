@@ -287,7 +287,10 @@ def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
 def _cmd_pair(args, outdir, inputs, outputs):
     op_spec = json.loads(_register_input(inputs, args.operator)
                          .read_text(encoding="utf-8"))
-    op = operator_from_obj(op_spec, Path(args.operator).parent)
+    referenced: list[Path] = []
+    op = operator_from_obj(op_spec, Path(args.operator).parent, referenced)
+    for path in referenced:
+        _register_input(inputs, path)
     u = gaussian_from_obj(json.loads(
         _register_input(inputs, args.test_function)
         .read_text(encoding="utf-8")))

@@ -90,10 +90,13 @@ def _inside(base_dir, rel, what: str) -> Path:
     return path
 
 
-def _read_manifest(manifest_path, kind=None) -> tuple[Grid, np.ndarray]:
+def _read_manifest(manifest_path, kind=None,
+                   record=None) -> tuple[Grid, np.ndarray]:
     """Validated grid and flat samples of a field (kind None) or kernel.
 
     The "data" path must resolve inside the manifest's own directory.
+    When ``record`` is a list, the manifest and data paths are appended
+    to it once both have been read.
     """
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -113,7 +116,10 @@ def _read_manifest(manifest_path, kind=None) -> tuple[Grid, np.ndarray]:
         raise ValueError(f"{manifest_path}: bad grid entry ({exc})") from exc
     data = _inside(manifest_path.parent, manifest["data"], "data")
     count = grid.size if kind is None else grid.size ** 2
-    return grid, _read_binary(data, count)
+    values = _read_binary(data, count)
+    if record is not None:
+        record += [manifest_path, data]
+    return grid, values
 
 
 def save_field(f: SampledField, manifest_path) -> dict:
@@ -133,8 +139,8 @@ def save_field(f: SampledField, manifest_path) -> dict:
     return manifest
 
 
-def load_field(manifest_path) -> SampledField:
-    grid, values = _read_manifest(manifest_path)
+def load_field(manifest_path, record=None) -> SampledField:
+    grid, values = _read_manifest(manifest_path, record=record)
     return SampledField(grid, values.reshape(grid.shape))
 
 
@@ -177,8 +183,9 @@ def save_kernel(k: DenseKernel, manifest_path) -> dict:
     return manifest
 
 
-def load_kernel(manifest_path) -> DenseKernel:
-    grid, values = _read_manifest(manifest_path, kind="dense-kernel")
+def load_kernel(manifest_path, record=None) -> DenseKernel:
+    grid, values = _read_manifest(manifest_path, kind="dense-kernel",
+                                  record=record)
     return DenseKernel(grid, values.reshape(grid.size, grid.size))
 
 
@@ -225,7 +232,8 @@ def combo_from_obj(obj: list) -> CoherentCombo:
     return CoherentCombo(terms)
 
 
-def operator_from_obj(obj: dict, base_dir: Path) -> OperatorRep:
+def operator_from_obj(obj: dict, base_dir: Path,
+                      record=None) -> OperatorRep:
     """Operator description used by the CLI.
 
     Recognized "type" values:
@@ -233,6 +241,9 @@ def operator_from_obj(obj: dict, base_dir: Path) -> OperatorRep:
                              or {"field": "<manifest path>"}
       * "coherent-combo":    {"terms": [{c_re, c_im, X, Y}, ...]}
       * "dense-kernel":      {"manifest": "<manifest path>"}
+
+    Files a spec points to are appended to ``record`` (when it is a list)
+    as they are read, manifest then binary, so a caller can digest them.
     """
     from .core import sample  # local import to avoid cycle at module load
 
@@ -240,12 +251,13 @@ def operator_from_obj(obj: dict, base_dir: Path) -> OperatorRep:
     if kind == "antiwick-symbol":
         if "field" in obj:
             return AntiWickFromSymbol(
-                load_field(_inside(base_dir, obj["field"], "field")))
+                load_field(_inside(base_dir, obj["field"], "field"), record))
         grid = grid_from_obj(obj["grid"])
         symbol = gaussian_from_obj(obj["symbol"])
         return AntiWickFromSymbol(sample(symbol, grid))
     if kind == "coherent-combo":
         return combo_from_obj(obj["terms"])
     if kind == "dense-kernel":
-        return load_kernel(_inside(base_dir, obj["manifest"], "manifest"))
+        return load_kernel(_inside(base_dir, obj["manifest"], "manifest"),
+                           record)
     raise ValueError(f"unknown operator type {kind!r}")

@@ -71,22 +71,33 @@ class GaussFactor:
         w = np.asarray(z, dtype=complex) - self.center
         return self.coeff * w**self.power * np.exp(-self.width * w * w)
 
-    def shifted_values(self, x, y: float, log_weight: float = 0.0):
+    def shifted_values(self, x, y, log_weight=0.0):
         """Evaluate at x + iy with an extra exp(log_weight) damping factor.
 
         The weight is folded into the exponent before exponentiating, so
         expressions like u(x + iy) * exp(-2*pi*y**2) never materialize the
-        raw e^{a y^2} growth.
+        raw e^{a y^2} growth.  ``y`` and ``log_weight`` may be arrays that
+        broadcast against ``x`` (a column of shifts against a row of
+        nodes evaluates every shift at once); the overflow guard covers
+        every entry and names the shift of the worst one.
         """
         w = np.asarray(x, dtype=float) - self.center + 1j * y
         expo = -self.width * w * w + log_weight
         peak = float(np.max(expo.real)) if expo.size else 0.0
         if peak > _EXP_GUARD:
+            at = np.unravel_index(np.argmax(expo.real), expo.shape)
+            shift = np.broadcast_to(y, expo.shape)[at]
+            weight = np.broadcast_to(log_weight, expo.shape)[at]
             raise OverflowGuardError(
                 f"strip evaluation overflows: max exponent {peak:.1f} "
-                f"(width={self.width}, shift={y}, log_weight={log_weight:.1f})"
+                f"(width={self.width}, shift={shift}, log_weight={weight:.1f})"
             )
-        return self.coeff * w**self.power * np.exp(expo)
+        # Named, so numpy cannot elide coeff * w**power into an in-place
+        # product with its operands swapped (it does so from 256 KiB on,
+        # and a complex product is not bit-symmetric in its operands):
+        # every array size, batched or not, rounds the same way.
+        poly = w**self.power
+        return self.coeff * poly * np.exp(expo)
 
     def derivative(self) -> tuple["GaussFactor", ...]:
         """d/dz of the factor, as a sum of factors with the same (a, b)."""

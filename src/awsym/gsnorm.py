@@ -306,6 +306,8 @@ def strip_rule(strip_halfwidth: float,
     if not (math.isfinite(strip_halfwidth) and strip_halfwidth > 0.0):
         raise ValueError("strip half-width must be finite and positive, "
                          f"got {strip_halfwidth}")
+    if nodes < 2:
+        raise ValueError(f"strip rule needs at least 2 y nodes, got {nodes}")
     ys = np.linspace(-strip_halfwidth, strip_halfwidth, nodes)
     wy = np.full(nodes, ys[1] - ys[0])
     wy[0] *= 0.5
@@ -330,6 +332,8 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if moment > 16:
         raise ValueError("moment weight is capped at m = 16")
+    if x_points < 2:
+        raise ValueError(f"x_points must be at least 2, got {x_points}")
     ys, wy = strip_rule(strip_halfwidth, y_points)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
@@ -455,6 +459,8 @@ def gevrey_order_estimate(u: AnalyticGaussianSum, m_max: int = 40,
         raise ValueError("m_max is capped at 60")
     if m_max < 6:
         raise ValueError("need m_max >= 6 for a meaningful fit")
+    if not 0 <= axis < u.dim:
+        raise ValueError(f"axis must lie in [0, {u.dim}), got {axis}")
     if not u.has_gaussian_decay() or u.is_zero():
         return GevreyFit(math.nan, math.nan, math.nan, math.nan,
                          degenerate=True)

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, SampledField, fourier, inverse_fourier, sample
+from .core import (Grid, SampledField, centered_fft, fourier, inverse_fourier,
+                   sample)
 from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
 from .gsnorm import TWO_PI, e_space_divergent, strip_rule
 
@@ -151,11 +152,11 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
 
     The input must be numerically in the strip-integrable class: every
     axis width below 2 pi (checked before any evaluation; divergent inputs
-    raise :class:`ESpaceDivergenceError`).  For each trapezoid node y the
-    x-transform of u(. + iy) is taken with the strip weight folded in, the
-    weighted slices are summed into kappa, and the result is the inverse
-    transform of kappa.  Tensor-product terms factor axis by axis, so the
-    cost stays one-dimensional per axis.
+    raise :class:`ESpaceDivergenceError`).  The x-transforms of u(. + iy),
+    with the strip weight folded in, are taken for every trapezoid node y
+    in one batched FFT, the weighted slices are summed into kappa, and the
+    result is the inverse transform of kappa.  Tensor-product terms factor
+    axis by axis, so the cost stays one-dimensional per axis.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
@@ -170,16 +171,22 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
 
     g1 = Grid(1, g.npoints, g.half_extent)
     xs = g1.axis_nodes()
+    y_col = ys[:, None]
+    log_weight = -TWO_PI * y_col * y_col
+    row_weights = wy * math.sqrt(2.0)
 
     phi_vals = np.zeros(g.shape, dtype=complex)
     for term in u.terms:
         axis_phis = []
         for factor in term:
+            # all y nodes in one (y, x) slab array and one batched FFT;
+            # the rows are summed in node order, as a per-node loop would
+            slabs = factor.shifted_values(xs, y_col, log_weight)
+            spectra = centered_fft(slabs, axes=(1,))
+            spectra *= g1.spacing
             kappa = np.zeros(g.npoints, dtype=complex)
-            for y, w in zip(ys, wy):
-                slab = factor.shifted_values(xs, y, -TWO_PI * y * y)
-                kappa += (w * math.sqrt(2.0)) \
-                    * fourier(SampledField(g1, slab)).values
+            for w, spectrum in zip(row_weights, spectra):
+                kappa += w * spectrum
             axis_phis.append(
                 inverse_fourier(SampledField(g1.freq, kappa)).values)
         phi_vals += reduce(np.multiply.outer, axis_phis) \

@@ -29,6 +29,17 @@ nodes and t/2 offsets on refined nodes exactly, never interpolated; pass
 transforms also require a self-dual phase grid (N = 4 L^2, frequency
 nodes == position nodes), which makes the t-slice transform land exactly
 on the xi axis of the same grid.
+
+Operator action
+---------------
+An anti-Wick operator is a localization operator (a Gabor multiplier), so
+:func:`apply_operator` never assembles it: it takes the windowed transform
+of the field against the coherent states, multiplies by F and synthesizes,
+one position axis at a time.  That is the same finite quadrature as
+assembling on the field's grid and applying the kernel, summed in another
+order, and works for any phase grid and position grid pair.
+:func:`assemble_antiwick` builds the dense kernel for the Weyl transforms
+and stays the independent check of the action.
 """
 
 from __future__ import annotations
@@ -224,22 +235,25 @@ def _midpoints(g: Grid) -> np.ndarray:
 
 def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
                        diff_axis: int, npts: int) -> np.ndarray:
-    """out[.., u, .., v, ..] = sum_k w_mid[u+v, k] tab[.., k, .., u-v+N-1, ..]
+    """out[.., u, .., v, ..] = sum_k w_mid[u+v, k] tab[.., k, .., u-v+B, ..]
 
-    for N = ``npts``, u in place of ``mid_axis`` and v of ``diff_axis``.
-    u + v and u - v share a parity, so each parity class is one product
-    over that class's rows of ``w_mid`` and columns of ``tab``: the full
-    (2N - 1)^2 midpoint x difference table is never formed.
+    for u in place of ``mid_axis`` and v of ``diff_axis``, u, v < ``npts``.
+    The diff axis of ``tab`` holds 2B + 1 differences; pairs with
+    |u - v| > B are zero (B = npts - 1 covers every pair).  u + v and
+    u - v share a parity, so each parity class is one product over that
+    class's rows of ``w_mid`` and columns of ``tab``: the full midpoint x
+    difference table is never formed.
     """
     tab = np.moveaxis(tab, (mid_axis, diff_axis), (0, 1))
-    out = np.empty((npts, npts) + tab.shape[2:], dtype=complex)
+    band = (tab.shape[1] - 1) // 2
+    out = np.zeros((npts, npts) + tab.shape[2:], dtype=complex)
     u, v = np.indices((npts, npts))
     for parity in (0, 1):
-        pick = (u + v) % 2 == parity
+        pick = ((u + v) % 2 == parity) & (np.abs(u - v) <= band)
         uc, vc = u[pick], v[pick]
         part = np.tensordot(w_mid[parity::2],
-                            tab[:, (npts - 1 + parity) % 2::2], axes=1)
-        out[uc, vc] = part[(uc + vc) // 2, (uc - vc + npts - 1) // 2]
+                            tab[:, (band + parity) % 2::2], axes=1)
+        out[uc, vc] = part[(uc + vc) // 2, (uc - vc + band) // 2]
     return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
 
 
@@ -300,7 +314,8 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     coming from the trigonometric interpolation of the symbol along x
     (exact at the sample nodes, spectrally accurate between them).
     Differences beyond |t| > L are outside what the xi grid can encode and
-    are set to zero, matching the zero-extension read of the forward map.
+    are zero (never formed), matching the zero-extension read of the
+    forward map.
     Only position dimension one is supported.
     """
     phase = symbol.grid
@@ -319,16 +334,13 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     # trig coefficients along x: sigma(x_j, xi_k) = sum_r C[r,k] e^{2 i pi x_j eta_r}
     coeff = centered_fft(symbol.values, axes=(0,)) / np_axis
 
-    deltas = np.arange(-(nk - 1), nk)       # t = delta * refined spacing
+    # t = delta * refined spacing, |delta| <= N (|t| <= L)
+    deltas = np.arange(-np_axis, np_axis + 1)
     e_t = np.exp(2j * PI * np.outer(nodes, deltas * kgrid.spacing)) \
         * phase.spacing
     r_tab = coeff @ e_t                                      # R[eta, delta]
     p_tab = np.exp(2j * PI * np.outer(_midpoints(kgrid), nodes))  # P[s, eta]
-    mat = _contract_on_pairs(p_tab, r_tab, 0, 1, nk)
-
-    uu = np.arange(nk)[:, None]
-    mat[np.abs(uu - uu.T) > np_axis] = 0.0
-    return DenseKernel(kgrid, mat)
+    return DenseKernel(kgrid, _contract_on_pairs(p_tab, r_tab, 0, 1, nk))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +350,9 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
 def apply_operator(op: OperatorRep, f: SampledField) -> SampledField:
     """Apply any representation to a sampled function.
 
-    Coherent combinations act through inner products without ever being
-    densified; symbols are assembled on the field's grid first.
+    Coherent combinations act through inner products and anti-Wick
+    symbols through windowed analysis, multiplication and synthesis
+    (:func:`_apply_antiwick`); neither is ever densified into a kernel.
     """
     if isinstance(op, DenseKernel):
         if op.grid != f.grid:
@@ -354,5 +367,61 @@ def apply_operator(op: OperatorRep, f: SampledField) -> SampledField:
             out += c * weight * coherent_state(x, f.grid).values
         return SampledField(f.grid, out)
     if isinstance(op, AntiWickFromSymbol):
-        return apply_operator(assemble_antiwick(op, f.grid), f)
+        return _apply_antiwick(op, f)
     raise TypeError(f"not an operator representation: {type(op)!r}")
+
+
+def _apply_antiwick(op: AntiWickFromSymbol, f: SampledField) -> SampledField:
+    """Anti-Wick action as windowed analysis, multiplication by F and
+    synthesis: the quadrature of assemble_antiwick followed by the kernel
+    action, summed in another order.
+
+    Per axis, Psi_X(x_u) conj(Psi_X(x_v)) = sqrt(2) A[x,u] A[x,v]
+    E[v,xi] conj(E[u,xi]) with window A[x,v] = e^{-pi (v-x)^2} and wave
+    E[v,xi] = e^{-2 i pi v xi}, so the action is the analysis
+    V = A (E o f), the multiplication W = F o V and the synthesis
+    sum_xi conj(E) o (A^T W), one position axis at a time, scaled by
+    2^{n/2} h_phase^{2n} h_pos^n.  Any phase grid and position grid pair
+    works, and no N_pos^n x N_pos^n kernel is formed.
+    """
+    phase = op.symbol.grid
+    n = op.position_dim
+    g = f.grid
+    if g.dim != n:
+        raise GridMismatchError(
+            f"position grid dim {g.dim} incompatible with the "
+            f"dim-{phase.dim} phase grid of the symbol")
+
+    nph, npos = phase.npoints, g.npoints
+    phase_nodes, pos_nodes = phase.axis_nodes(), g.axis_nodes()
+    window = np.exp(-PI * np.subtract.outer(phase_nodes, pos_nodes) ** 2)
+    wave = np.exp(-2j * PI * np.outer(pos_nodes, phase_nodes))
+
+    # analysis: the leading v axis becomes a trailing (x, xi) pair, so
+    # after n passes the axes are (x_1, xi_1, .., x_n, xi_n)
+    t = f.values
+    for _ in range(n):
+        rest = t.shape[1:]
+        mod = t.reshape(npos, 1, -1) * wave[:, :, None]
+        t = _real_left_matmul(window, mod).reshape((nph, nph) + rest)
+        t = np.moveaxis(t, (0, 1), (-2, -1))
+
+    t *= op.symbol.values.transpose(
+        [a for j in range(n) for a in (j, n + j)])
+
+    # synthesis: the leading (x, xi) pair becomes a trailing u axis
+    for _ in range(n):
+        rest = t.shape[2:]
+        t = _real_left_matmul(window.T, t.reshape(nph, -1))
+        t = np.einsum("uk,ukr->ur", wave.conj(), t.reshape(npos, nph, -1))
+        t = np.moveaxis(t.reshape((npos,) + rest), 0, -1)
+
+    t *= 2.0 ** (n / 2.0) * phase.spacing ** (2 * n) * g.cell_volume
+    return SampledField(g, t)
+
+
+def _real_left_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for real a and complex z, as one real product on (re, im)."""
+    z = np.ascontiguousarray(z)
+    out = a @ z.view(float).reshape(z.shape[0], -1)
+    return out.view(complex).reshape((a.shape[0],) + z.shape[1:])

@@ -189,3 +189,42 @@ def gs_constant_brute_force(u, lam: float, mu: float, max_alpha: int,
         running = max(running, best.get(total, -math.inf))
         cumulative.append(math.exp(running))
     return math.exp(running), tuple(cumulative)
+
+
+def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
+    """(result values, residual) of the strip integral, one y node at a time.
+
+    This is the loop ``desmooth_complex`` ran before it batched the strip:
+    every node y gets its own slab, its own one-dimensional transform and
+    its own add into kappa.  It shares the strip rule, the FFT wrappers
+    and the slab evaluation with the library, so it checks the batching
+    only, and the two must agree to the last bit.
+    """
+    import math
+    from functools import reduce
+
+    from awsym.core import (Grid, SampledField, fourier, inverse_fourier,
+                            sample)
+    from awsym.gsnorm import strip_rule
+    from awsym.heat import smooth
+
+    ys, wy = strip_rule(strip_halfwidth, y_nodes)
+    g1 = Grid(1, g.npoints, g.half_extent)
+    xs = g1.axis_nodes()
+    phi_vals = np.zeros(g.shape, dtype=complex)
+    for term in u.terms:
+        axis_phis = []
+        for factor in term:
+            kappa = np.zeros(g.npoints, dtype=complex)
+            for y, w in zip(ys, wy):
+                slab = factor.shifted_values(xs, y, -TWO_PI * y * y)
+                kappa += (w * math.sqrt(2.0)) \
+                    * fourier(SampledField(g1, slab)).values
+            axis_phis.append(
+                inverse_fourier(SampledField(g1.freq, kappa)).values)
+        phi_vals += reduce(np.multiply.outer, axis_phis) \
+            if g.dim > 1 else axis_phis[0]
+    phi = SampledField(g, phi_vals)
+    residual = float(np.max(np.abs(smooth(phi).values
+                                   - sample(u, g).values)))
+    return phi.values, residual

@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from awsym import (SampledField, cli, gaussian_1d, identity_kernel,
-                   make_grid, radial_gaussian, sample)
+from awsym import (CoherentCombo, SampledField, cli, gaussian_1d,
+                   identity_kernel, kernel_from_coherent, make_grid,
+                   radial_gaussian, sample)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -220,6 +222,28 @@ def test_escaping_operator_path_is_usage_error(workdir):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert "lies outside" in r.stderr
+
+
+@pytest.mark.parametrize("kind, key, stem", [
+    ("antiwick-symbol", "field", "F"),
+    ("dense-kernel", "manifest", "K")])
+def test_pair_manifest_digests_referenced_files(workdir, kind, key, stem):
+    if kind == "dense-kernel":
+        pos = make_grid(1, 256, 8.0).refined()
+        combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
+        save_kernel(kernel_from_coherent(combo, pos), workdir / "K.json")
+    write_json(workdir / "op-aw.json", {"type": kind, key: f"{stem}.json"})
+    r = run_cli("--outdir", str(workdir / "out"), "pair",
+                "--operator", str(workdir / "op-aw.json"),
+                "--test-function", str(workdir / "u.json"))
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads(
+        (workdir / "out" / "pair.manifest.json").read_text())
+    digests = {Path(k).name: v for k, v in manifest["inputs"].items()}
+    names = ["op-aw.json", f"{stem}.json", f"{stem}.bin", "u.json"]
+    assert sorted(digests) == sorted(names)
+    for name in names:
+        assert digests[name] == sha256_file(workdir / name), name
 
 
 def test_refined_flag_parses_both_ways(tmp_path):

@@ -84,6 +84,32 @@ def test_shifted_values_overflow_guard():
         f.shifted_values(np.array([0.0]), 5.0)   # e^{30*25} overflows
 
 
+def test_shifted_values_column_rows_match_scalar_calls():
+    # a y column against an x row is one scalar-y call per row, bit for
+    # bit, and a scalar-y call is still the literal formula
+    f = GaussFactor(0.7 - 0.2j, 2, 2.5, 0.3)
+    xs = np.linspace(-8.0, 8.0, 256, endpoint=False)
+    ys = np.linspace(-3.0, 3.0, 64)
+    batched = f.shifted_values(xs, ys[:, None],
+                               -2 * math.pi * ys[:, None] * ys[:, None])
+    for y, row in zip(ys, batched):
+        lw = -2 * math.pi * y * y
+        w = xs - 0.3 + 1j * y
+        literal = (0.7 - 0.2j) * w**2 * np.exp(-2.5 * w * w + lw)
+        scalar = f.shifted_values(xs, y, lw)
+        assert np.array_equal(scalar, literal)
+        assert np.array_equal(row, scalar)
+
+
+def test_shifted_values_column_overflow_guard():
+    # only the last row overflows; the guard still fires, with the same
+    # type as a scalar call, and names that row's shift
+    f = GaussFactor(1.0, 0, 30.0, 0.0)
+    ys = np.array([0.0, 1.0, 5.0])[:, None]
+    with pytest.raises(OverflowGuardError, match=r"shift=5\.0,"):
+        f.shifted_values(np.array([0.0, 0.5]), ys, np.zeros_like(ys))
+
+
 def test_shifted_values_weight_folding():
     # width close to 2 pi: e^{a y^2} alone is huge, folded value is tame
     f = GaussFactor(1.0, 0, 6.0, 0.0)

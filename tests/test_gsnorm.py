@@ -167,6 +167,14 @@ class TestESpace:
         with pytest.raises(ValueError, match="strip half-width"):
             e_space_norm(gaussian_1d(1.0), 0, strip)
 
+    @pytest.mark.parametrize("arg, value, message", [
+        ("y_points", 1, "at least 2 y nodes, got 1"),
+        ("y_points", 0, "at least 2 y nodes, got 0"),
+        ("x_points", 1, "x_points must be at least 2, got 1")])
+    def test_too_few_points_is_value_error(self, arg, value, message):
+        with pytest.raises(ValueError, match=message):
+            e_space_norm(gaussian_1d(1.0), 0, 3.0, **{arg: value})
+
 
 class TestHermite:
     def test_order_zero(self):
@@ -255,6 +263,14 @@ class TestGevrey:
     def test_m_max_cap(self):
         with pytest.raises(ValueError):
             gevrey_order_estimate(gaussian_1d(1.0), 61)
+
+    @pytest.mark.parametrize("dim, axis", [(1, 1), (1, -1), (2, 2)])
+    def test_axis_out_of_range_is_value_error(self, dim, axis):
+        u = gaussian_1d(1.0) if dim == 1 \
+            else tensor(gaussian_1d(1.0), gaussian_1d(2.0))
+        with pytest.raises(ValueError,
+                           match=rf"axis must lie in \[0, {dim}\), got {axis}"):
+            gevrey_order_estimate(u, 30, axis=axis)
 
 
 class TestProofChainInequalities:

@@ -9,7 +9,7 @@ from awsym import (SampledField, desmooth_complex, desmooth_fourier,
                    smooth_by_convolution, tensor)
 from awsym.heat import ESpaceDivergenceError
 
-from oracles import heat_convolution_quadrature
+from oracles import desmooth_complex_per_node, heat_convolution_quadrature
 
 
 def closed_form_desmoothed(a: float):
@@ -142,6 +142,34 @@ class TestDesmoothComplex:
                 + gaussian_1d(min(a + 0.4, 6.0), coeff=0.5)
             rep = desmooth_complex(u, grid256, 3.0, 64)
             assert rep.residual < 1e-6, f"width {a}"
+
+
+class TestStripBatching:
+    """The batched strip pass against the literal per-node loop: result
+    and residual must be equal bit for bit."""
+
+    @pytest.mark.parametrize("u, npts, ell, strip, ynodes", [
+        (gaussian_1d(math.pi), 256, 8.0, 3.0, 64),
+        # 256 x 1024 slabs: large enough for numpy to elide temporaries
+        (gaussian_1d(6.0, center=0.1, power=2, coeff=0.7 - 0.2j),
+         1024, 16.0, 10.0, 256),
+        (gaussian_1d(2.0, center=0.4, power=3, coeff=0.37 + 0.11j)
+         + gaussian_1d(4.5, power=1), 256, 8.0, 3.0, 300),
+        (tensor(gaussian_1d(math.pi), gaussian_1d(2.0, power=2)),
+         256, 8.0, 3.0, 64),
+        (tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
+                gaussian_1d(2.0))
+         + tensor(gaussian_1d(4.0, coeff=0.3 + 0.9j),
+                  gaussian_1d(2.5, power=1, coeff=0.123 - 0.456j)),
+         64, 4.0, 3.0, 48),
+    ], ids=["1d", "1d-wide-strip", "1d-sum-powers", "2d-power",
+            "2d-sum-powers"])
+    def test_bytes_equal_per_node_loop(self, u, npts, ell, strip, ynodes):
+        g = make_grid(u.dim, npts, ell)
+        rep = desmooth_complex(u, g, strip, ynodes)
+        values, residual = desmooth_complex_per_node(u, g, strip, ynodes)
+        assert np.array_equal(rep.result.values, values)
+        assert rep.residual == residual
 
 
 class TestMethodAgreement:

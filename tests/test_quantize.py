@@ -10,6 +10,7 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                    identity_kernel, inner, kernel_from_coherent,
                    kernel_from_weyl, make_grid, radial_gaussian, sample,
                    tensor, weyl_from_kernel)
+from awsym.cli import _pairing_families
 from oracles import antiwick_matrix_element, coherent_state_func
 
 
@@ -233,6 +234,82 @@ class TestApply:
         f = sample(gaussian_1d(math.pi), grid256)
         with pytest.raises(GridMismatchError):
             apply_operator(k, f)
+
+
+def assert_matches_dense(op, f, rtol=1e-12):
+    """The matrix-free action against the assembled kernel's action."""
+    got = apply_operator(op, f).values
+    ref = apply_operator(assemble_antiwick(op, f.grid), f).values
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+A1_VECTORS = (gaussian_1d(math.pi), gaussian_1d(2.0, center=1.0),
+              gaussian_1d(1.0, power=2, coeff=0.7),
+              gaussian_1d(0.6, center=-1.5),
+              gaussian_1d(3.0, power=1) + gaussian_1d(1.2, coeff=0.3j))
+
+
+class TestMatrixFreeApply:
+    """The analysis/multiply/synthesis action against assemble_antiwick,
+    which stays the independent oracle."""
+
+    @pytest.mark.parametrize("refined", [False, True],
+                             ids=["desk", "refined"])
+    def test_a1_vectors(self, phase256, grid256, refined):
+        g = grid256.refined() if refined else grid256
+        op = AntiWickFromSymbol(SampledField(phase256,
+                                             np.ones(phase256.shape)))
+        kernel = assemble_antiwick(op, g)
+        for u in A1_VECTORS:
+            f = sample(u, g)
+            got = apply_operator(op, f).values
+            ref = apply_operator(kernel, f).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_pairing_family_symbols(self, phase256, grid256, index):
+        symbols, _ = _pairing_families()
+        op = AntiWickFromSymbol(sample(symbols[index], phase256))
+        f = sample(gaussian_1d(2.0, center=0.5, power=1)
+                   + gaussian_1d(1.2, coeff=0.3j), grid256)
+        assert_matches_dense(op, f)
+
+    @pytest.mark.parametrize("npts", [16, 32])
+    def test_two_dimensional_position_space(self, npts):
+        phase = make_grid(4, 16, 2.0)
+        fsym = tensor(gaussian_1d(1.5, center=0.5, coeff=0.8 + 0.6j),
+                      gaussian_1d(2.0, center=-0.75, power=1),
+                      gaussian_1d(2.5, center=-0.25, power=1),
+                      gaussian_1d(1.2, center=1.0))
+        op = AntiWickFromSymbol(sample(fsym, phase))
+        f = sample(tensor(gaussian_1d(math.pi, center=0.2),
+                          gaussian_1d(2.0, center=0.3, power=1)),
+                   make_grid(2, npts, 2.0))
+        assert_matches_dense(op, f)
+
+    def test_non_self_dual_grid_pair(self):
+        phase = make_grid(2, 64, 3.0)
+        op = AntiWickFromSymbol(sample(
+            tensor(gaussian_1d(1.3, center=0.4), gaussian_1d(0.9, power=1)),
+            phase))
+        f = sample(gaussian_1d(1.1, center=-0.3, coeff=1j)
+                   + gaussian_1d(2.0, power=1), make_grid(1, 100, 5.0))
+        assert_matches_dense(op, f)
+
+    def test_zero_symbol_two_dimensional(self):
+        phase = make_grid(4, 16, 2.0)
+        op = AntiWickFromSymbol(SampledField(phase, np.zeros(phase.shape)))
+        f = sample(tensor(gaussian_1d(math.pi), gaussian_1d(2.0)),
+                   make_grid(2, 32, 2.0))
+        assert np.all(apply_operator(op, f).values == 0.0)
+
+    def test_dimension_mismatch(self, phase64):
+        op = AntiWickFromSymbol(SampledField(phase64,
+                                             np.ones(phase64.shape)))
+        f = sample(tensor(gaussian_1d(math.pi), gaussian_1d(2.0)),
+                   make_grid(2, 16, 2.0))
+        with pytest.raises(GridMismatchError):
+            apply_operator(op, f)
 
 
 @pytest.fixture(scope="module")
