@@ -10,7 +10,7 @@ from .gsnorm import (ESpaceReport, GevreyFit, GSEstimate, HoloBoundResult,
                      hermite_l2_log_margin, hermite_sup, holo_bound_check,
                      phi_weight, psi_weight)
 from .heat import (DesmoothReport, ESpaceDivergenceError, desmooth_complex,
-                   desmooth_fourier, smooth, smooth_by_convolution)
+                   desmooth_fourier, smooth)
 from .pairing import (PairingResult, antiwick_pair, antiwick_pair_reference,
                       weyl_symbol)
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,

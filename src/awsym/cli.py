@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .core import make_grid, sample
 from .fieldio import (export_csv, gaussian_from_obj, grid_from_obj,
-                      load_field, load_kernel, operator_from_obj, save_field,
-                      save_kernel, sha256_file, write_json)
+                      grid_to_obj, load_field, load_kernel, operator_from_obj,
+                      save_field, save_kernel, sha256_file, write_json)
 from .gaussians import AnalyticGaussianSum, GaussFactor, gaussian_1d, \
     radial_gaussian, tensor
 from .gsnorm import (WeightParams, e_space_norm, gevrey_order_estimate,
@@ -46,9 +46,6 @@ from .pairing import (RESIDUAL_FLAG_THRESHOLD, antiwick_pair,
                       antiwick_pair_reference)
 from .quantize import (AntiWickFromSymbol, DenseKernel, assemble_antiwick,
                        kernel_from_weyl, position_grid_of, weyl_from_kernel)
-
-SUITES = ("hermite-bound", "gs-constant", "holo-bound", "e-space", "gevrey",
-          "heat-roundtrip", "pairing-consistency")
 
 
 def main(argv=None) -> int:
@@ -73,8 +70,9 @@ def main(argv=None) -> int:
         _write_manifest(args, outdir, inputs, outputs, started)
         print(f"[awsym] numerical flag: {exc}", file=sys.stderr)
         return 1
+    # RecursionError: json.loads on input nested past the recursion limit
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            NotImplementedError) as exc:
+            NotImplementedError, RecursionError) as exc:
         print(f"[awsym] usage error: {exc}", file=sys.stderr)
         return 2
 
@@ -257,8 +255,7 @@ def _cmd_assemble(args, outdir, inputs, outputs):
     kernel = assemble_antiwick(op, pos)
     _save_output(kernel, outdir, args.out, outputs)
     report = {"command": "antiwick-assemble", "refined": args.refined,
-              "kernel_grid": {"dim": pos.dim, "N": pos.npoints,
-                              "L": pos.half_extent},
+              "kernel_grid": grid_to_obj(pos),
               "output": args.out}
     return 0, report
 
@@ -268,8 +265,7 @@ def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
     sigma = weyl_from_kernel(kernel)
     _save_output(sigma, outdir, args.out, outputs)
     report = {"command": "weyl-from-kernel", "output": args.out,
-              "phase_grid": {"dim": sigma.grid.dim, "N": sigma.grid.npoints,
-                             "L": sigma.grid.half_extent}}
+              "phase_grid": grid_to_obj(sigma.grid)}
     return 0, report
 
 
@@ -278,9 +274,7 @@ def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
     kernel = kernel_from_weyl(sigma)
     _save_output(kernel, outdir, args.out, outputs)
     report = {"command": "kernel-from-weyl", "output": args.out,
-              "kernel_grid": {"dim": kernel.grid.dim,
-                              "N": kernel.grid.npoints,
-                              "L": kernel.grid.half_extent}}
+              "kernel_grid": grid_to_obj(kernel.grid)}
     return 0, report
 
 
@@ -316,18 +310,8 @@ def _cmd_pair(args, outdir, inputs, outputs):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args, outdir, inputs, outputs):
-    suite = args.suite
-    runner = {
-        "hermite-bound": _suite_hermite,
-        "gs-constant": _suite_gs_constant,
-        "holo-bound": _suite_holo,
-        "e-space": _suite_espace,
-        "gevrey": _suite_gevrey,
-        "heat-roundtrip": _suite_heat_roundtrip,
-        "pairing-consistency": _suite_pairing,
-    }[suite]
-    passed, params, values = runner(args)
-    report = {"suite": suite, "params": params, "values": values,
+    passed, params, values = SUITES[args.suite](args)
+    report = {"suite": args.suite, "params": params, "values": values,
               "pass": bool(passed)}
     return (0 if passed else 1), report
 
@@ -470,6 +454,19 @@ def _suite_pairing(args):
     values["worst_rel_err"] = worst
     return ok, {"grid": {"dim": 2, "N": 256, "L": 8.0},
                 "family": "3x3"}, values
+
+
+# suite name -> runner returning (passed, params, values); the names are the
+# choices of ``awsym check``
+SUITES = {
+    "hermite-bound": _suite_hermite,
+    "gs-constant": _suite_gs_constant,
+    "holo-bound": _suite_holo,
+    "e-space": _suite_espace,
+    "gevrey": _suite_gevrey,
+    "heat-roundtrip": _suite_heat_roundtrip,
+    "pairing-consistency": _suite_pairing,
+}
 
 
 if __name__ == "__main__":

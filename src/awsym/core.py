@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import AnalyticGaussianSum, as_shift_vector
+from .gaussians import AnalyticGaussianSum
 
 __all__ = [
     "Grid",
@@ -103,10 +103,10 @@ class Grid:
         """Same box, doubled resolution (kernel carriers for half-steps)."""
         return Grid(self.dim, 2 * self.npoints, self.half_extent)
 
-    def is_self_dual(self, rtol: float = 1e-12) -> bool:
+    def is_self_dual(self) -> bool:
         """True when the frequency nodes coincide with the position nodes."""
         return abs(self.spacing - 1.0 / (2.0 * self.half_extent)) \
-            <= rtol * self.spacing
+            <= 1e-12 * self.spacing
 
     def index_of(self, coord: float) -> int:
         """Index of a coordinate that must sit on a node (checked)."""
@@ -152,9 +152,6 @@ class SampledField:
         if not np.isfinite(self.values).all():
             raise FloatingPointError("field contains NaN/Inf samples")
 
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.values.copy())
-
     def conj(self) -> "SampledField":
         return SampledField(self.grid, np.conj(self.values))
 
@@ -195,18 +192,12 @@ def require_same_grid(f: SampledField, g: SampledField) -> None:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
-def sample(f: AnalyticGaussianSum, g: Grid,
-           imag_shift=None) -> SampledField:
-    """Sample a Gaussian sum at x + i y over the grid.
-
-    ``imag_shift`` is the per-axis imaginary part y (scalar broadcasts);
-    the default samples on the real grid.
-    """
+def sample(f: AnalyticGaussianSum, g: Grid) -> SampledField:
+    """Sample a Gaussian sum on the grid nodes."""
     if f.dim != g.dim:
         raise GridMismatchError(
             f"function dimension {f.dim} does not match grid dimension {g.dim}")
-    y = as_shift_vector(imag_shift, g.dim)
-    return SampledField(g, f.eval_axes(g.axes(), y))
+    return SampledField(g, f.eval_axes(g.axes()))
 
 
 def centered_fft(vals: np.ndarray, axes=None,

@@ -15,6 +15,7 @@ run inputs stay reviewable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -51,17 +52,29 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _json_shape(what: str):
+    """Decorator for a parser of outside JSON: a value of the wrong shape
+    (a list for an object, a number for a list, null, a missing or
+    overflowing entry) raises ValueError naming ``what``."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(obj, *args, **kwargs):
+            try:
+                return parse(obj, *args, **kwargs)
+            except (TypeError, AttributeError, KeyError,
+                    OverflowError) as exc:
+                raise ValueError(f"malformed {what} JSON ({exc!r})") from exc
+        return checked
+    return wrap
+
+
 def grid_to_obj(grid: Grid) -> dict:
     return {"dim": grid.dim, "N": grid.npoints, "L": grid.half_extent}
 
 
+@_json_shape("grid")
 def grid_from_obj(obj: dict) -> Grid:
     return make_grid(int(obj["dim"]), int(obj["N"]), float(obj["L"]))
-
-
-def _write_binary(path: Path, values: np.ndarray) -> None:
-    Path(path).write_bytes(np.ascontiguousarray(values,
-                                                dtype="<c16").tobytes())
 
 
 def _read_binary(path: Path, count: int) -> np.ndarray:
@@ -122,21 +135,24 @@ def _read_manifest(manifest_path, kind=None,
     return grid, values
 
 
-def save_field(f: SampledField, manifest_path) -> dict:
-    """Write manifest + binary next to each other; returns the manifest."""
+def _write_manifest(manifest_path, header: dict, values: np.ndarray) -> dict:
+    """Write ``values`` as the binary next to ``manifest_path``, then the
+    manifest: ``header`` plus layout, dtype and the binary's name.
+
+    The counterpart of :func:`_read_manifest`; returns the manifest.
+    """
     manifest_path = Path(manifest_path)
-    data_name = manifest_path.stem + ".bin"
-    manifest = {
-        "dim": f.grid.dim,
-        "N": f.grid.npoints,
-        "L": f.grid.half_extent,
-        "layout": "row-major",
-        "dtype": _FIELD_DTYPE,
-        "data": data_name,
-    }
-    _write_binary(manifest_path.parent / data_name, f.values)
+    manifest = {**header, "layout": "row-major", "dtype": _FIELD_DTYPE,
+                "data": manifest_path.stem + ".bin"}
+    (manifest_path.parent / manifest["data"]).write_bytes(
+        np.ascontiguousarray(values, dtype="<c16").tobytes())
     write_json(manifest_path, manifest)
     return manifest
+
+
+def save_field(f: SampledField, manifest_path) -> dict:
+    """Write manifest + binary next to each other; returns the manifest."""
+    return _write_manifest(manifest_path, grid_to_obj(f.grid), f.values)
 
 
 def load_field(manifest_path, record=None) -> SampledField:
@@ -166,21 +182,9 @@ def export_csv(f: SampledField, path) -> None:
 
 
 def save_kernel(k: DenseKernel, manifest_path) -> dict:
-    manifest_path = Path(manifest_path)
-    data_name = manifest_path.stem + ".bin"
-    manifest = {
-        "kind": "dense-kernel",
-        "dim": k.grid.dim,
-        "N": k.grid.npoints,
-        "L": k.grid.half_extent,
-        "shape": list(k.matrix.shape),
-        "layout": "row-major",
-        "dtype": _FIELD_DTYPE,
-        "data": data_name,
-    }
-    _write_binary(manifest_path.parent / data_name, k.matrix)
-    write_json(manifest_path, manifest)
-    return manifest
+    return _write_manifest(manifest_path,
+                           {"kind": "dense-kernel", **grid_to_obj(k.grid),
+                            "shape": list(k.matrix.shape)}, k.matrix)
 
 
 def load_kernel(manifest_path, record=None) -> DenseKernel:
@@ -203,6 +207,7 @@ def gaussian_to_obj(u: AnalyticGaussianSum) -> dict:
     }
 
 
+@_json_shape("Gaussian-sum")
 def gaussian_from_obj(obj: dict) -> AnalyticGaussianSum:
     dim = int(obj["dim"])
     terms = []
@@ -223,6 +228,7 @@ def combo_to_obj(combo: CoherentCombo) -> list:
              "X": list(x), "Y": list(y)} for c, x, y in combo.terms]
 
 
+@_json_shape("coherent-combination")
 def combo_from_obj(obj: list) -> CoherentCombo:
     terms = tuple(
         (complex(float(t.get("c_re", 1.0)), float(t.get("c_im", 0.0))),
@@ -232,6 +238,7 @@ def combo_from_obj(obj: list) -> CoherentCombo:
     return CoherentCombo(terms)
 
 
+@_json_shape("operator")
 def operator_from_obj(obj: dict, base_dir: Path,
                       record=None) -> OperatorRep:
     """Operator description used by the CLI.

@@ -14,7 +14,6 @@ u(x + iy).
 The class is closed under the operations the rest of the package needs:
 
 * differentiation along an axis,
-* multiplication by a coordinate,
 * the heat smoothing used by :mod:`awsym.heat` (in closed form),
 
 which is what makes independent oracles possible: high derivatives are
@@ -105,14 +104,6 @@ class GaussFactor:
                            self.width, self.center)]
         if self.power >= 1:
             out.append(GaussFactor(self.coeff * self.power, self.power - 1,
-                                   self.width, self.center))
-        return tuple(out)
-
-    def coord_mul(self) -> tuple["GaussFactor", ...]:
-        """z * factor, expanded about the factor's own center."""
-        out = [GaussFactor(self.coeff, self.power + 1, self.width, self.center)]
-        if self.center != 0.0:
-            out.append(GaussFactor(self.coeff * self.center, self.power,
                                    self.width, self.center))
         return tuple(out)
 
@@ -219,15 +210,6 @@ class AnalyticGaussianSum:
                 new_terms.append(term[:axis] + (piece,) + term[axis + 1:])
         return AnalyticGaussianSum(self.dim, tuple(new_terms)).merged()
 
-    def coord_mul(self, axis: int = 0) -> "AnalyticGaussianSum":
-        if not 0 <= axis < self.dim:
-            raise ValueError("axis out of range")
-        new_terms = []
-        for term in self.terms:
-            for piece in term[axis].coord_mul():
-                new_terms.append(term[:axis] + (piece,) + term[axis + 1:])
-        return AnalyticGaussianSum(self.dim, tuple(new_terms)).merged()
-
     def smoothed(self) -> "AnalyticGaussianSum":
         """Heat smoothing 2^{d/2} (self ∗ exp(-2 pi |.|^2)), in closed form."""
         new_terms = []
@@ -253,32 +235,21 @@ class AnalyticGaussianSum:
             total = vals if total is None else total + vals
         return total
 
-    def eval_axes(self, axes: Sequence[np.ndarray], imag_shift=None):
+    def eval_axes(self, axes: Sequence[np.ndarray]):
         """Evaluate on a tensor grid given 1-d node arrays per axis.
 
-        ``imag_shift`` is a per-axis vector y; the evaluation point along
-        axis j is ``axes[j] + 1j*y[j]``.  Returns an ndarray of shape
-        ``tuple(len(ax) for ax in axes)``.
+        Returns an ndarray of shape ``tuple(len(ax) for ax in axes)``.
         """
         if len(axes) != self.dim:
             raise ValueError("axis count mismatch")
-        y = as_shift_vector(imag_shift, self.dim)
         shape = tuple(len(ax) for ax in axes)
         total = np.zeros(shape, dtype=complex)
         for term in self.terms:
-            axis_vals = [f(ax + 1j * yj)
-                         for f, ax, yj in zip(term, axes, y)]
-            total += reduce(np.multiply.outer, axis_vals)
+            total += reduce(np.multiply.outer,
+                            [f(ax) for f, ax in zip(term, axes)])
         return total
 
     # -- structure queries --------------------------------------------------
-
-    def axis_widths(self) -> list[list[float]]:
-        """Widths per axis, one list entry per product term."""
-        return [[t[j].width for t in self.terms] for j in range(self.dim)]
-
-    def max_width(self) -> float:
-        return max(f.width for t in self.terms for f in t)
 
     def has_gaussian_decay(self) -> bool:
         return all(f.width > 0.0 for t in self.terms for f in t)
@@ -324,17 +295,6 @@ class AnalyticGaussianSum:
             acc += pref * np.exp(expo - peak)
         with np.errstate(divide="ignore"):
             return peak + np.log(np.abs(acc))
-
-
-def as_shift_vector(imag_shift, dim: int) -> np.ndarray:
-    if imag_shift is None:
-        return np.zeros(dim)
-    y = np.atleast_1d(np.asarray(imag_shift, dtype=float))
-    if y.size == 1 and dim > 1:
-        y = np.full(dim, y[0])
-    if y.shape != (dim,):
-        raise ValueError(f"imag_shift must have one entry per axis ({dim})")
-    return y
 
 
 # -- constructors -----------------------------------------------------------

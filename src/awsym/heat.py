@@ -43,7 +43,6 @@ __all__ = [
     "DesmoothReport",
     "ESpaceDivergenceError",
     "smooth",
-    "smooth_by_convolution",
     "desmooth_fourier",
     "desmooth_complex",
 ]
@@ -83,22 +82,6 @@ def smooth(f: SampledField) -> SampledField:
     spec = fourier(f)
     spec.values *= _multiplier(spec.grid, -1.0)
     return inverse_fourier(spec)
-
-
-def smooth_by_convolution(f: SampledField) -> SampledField:
-    """Direct quadrature of 2^{d/2} (f ∗ exp(-2 pi |.|^2)).
-
-    Separable, so the dense Gaussian kernel is applied one axis at a time;
-    this is the independent cross-check for the multiplier form.
-    """
-    nodes = f.grid.axis_nodes()
-    diff = nodes[:, None] - nodes[None, :]
-    kernel = math.sqrt(2.0) * np.exp(-TWO_PI * diff * diff) * f.grid.spacing
-    out = f.values
-    for axis in range(f.grid.dim):
-        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [axis])),
-                          0, axis)
-    return SampledField(f.grid, out)
 
 
 def desmooth_fourier(u: SampledField,
@@ -160,8 +143,6 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
-    if y_nodes < 4:
-        raise ValueError("need at least 4 y nodes")
     ys, wy = strip_rule(strip_halfwidth, y_nodes)
     u.require_gaussian_decay("complex-shift desmoothing")
     if e_space_divergent(u):
@@ -193,7 +174,7 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
             if g.dim > 1 else axis_phis[0]
 
     phi = SampledField(g, phi_vals)
-    reference = sample(u, g, None)
+    reference = sample(u, g)
     residual = float(np.max(np.abs(smooth(phi).values - reference.values)))
     return DesmoothReport(phi, "complex-shift", residual,
                           strip_halfwidth=strip_halfwidth, y_nodes=y_nodes)

@@ -51,10 +51,6 @@ class PairingResult:
     quadrature_error_estimate: float
     flags: tuple[str, ...] = ()
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags)
-
 
 def weyl_symbol(op: OperatorRep, phase_grid: Grid) -> SampledField:
     """Weyl symbol of any representation, sampled on the phase grid.

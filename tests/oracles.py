@@ -48,6 +48,25 @@ def heat_convolution_quadrature(func, x, half_extent: float = 20.0,
     return np.sqrt(2.0) * kern @ (fv * w) * h
 
 
+def smooth_by_convolution(f):
+    """Direct quadrature of 2^{d/2} (f ∗ exp(-2 pi |.|^2)) on f's grid.
+
+    Separable, so the dense Gaussian kernel is applied one axis at a time;
+    this is the independent cross-check for the multiplier form of
+    ``awsym.heat.smooth``.
+    """
+    from awsym.core import SampledField
+
+    nodes = f.grid.axis_nodes()
+    diff = nodes[:, None] - nodes[None, :]
+    kernel = np.sqrt(2.0) * np.exp(-TWO_PI * diff * diff) * f.grid.spacing
+    out = f.values
+    for axis in range(f.grid.dim):
+        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [axis])),
+                          0, axis)
+    return SampledField(f.grid, out)
+
+
 def coherent_state_func(x0: float, xi0: float):
     """Psi_{(x0, xi0)} as a plain callable (1-d position space)."""
     def psi(u):

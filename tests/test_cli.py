@@ -131,25 +131,38 @@ def test_overflow_guard_exits_with_numerical_flag(tmp_path):
     assert (tmp_path / "desmooth.manifest.json").exists()
 
 
-@pytest.mark.parametrize("command,strip", [
-    ("desmooth", "nan"), ("desmooth", "inf"), ("desmooth", "-1"),
-    ("pair", "nan")])
-def test_bad_strip_halfwidth_is_usage_error(tmp_path, capsys, command, strip):
+def strip_command(tmp_path, command):
+    """Arguments of a complex-shift ``desmooth`` or ``pair`` on 16^2 nodes."""
     phase = make_grid(2, 16, 4.0)
     save_field(sample(radial_gaussian(2, math.pi), phase), tmp_path / "F.json")
     write_json(tmp_path / "op.json",
                {"type": "antiwick-symbol", "field": "F.json"})
     write_json(tmp_path / "u.json", gaussian_to_obj(radial_gaussian(2, 2.0)))
     if command == "desmooth":
-        args = ["desmooth", "--method", "complex-shift",
+        return ["desmooth", "--method", "complex-shift",
                 "--input", str(tmp_path / "u.json"),
                 "--grid", '{"dim": 2, "N": 16, "L": 4.0}']
-    else:
-        args = ["pair", "--operator", str(tmp_path / "op.json"),
-                "--test-function", str(tmp_path / "u.json")]
+    return ["pair", "--operator", str(tmp_path / "op.json"),
+            "--test-function", str(tmp_path / "u.json")]
+
+
+@pytest.mark.parametrize("command,strip", [
+    ("desmooth", "nan"), ("desmooth", "inf"), ("desmooth", "-1"),
+    ("pair", "nan")])
+def test_bad_strip_halfwidth_is_usage_error(tmp_path, capsys, command, strip):
     out = tmp_path / "out"
+    args = strip_command(tmp_path, command)
     assert cli.main(["--outdir", str(out), *args, "--strip", strip]) == 2
     assert "strip half-width" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["desmooth", "pair"])
+def test_too_few_y_nodes_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = strip_command(tmp_path, command)
+    assert cli.main(["--outdir", str(out), *args, "--ynodes", "3"]) == 2
+    assert "need at least 4 y nodes" in capsys.readouterr().err
     assert not list(out.glob("*.json"))
 
 
@@ -270,6 +283,40 @@ def test_usage_error_exit_code(tmp_path):
     assert r.returncode == 2
     r2 = run_cli("check", "not-a-suite")
     assert r2.returncode == 2
+
+
+@pytest.mark.parametrize("command,spec,option,value", [
+    ("desmooth", "u.json", "--input", "[]"),
+    ("desmooth", "u.json", "--input", '{"dim":1,"terms":[{"factors":[1]}]}'),
+    ("desmooth", "u.json", "--grid", "null"),
+    ("desmooth", "u.json", "--grid", "[1]"),
+    ("pair", "op.json", "--operator", '{"type":"coherent-combo","terms":5}'),
+    ("pair", "op.json", "--operator", "[]"),
+    ("pair", "op.json", "--phase-grid", "null")])
+def test_malformed_spec_json_is_usage_error(tmp_path, capsys, command, spec,
+                                            option, value):
+    write_json(tmp_path / "u.json", gaussian_to_obj(gaussian_1d(2.0)))
+    write_json(tmp_path / "op.json", {"type": "coherent-combo", "terms": [
+        {"c_re": 1.0, "c_im": 0.0, "X": [0.0, 0.0], "Y": [0.0, 0.0]}]})
+    args = {"desmooth": ["desmooth", "--input", str(tmp_path / "u.json")],
+            "pair": ["pair", "--operator", str(tmp_path / "op.json"),
+                     "--test-function", str(tmp_path / "u.json")]}[command]
+    if option in ("--input", "--operator"):
+        (tmp_path / spec).write_text(value, encoding="utf-8")
+    else:
+        args += [option, value]
+    assert cli.main(["--outdir", str(tmp_path / "out"), *args]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smooth", "desmooth"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
+    # a field manifest for smooth, a Gaussian-sum spec for desmooth
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert cli.main(["--outdir", str(tmp_path / "out"), command,
+                     "--input", str(deep)]) == 2
+    assert "recursion" in capsys.readouterr().err
 
 
 def test_check_suite_report_shape(tmp_path):

@@ -1,10 +1,12 @@
-"""The CLI contract under malformed field and kernel manifests.
+"""The CLI contract under malformed manifests and JSON specs.
 
-Each example starts from a valid 8-point field or kernel, breaks its
-manifest or binary in one to three ways (wrong grid entries, bad dtype or
-kind, short or non-finite binaries, samples scaled until their transforms
-overflow, data paths that leave the manifest directory, manifests that
-are not JSON objects) and runs ``cli.main()``
+Each manifest example starts from a valid 8-point field or kernel, breaks
+its manifest or binary in one to three ways (wrong grid entries, bad dtype
+or kind, short or non-finite binaries, samples scaled until their
+transforms overflow, data paths that leave the manifest directory,
+manifests that are not JSON objects).  Each spec example starts from a
+valid Gaussian-sum, operator or grid JSON and replaces or drops one to
+three of its nodes, the whole document included.  Both run ``cli.main()``
 in process.  The contract: exit 0, 1 or 2, nothing escapes ``main``, and
 every exit 1 leaves a report and a run manifest.
 """
@@ -12,6 +14,7 @@ every exit 1 leaves a report and a run manifest.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -101,6 +104,18 @@ def apply(mutation, manifest_path: Path, manifest: dict, root: Path):
     return manifest
 
 
+def run_and_check_contract(outdir: Path, args: list[str], report: str):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        status = cli.main(["--outdir", str(outdir), *args])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if status == 1:
+        assert (outdir / report).exists()
+        assert (outdir / f"{args[0]}.manifest.json").exists()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(sorted(COMMANDS)), data=st.data(),
        edits=st.lists(mutations, min_size=1, max_size=3))
@@ -113,15 +128,89 @@ def test_malformed_manifests_keep_the_cli_contract(kind, data, edits):
             manifest = apply(mutation, manifest_path, manifest, root)
         if manifest is not None:
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        outdir = root / "out"
         option = "--input" if kind == "field" else "--kernel"
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(stderr):
-            status = cli.main(["--outdir", str(outdir), *command,
-                               option, str(manifest_path)])
-        assert status in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
-        if status == 1:
-            assert (outdir / f"{command[0]}-report.json").exists()
-            assert (outdir / f"{command[0]}.manifest.json").exists()
+        run_and_check_contract(root / "out",
+                               [*command, option, str(manifest_path)],
+                               f"{command[0]}-report.json")
+
+
+# Valid 2-d specs: the test function, a coherent combination and a
+# self-dual phase grid (N = 4 L^2) small enough for every command to be
+# quick.  Numbers drawn below stay small, so no mutated grid is large.
+SPECS = {
+    "gaussian": {"dim": 2, "terms": [{"factors": [
+        {"coeff_re": 1.0, "coeff_im": 0.5, "power": 1, "width": 2.0,
+         "center": 0.5},
+        {"width": 3.0}]}]},
+    "operator": {"type": "coherent-combo", "terms": [
+        {"c_re": 1.0, "c_im": 0.0, "X": [0.5, 0.0], "Y": [0.0, 0.5]}]},
+    "grid": {"dim": 2, "N": 36, "L": 3.0},
+}
+SPEC_KEYS = ("dim", "terms", "factors", "coeff_re", "coeff_im", "power",
+             "width", "center", "type", "c_re", "c_im", "X", "Y", "N", "L",
+             "grid", "symbol", "field", "manifest")
+# the commands that read each kind of spec
+SPEC_COMMANDS = {"gaussian": ("desmooth", "pair"), "operator": ("pair",),
+                 "grid": ("desmooth", "pair")}
+DROP = object()
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+              st.floats(-50.0, 50.0),
+              st.sampled_from((math.nan, math.inf, -math.inf, "coherent-combo",
+                               "antiwick-symbol", "dense-kernel")),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(SPEC_KEYS), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def node_paths(obj, prefix=()):
+    """Key/index paths of every node of a JSON value, the root included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield from node_paths(child, prefix + (key,))
+
+
+def replace_node(obj, path, value):
+    """obj with the node at path set to value, or removed for DROP."""
+    if not path:
+        return {} if value is DROP else value
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_malformed_json_specs_keep_the_cli_contract(kind, data):
+    command = data.draw(st.sampled_from(SPEC_COMMANDS[kind]))
+    specs = json.loads(json.dumps(SPECS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(node_paths(specs[kind]))))
+        value = data.draw(st.one_of(st.just(DROP), json_values))
+        specs[kind] = replace_node(specs[kind], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("gaussian", "operator"):
+            (root / f"{name}.json").write_text(json.dumps(specs[name]),
+                                               encoding="utf-8")
+        grid = json.dumps(specs["grid"])
+        if command == "desmooth":
+            args = ["desmooth", "--input", str(root / "gaussian.json"),
+                    "--grid", grid]
+        else:
+            args = ["pair", "--operator", str(root / "operator.json"),
+                    "--test-function", str(root / "gaussian.json"),
+                    "--phase-grid", grid]
+        report = "desmooth-report.json" if command == "desmooth" \
+            else "pair-result.json"
+        run_and_check_contract(root / "out", args, report)

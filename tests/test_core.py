@@ -53,12 +53,6 @@ class TestSample:
         f = sample(gaussian_1d(math.pi), grid256)
         assert f.values[grid256.index_of(0.0)] == pytest.approx(1.0)
 
-    def test_imaginary_shift(self, grid256):
-        # e^{-pi (x + i)^2} at x = 0 is e^{pi}; plain complex arithmetic
-        f = sample(gaussian_1d(math.pi), grid256, 1.0)
-        assert f.values[grid256.index_of(0.0)] == pytest.approx(
-            math.exp(math.pi), rel=1e-14)
-
     def test_odd_factor_vanishes_at_origin(self, grid256):
         f = sample(gaussian_1d(math.pi, power=1), grid256)
         assert f.values[grid256.index_of(0.0)] == 0.0

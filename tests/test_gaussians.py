@@ -37,13 +37,6 @@ def test_derivative_matches_finite_differences():
     assert_allclose(du(z), fd, atol=1e-7)
 
 
-def test_coord_mul_closure():
-    u = gaussian_1d(1.0, center=0.7)
-    xu = u.coord_mul(0)
-    z = np.linspace(-2, 2, 17)
-    assert_allclose(xu(z), z * u(z), atol=1e-14)
-
-
 def test_tensor_product_eval():
     u = tensor(gaussian_1d(1.0), gaussian_1d(2.0, power=1))
     assert u.dim == 2

@@ -167,14 +167,6 @@ class TestESpace:
         with pytest.raises(ValueError, match="strip half-width"):
             e_space_norm(gaussian_1d(1.0), 0, strip)
 
-    @pytest.mark.parametrize("arg, value, message", [
-        ("y_points", 1, "at least 2 y nodes, got 1"),
-        ("y_points", 0, "at least 2 y nodes, got 0"),
-        ("x_points", 1, "x_points must be at least 2, got 1")])
-    def test_too_few_points_is_value_error(self, arg, value, message):
-        with pytest.raises(ValueError, match=message):
-            e_space_norm(gaussian_1d(1.0), 0, 3.0, **{arg: value})
-
 
 class TestHermite:
     def test_order_zero(self):

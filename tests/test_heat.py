@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from awsym import (SampledField, desmooth_complex, desmooth_fourier,
                    gaussian_1d, make_grid, radial_gaussian, sample, smooth,
-                   smooth_by_convolution, tensor)
+                   tensor)
 from awsym.heat import ESpaceDivergenceError
 
-from oracles import desmooth_complex_per_node, heat_convolution_quadrature
+from oracles import (desmooth_complex_per_node, heat_convolution_quadrature,
+                     smooth_by_convolution)
 
 
 def closed_form_desmoothed(a: float):
