@@ -318,6 +318,8 @@ def _cmd_check(args, outdir, inputs, outputs):
 
 def _suite_hermite(args):
     mmax = args.mmax
+    if mmax < 0:
+        raise ValueError(f"--mmax must be >= 0, got {mmax}")
     margins = [hermite_bound_margin(m) for m in range(mmax + 1)]
     l2max = min(mmax, 60)
     l2 = [hermite_l2_log_margin(m) for m in range(l2max + 1)]

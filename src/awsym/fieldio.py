@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,16 @@ def _json_shape(what: str):
                 raise ValueError(f"malformed {what} JSON ({exc!r})") from exc
         return checked
     return wrap
+
+
+def _finite(value, what: str) -> float:
+    """float(value), or ValueError naming ``what`` when it is NaN or
+    infinite (json reads NaN, Infinity and overflowing literals such as
+    1e400 as non-finite floats)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def grid_to_obj(grid: Grid) -> dict:
@@ -213,11 +224,11 @@ def gaussian_from_obj(obj: dict) -> AnalyticGaussianSum:
     terms = []
     for term in obj["terms"]:
         factors = tuple(
-            GaussFactor(complex(float(f.get("coeff_re", 1.0)),
-                                float(f.get("coeff_im", 0.0))),
+            GaussFactor(complex(_finite(f.get("coeff_re", 1.0), "coeff_re"),
+                                _finite(f.get("coeff_im", 0.0), "coeff_im")),
                         int(f.get("power", 0)),
-                        float(f["width"]),
-                        float(f.get("center", 0.0)))
+                        _finite(f["width"], "width"),
+                        _finite(f.get("center", 0.0), "center"))
             for f in term["factors"])
         terms.append(factors)
     return AnalyticGaussianSum(dim, tuple(terms))
@@ -231,9 +242,10 @@ def combo_to_obj(combo: CoherentCombo) -> list:
 @_json_shape("coherent-combination")
 def combo_from_obj(obj: list) -> CoherentCombo:
     terms = tuple(
-        (complex(float(t.get("c_re", 1.0)), float(t.get("c_im", 0.0))),
-         tuple(float(v) for v in t["X"]),
-         tuple(float(v) for v in t["Y"]))
+        (complex(_finite(t.get("c_re", 1.0), "c_re"),
+                 _finite(t.get("c_im", 0.0), "c_im")),
+         tuple(_finite(v, "X") for v in t["X"]),
+         tuple(_finite(v, "Y") for v in t["Y"]))
         for t in obj)
     return CoherentCombo(terms)
 

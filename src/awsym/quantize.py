@@ -21,8 +21,15 @@ K(m + t/2, m - t/2) with m = (x_u + x_v)/2, on the half-step lattice
 s = u + v, and t = x_u - x_v.  Anti-Wick assembly (a Gaussian in m times a
 Fourier sum in t) and kernel_from_weyl (an interpolated symbol in m,
 transformed over xi into t) both build a midpoint x difference product
-and read it on node pairs through :func:`_contract_on_pairs`.  Kernels
-destined for the Weyl transforms live on the 2x refinement of the
+and read it on node pairs through :func:`_contract_on_pairs`, which
+writes the product as one C-contiguous table T[s, d] and reads
+out[u, v] = T[u + v, u - v + B] through a single strided view (no index
+arrays).  Every anti-Wick entry carries the factor e^{-pi t^2/2}, which
+is below 2^-60 for |t| > T = sqrt(120 ln 2 / pi) (about 5.1455,
+``BAND_HALFWIDTH``), so assembly forms only the differences |t| <= T and
+stores the entries beyond as exact zeros.
+
+Kernels destined for the Weyl transforms live on the 2x refinement of the
 phase-space position axis, so phase-grid midpoints land on even refined
 nodes and t/2 offsets on refined nodes exactly, never interpolated; pass
 ``.refined()`` of that axis when the kernel will be transformed.  The
@@ -70,6 +77,9 @@ __all__ = [
 ]
 
 PI = math.pi
+# |t| beyond which e^{-pi t^2/2} < 2^-60: anti-Wick assembly forms only
+# the differences |x_u - x_v| <= BAND_HALFWIDTH (about 5.1455)
+BAND_HALFWIDTH = math.sqrt(120.0 * math.log(2.0) / PI)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +208,14 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     Psi_X(x_u) conj(Psi_X(x_v)) = sqrt(2) e^{-2 pi (m-x)^2} e^{-pi t^2/2}
     e^{2 i pi t xi}: the xi sum (with e^{-pi t^2/2} folded in) is a Fourier
     sum in t alone and the x sum a Gaussian in m alone.
+
+    The factor e^{-pi t^2/2} is below 2^-60 for |t| > T = BAND_HALFWIDTH
+    (about 5.1455), so only the B = min(N - 1, floor(T / h_pos)) nearest
+    differences on each side are formed (B = 82 at 256 points over
+    [-8, 8), 164 on its 512-point refinement) and entries with
+    |x_u - x_v| > T are exact zeros.  The real Gaussian in m multiplies
+    in real arithmetic, and :func:`_contract_on_pairs` reads the node
+    pairs through one strided view of the midpoint x difference table.
     """
     phase = op.symbol.grid
     n = op.position_dim
@@ -208,9 +226,10 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
 
     npos = pos_grid.npoints
     phase_nodes = phase.axis_nodes()
+    band = min(npos - 1, math.floor(BAND_HALFWIDTH / pos_grid.spacing))
 
-    # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - (N-1)) h_pos
-    diffs = np.arange(-(npos - 1), npos) * pos_grid.spacing
+    # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - B) h_pos
+    diffs = np.arange(-band, band + 1) * pos_grid.spacing
     phase_mat = np.exp(2j * PI * np.outer(phase_nodes, diffs)) \
         * (phase.spacing * np.exp(-0.5 * PI * diffs * diffs))
     tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
@@ -241,19 +260,41 @@ def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
     The diff axis of ``tab`` holds 2B + 1 differences; pairs with
     |u - v| > B are zero (B = npts - 1 covers every pair).  u + v and
     u - v share a parity, so each parity class is one product over that
-    class's rows of ``w_mid`` and columns of ``tab``: the full midpoint x
+    class's rows of ``w_mid`` and columns of ``tab`` (a real product when
+    ``w_mid`` is real), written into its cells of one C-contiguous table
+    T[s, d] of shape (2 npts - 1, 2B + 1) + rest: the full midpoint x
     difference table is never formed.
+
+    out[u, v] = T[u + v, u - v + B] is affine in (u, v), so it is one
+    strided view of T.  With r the product of the trailing axes, element
+    (u, v, j) of the view sits at B r + (2B + 2) r u + 2B r v + j of the
+    flat T, that is at (u + v)(2B + 1) r + (u - v + B) r + j.  All strides
+    are positive, so the smallest index is B r >= 0 and the largest,
+    at u = v = npts - 1 and j = r - 1, is 2(npts - 1)(2B + 1) r + B r + r - 1,
+    below the size (2 npts - 1)(2B + 1) r = 2(npts - 1)(2B + 1) r + 2B r + r
+    of T.  Pairs with |u - v| > B read a neighbouring row of T there and
+    are zeroed after the copy.
     """
     tab = np.moveaxis(tab, (mid_axis, diff_axis), (0, 1))
     band = (tab.shape[1] - 1) // 2
-    out = np.zeros((npts, npts) + tab.shape[2:], dtype=complex)
-    u, v = np.indices((npts, npts))
+    rest = tab.shape[2:]
+    # cells whose s and d - B differ in parity are never read in band
+    table = np.empty((2 * npts - 1, 2 * band + 1) + rest, dtype=complex)
     for parity in (0, 1):
-        pick = ((u + v) % 2 == parity) & (np.abs(u - v) <= band)
-        uc, vc = u[pick], v[pick]
-        part = np.tensordot(w_mid[parity::2],
-                            tab[:, (band + parity) % 2::2], axes=1)
-        out[uc, vc] = part[(uc + vc) // 2, (uc - vc + band) // 2]
+        rows = w_mid[parity::2]
+        cols = tab[:, (band + parity) % 2::2]
+        table[parity::2, (band + parity) % 2::2] = \
+            _real_left_matmul(rows, cols) if np.isrealobj(rows) \
+            else np.tensordot(rows, cols, axes=1)
+    r = math.prod(rest)
+    item = table.itemsize
+    pairs = np.lib.stride_tricks.as_strided(
+        table.reshape(-1)[band * r:], shape=(npts, npts) + rest,
+        strides=((2 * band + 2) * r * item, 2 * band * r * item)
+        + table.strides[2:], writeable=False)
+    out = pairs.copy()
+    idx = np.arange(npts)
+    out[np.abs(np.subtract.outer(idx, idx)) > band] = 0.0
     return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
 
 
@@ -340,6 +381,8 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
         * phase.spacing
     r_tab = coeff @ e_t                                      # R[eta, delta]
     p_tab = np.exp(2j * PI * np.outer(_midpoints(kgrid), nodes))  # P[s, eta]
+    # the pair table is the call's largest array: do not hold these with it
+    del coeff, e_t
     return DenseKernel(kgrid, _contract_on_pairs(p_tab, r_tab, 0, 1, nk))
 
 

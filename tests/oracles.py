@@ -106,6 +106,41 @@ def antiwick_matrix_element(symbol_func, f_func, g_func,
     return total
 
 
+def antiwick_kernel_full_band(symbol, pos_grid) -> np.ndarray:
+    """Anti-Wick kernel of a 1-d symbol on every node pair, no band cut.
+
+    The literal quadrature M[u, v] = sqrt(2) h_ph^2 sum_{x, xi} F(x, xi)
+    e^{-2 pi (m - x)^2} e^{-pi t^2/2} e^{2 i pi t xi}, with m the pair's
+    midpoint, t its difference and h_ph the phase spacing (dX = h_ph^2),
+    summed as one einsum over (u, v, x, xi).
+    """
+    phase = symbol.grid
+    nodes, h_ph = phase.axis_nodes(), phase.spacing
+    pos = pos_grid.axis_nodes()
+    m = (pos[:, None] + pos[None, :]) / 2.0
+    t = pos[:, None] - pos[None, :]
+    gauss = np.exp(-TWO_PI * (m[:, :, None] - nodes) ** 2)
+    wave = np.exp(1j * TWO_PI * t[:, :, None] * nodes)
+    total = np.einsum("xk,uvx,uvk->uv", symbol.values, gauss, wave,
+                      optimize=True)
+    return np.sqrt(2.0) * h_ph**2 * np.exp(-np.pi * t * t / 2.0) * total
+
+
+def contract_on_pairs_loop(w_mid, tab, mid_axis: int, diff_axis: int,
+                           npts: int) -> np.ndarray:
+    """out[.., u, .., v, ..] = sum_k w_mid[u+v, k] tab[.., k, .., u-v+B, ..]
+    by a plain double loop over (u, v); pairs with |u - v| > B are 0."""
+    tab = np.moveaxis(tab, (mid_axis, diff_axis), (0, 1))
+    band = (tab.shape[1] - 1) // 2
+    out = np.zeros((npts, npts) + tab.shape[2:], dtype=complex)
+    for u in range(npts):
+        for v in range(npts):
+            if abs(u - v) <= band:
+                out[u, v] = np.tensordot(w_mid[u + v], tab[:, u - v + band],
+                                         axes=1)
+    return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
+
+
 def hermite_function_reference(m_max: int = 30):
     """Sups and squared L2 norms of h_m = He_m(t) e^{-t^2/2} / sqrt(m!).
 

@@ -309,6 +309,40 @@ def test_malformed_spec_json_is_usage_error(tmp_path, capsys, command, spec,
     assert "malformed" in capsys.readouterr().err
 
 
+PHASE64 = '{"dim": 2, "N": 64, "L": 4.0}'
+
+
+@pytest.mark.parametrize("command,spec,field", [
+    ("pair", '{"type":"coherent-combo","terms":[{"c_re":1.0,'
+             '"X":[NaN,0.0],"Y":[0.0,0.0]}]}', "X"),
+    ("pair", '{"type":"coherent-combo","terms":[{"c_re":Infinity,'
+             '"X":[0.0,0.0],"Y":[0.0,0.0]}]}', "c_re"),
+    ("pair", '{"type":"antiwick-symbol","grid":' + PHASE64 + ',"symbol":'
+             '{"dim":2,"terms":[{"factors":[{"width":NaN},{"width":1.0}]}]}}',
+     "width"),
+    ("desmooth", '{"dim":1,"terms":[{"factors":[{"width":1.0,'
+                 '"center":NaN}]}]}', "center"),
+    ("desmooth", '{"dim":1,"terms":[{"factors":[{"width":1.0,'
+                 '"coeff_re":Infinity}]}]}', "coeff_re"),
+    ("desmooth", '{"dim":1,"terms":[{"factors":[{"width":1e400}]}]}',
+     "width")])
+def test_non_finite_spec_number_is_usage_error(tmp_path, capsys, command,
+                                               spec, field):
+    # json reads NaN, Infinity and 1e400 as non-finite floats; without
+    # the parser's check they reach the numerics and exit 1 with a flag
+    (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
+    write_json(tmp_path / "u.json", gaussian_to_obj(radial_gaussian(2, 2.0)))
+    args = {"desmooth": ["desmooth", "--input", str(tmp_path / "spec.json"),
+                         "--grid", '{"dim": 1, "N": 64, "L": 4.0}'],
+            "pair": ["pair", "--operator", str(tmp_path / "spec.json"),
+                     "--test-function", str(tmp_path / "u.json"),
+                     "--phase-grid", PHASE64]}[command]
+    out = tmp_path / "out"
+    assert cli.main(["--outdir", str(out), *args]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
 @pytest.mark.parametrize("command", ["smooth", "desmooth"])
 def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
     # a field manifest for smooth, a Gaussian-sum spec for desmooth
@@ -347,6 +381,12 @@ def test_check_hermite_small(tmp_path):
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "check-hermite-bound.json").read_text())
     assert report["values"]["min_margin"] >= 1.0
+
+
+def test_negative_mmax_is_usage_error(tmp_path, capsys):
+    assert cli.main(["--outdir", str(tmp_path), "check", "hermite-bound",
+                     "--mmax", "-1"]) == 2
+    assert "--mmax" in capsys.readouterr().err
 
 
 def test_rerun_outputs_byte_identical(tmp_path):

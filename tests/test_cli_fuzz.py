@@ -6,9 +6,11 @@ or kind, short or non-finite binaries, samples scaled until their
 transforms overflow, data paths that leave the manifest directory,
 manifests that are not JSON objects).  Each spec example starts from a
 valid Gaussian-sum, operator or grid JSON and replaces or drops one to
-three of its nodes, the whole document included.  Both run ``cli.main()``
-in process.  The contract: exit 0, 1 or 2, nothing escapes ``main``, and
-every exit 1 leaves a report and a run manifest.
+three of its nodes, the whole document included; values drawn include
+NaN, +-Infinity and 1e400, which json reads as non-finite floats.  Both
+run ``cli.main()`` in process.  The contract: exit 0, 1 or 2, nothing
+escapes ``main``, and every exit 1 leaves a report and a run manifest.
+A non-finite number in place of any number of a valid spec exits 2.
 """
 
 import contextlib
@@ -114,6 +116,7 @@ def run_and_check_contract(outdir: Path, args: list[str], report: str):
     if status == 1:
         assert (outdir / report).exists()
         assert (outdir / f"{args[0]}.manifest.json").exists()
+    return status
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -153,12 +156,15 @@ SPEC_KEYS = ("dim", "terms", "factors", "coeff_re", "coeff_im", "power",
 SPEC_COMMANDS = {"gaussian": ("desmooth", "pair"), "operator": ("pair",),
                  "grid": ("desmooth", "pair")}
 DROP = object()
+# written as the literal 1e400, which json reads as inf
+OVERFLOW = "<1e400>"
+NON_FINITE = (math.nan, math.inf, -math.inf, OVERFLOW)
 
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
               st.floats(-50.0, 50.0),
-              st.sampled_from((math.nan, math.inf, -math.inf, "coherent-combo",
-                               "antiwick-symbol", "dense-kernel")),
+              st.sampled_from(NON_FINITE + ("coherent-combo",
+                                            "antiwick-symbol", "dense-kernel")),
               st.text(max_size=4)),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.sampled_from(SPEC_KEYS), inner,
@@ -175,6 +181,12 @@ def node_paths(obj, prefix=()):
         yield from node_paths(child, prefix + (key,))
 
 
+def leaf(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def replace_node(obj, path, value):
     """obj with the node at path set to value, or removed for DROP."""
     if not path:
@@ -189,21 +201,18 @@ def replace_node(obj, path, value):
     return obj
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(SPECS)), data=st.data())
-def test_malformed_json_specs_keep_the_cli_contract(kind, data):
-    command = data.draw(st.sampled_from(SPEC_COMMANDS[kind]))
-    specs = json.loads(json.dumps(SPECS))
-    for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(node_paths(specs[kind]))))
-        value = data.draw(st.one_of(st.just(DROP), json_values))
-        specs[kind] = replace_node(specs[kind], path, value)
+def spec_text(obj) -> str:
+    return json.dumps(obj).replace(json.dumps(OVERFLOW), "1e400")
+
+
+def run_spec_command(specs: dict, command: str) -> int:
+    """Run ``desmooth`` or ``pair`` on the three specs; the exit status."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in ("gaussian", "operator"):
-            (root / f"{name}.json").write_text(json.dumps(specs[name]),
+            (root / f"{name}.json").write_text(spec_text(specs[name]),
                                                encoding="utf-8")
-        grid = json.dumps(specs["grid"])
+        grid = spec_text(specs["grid"])
         if command == "desmooth":
             args = ["desmooth", "--input", str(root / "gaussian.json"),
                     "--grid", grid]
@@ -213,4 +222,32 @@ def test_malformed_json_specs_keep_the_cli_contract(kind, data):
                     "--phase-grid", grid]
         report = "desmooth-report.json" if command == "desmooth" \
             else "pair-result.json"
-        run_and_check_contract(root / "out", args, report)
+        return run_and_check_contract(root / "out", args, report)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_malformed_json_specs_keep_the_cli_contract(kind, data):
+    command = data.draw(st.sampled_from(SPEC_COMMANDS[kind]))
+    specs = json.loads(json.dumps(SPECS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(node_paths(specs[kind]))))
+        value = data.draw(st.one_of(st.just(DROP), json_values))
+        specs[kind] = replace_node(specs[kind], path, value)
+    run_spec_command(specs, command)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_non_finite_spec_numbers_are_usage_errors(kind, data):
+    # every number in the valid specs is read, so NaN, +-Infinity or
+    # 1e400 in place of any of them is a usage error, not a numerical flag
+    command = data.draw(st.sampled_from(SPEC_COMMANDS[kind]))
+    specs = json.loads(json.dumps(SPECS))
+    numbers = [path for path in node_paths(specs[kind])
+               if isinstance(leaf(specs[kind], path), (int, float))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        specs[kind] = replace_node(specs[kind],
+                                   data.draw(st.sampled_from(numbers)),
+                                   data.draw(st.sampled_from(NON_FINITE)))
+    assert run_spec_command(specs, command) == 2

@@ -11,7 +11,9 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                    kernel_from_weyl, make_grid, radial_gaussian, sample,
                    tensor, weyl_from_kernel)
 from awsym.cli import _pairing_families
-from oracles import antiwick_matrix_element, coherent_state_func
+from awsym.quantize import BAND_HALFWIDTH, _contract_on_pairs
+from oracles import (antiwick_kernel_full_band, antiwick_matrix_element,
+                     coherent_state_func, contract_on_pairs_loop)
 
 
 def rank_one_gaussian_sigma(grid):
@@ -135,6 +137,57 @@ class TestAssemble:
                                              np.ones(phase64.shape)))
         with pytest.raises(GridMismatchError):
             assemble_antiwick(op, make_grid(2, 64, 4.0))
+
+
+class TestBandLimitedAssembly:
+    """assemble_antiwick against the literal full-band quadrature, and the
+    strided pair read of _contract_on_pairs against a plain loop."""
+
+    SYMBOLS = {
+        "unit": None,
+        "off-centre complex": tensor(
+            gaussian_1d(1.5, center=0.75, coeff=0.8 + 0.6j),
+            gaussian_1d(2.0, center=-0.5)),
+        "power-1": tensor(gaussian_1d(2.0, center=-0.25, power=1),
+                          gaussian_1d(1.2, center=0.5, power=1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SYMBOLS))
+    @pytest.mark.parametrize("refined", [False, True],
+                             ids=["64", "128"])
+    def test_matches_full_band_quadrature(self, phase64, grid64, name,
+                                          refined):
+        fsym = self.SYMBOLS[name]
+        symbol = SampledField(phase64, np.ones(phase64.shape)) \
+            if fsym is None else sample(fsym, phase64)
+        g = grid64.refined() if refined else grid64
+        got = assemble_antiwick(AntiWickFromSymbol(symbol), g).matrix
+        ref = antiwick_kernel_full_band(symbol, g)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        nodes = g.axis_nodes()
+        far = np.abs(np.subtract.outer(nodes, nodes)) > BAND_HALFWIDTH
+        assert far.any() and np.all(got[far] == 0.0)
+
+    @pytest.mark.parametrize("npts", [8, 9])
+    @pytest.mark.parametrize("band", ["full", "one", "mid"])
+    @pytest.mark.parametrize("rest", [(), (3, 2)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_contract_on_pairs_against_loop(self, npts, band, rest, real):
+        rng = np.random.default_rng(npts)
+        b = {"full": npts - 1, "one": 1, "mid": npts // 2 - 1}[band]
+        k = 5
+        w_mid = rng.standard_normal((2 * npts - 1, k))
+        if not real:
+            w_mid = w_mid + 1j * rng.standard_normal(w_mid.shape)
+        shape = (k, 2 * b + 1) + rest
+        tab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # n = 2 layout: the (mid, diff) pair sits at axes (0, 2)
+        mid_axis, diff_axis = (0, 2) if rest else (0, 1)
+        tab = np.moveaxis(tab, (0, 1), (mid_axis, diff_axis))
+        got = _contract_on_pairs(w_mid, tab, mid_axis, diff_axis, npts)
+        ref = contract_on_pairs_loop(w_mid, tab, mid_axis, diff_axis, npts)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestWeylFromKernel:
