@@ -8,7 +8,10 @@ verification suite and emits a machine-readable report.
 Every invocation writes its outputs into ``--outdir`` (default: the
 ``AWSYM_OUTDIR`` environment variable, else the current directory)
 together with one run manifest ``<name>.manifest.json`` recording the
-command, parameters, input/output digests, versions and wall time.  The
+command, parameters, input/output digests, versions and wall time.
+``<name>`` is the command, ``check-<suite>`` for ``check``, and the stem
+of ``--out`` for ``pair``, so pair runs with different ``--out`` in one
+directory keep their own manifests.  The
 manifest is the only file allowed to differ between identical reruns
 (wall time); every other output is byte-reproducible.
 
@@ -161,8 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_manifest(args, outdir: Path, inputs: dict, outputs: list[Path],
                     started: float) -> None:
-    name = args.command if args.command != "check" else \
-        f"check-{args.suite}"
+    if args.command == "check":
+        name = f"check-{args.suite}"
+    elif args.command == "pair":
+        name = Path(args.out).stem      # one manifest per pair run
+    else:
+        name = args.command
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()

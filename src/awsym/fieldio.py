@@ -79,13 +79,23 @@ def _finite(value, what: str) -> float:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, or ValueError naming ``what`` unless it is a JSON
+    number with an integral value (2 and 2.0; not 1.9, a bool or "2")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def grid_to_obj(grid: Grid) -> dict:
     return {"dim": grid.dim, "N": grid.npoints, "L": grid.half_extent}
 
 
 @_json_shape("grid")
 def grid_from_obj(obj: dict) -> Grid:
-    return make_grid(int(obj["dim"]), int(obj["N"]), float(obj["L"]))
+    return make_grid(_integer(obj["dim"], "dim"), _integer(obj["N"], "N"),
+                     float(obj["L"]))
 
 
 def _read_binary(path: Path, count: int) -> np.ndarray:
@@ -134,10 +144,9 @@ def _read_manifest(manifest_path, kind=None,
     if manifest.get("layout") != "row-major":
         raise ValueError(f"unsupported layout {manifest.get('layout')!r}")
     try:
-        grid = make_grid(int(manifest["dim"]), int(manifest["N"]),
-                         float(manifest["L"]))
-    except (TypeError, OverflowError) as exc:   # e.g. "N": null or 1e400
-        raise ValueError(f"{manifest_path}: bad grid entry ({exc})") from exc
+        grid = grid_from_obj(manifest)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     data = _inside(manifest_path.parent, manifest["data"], "data")
     count = grid.size if kind is None else grid.size ** 2
     values = _read_binary(data, count)
@@ -220,13 +229,13 @@ def gaussian_to_obj(u: AnalyticGaussianSum) -> dict:
 
 @_json_shape("Gaussian-sum")
 def gaussian_from_obj(obj: dict) -> AnalyticGaussianSum:
-    dim = int(obj["dim"])
+    dim = _integer(obj["dim"], "dim")
     terms = []
     for term in obj["terms"]:
         factors = tuple(
             GaussFactor(complex(_finite(f.get("coeff_re", 1.0), "coeff_re"),
                                 _finite(f.get("coeff_im", 0.0), "coeff_im")),
-                        int(f.get("power", 0)),
+                        _integer(f.get("power", 0), "power"),
                         _finite(f["width"], "width"),
                         _finite(f.get("center", 0.0), "center"))
             for f in term["factors"])

@@ -20,14 +20,20 @@ Kernels are read in midpoint/difference coordinates: entry (u, v) is
 K(m + t/2, m - t/2) with m = (x_u + x_v)/2, on the half-step lattice
 s = u + v, and t = x_u - x_v.  Anti-Wick assembly (a Gaussian in m times a
 Fourier sum in t) and kernel_from_weyl (an interpolated symbol in m,
-transformed over xi into t) both build a midpoint x difference product
-and read it on node pairs through :func:`_contract_on_pairs`, which
-writes the product as one C-contiguous table T[s, d] and reads
+transformed over xi into t) each write their midpoint x difference
+product as one C-contiguous table T[s, d], and :func:`_read_pairs` reads
 out[u, v] = T[u + v, u - v + B] through a single strided view (no index
-arrays).  Every anti-Wick entry carries the factor e^{-pi t^2/2}, which
-is below 2^-60 for |t| > T = sqrt(120 ln 2 / pi) (about 5.1455,
-``BAND_HALFWIDTH``), so assembly forms only the differences |t| <= T and
-stores the entries beyond as exact zeros.
+arrays) and zeroes the pairs beyond the band by row slices.
+
+Each builder does only the arithmetic that reaches the kernel.  Every
+anti-Wick entry carries the factor e^{-pi t^2/2}, which is below 2^-60
+for |t| > T = sqrt(120 ln 2 / pi) (about 5.1455, ``BAND_HALFWIDTH``), so
+assembly forms only the differences |t| <= T and stores the entries
+beyond as exact zeros; its window e^{-2 pi (m - x)^2} is below 2^-60 for
+|m - x| > T/2, so each block of midpoints multiplies only the phase nodes
+within T/2.  On a self-dual grid every phase of kernel_from_weyl is a
+whole multiple of 2 pi/(4N), so its tables index one table of roots of
+unity instead of calling exp per entry.
 
 Kernels destined for the Weyl transforms live on the 2x refinement of the
 phase-space position axis, so phase-grid midpoints land on even refined
@@ -80,6 +86,8 @@ PI = math.pi
 # |t| beyond which e^{-pi t^2/2} < 2^-60: anti-Wick assembly forms only
 # the differences |x_u - x_v| <= BAND_HALFWIDTH (about 5.1455)
 BAND_HALFWIDTH = math.sqrt(120.0 * math.log(2.0) / PI)
+# midpoints per parity in one block of the assembly window product
+_WINDOW_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +215,22 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     grid carrying F.  Per axis, with m = (x_u + x_v)/2 and t = x_u - x_v,
     Psi_X(x_u) conj(Psi_X(x_v)) = sqrt(2) e^{-2 pi (m-x)^2} e^{-pi t^2/2}
     e^{2 i pi t xi}: the xi sum (with e^{-pi t^2/2} folded in) is a Fourier
-    sum in t alone and the x sum a Gaussian in m alone.
+    sum in t alone and the x sum a Gaussian window in m alone.
 
-    The factor e^{-pi t^2/2} is below 2^-60 for |t| > T = BAND_HALFWIDTH
-    (about 5.1455), so only the B = min(N - 1, floor(T / h_pos)) nearest
-    differences on each side are formed (B = 82 at 256 points over
-    [-8, 8), 164 on its 512-point refinement) and entries with
-    |x_u - x_v| > T are exact zeros.  The real Gaussian in m multiplies
-    in real arithmetic, and :func:`_contract_on_pairs` reads the node
-    pairs through one strided view of the midpoint x difference table.
+    Both Gaussians are cut where they fall below 2^-60, with
+    T = BAND_HALFWIDTH (about 5.1455) and e^{-pi T^2/2} = 2^-60:
+
+    * only the B = min(N - 1, floor(T / h_pos)) nearest differences on each
+      side are formed (B = 82 at 256 points over [-8, 8), 164 on its
+      512-point refinement), and entries with |x_u - x_v| > T are exact
+      zeros;
+    * e^{-2 pi (m - x)^2} < 2^-60 for |m - x| > T/2 (about 2.57), so the
+      window is formed and multiplied in blocks of ``_WINDOW_ROWS``
+      midpoints, each over only the phase nodes x within T/2 of its
+      midpoints (about 90 of 256 at the desk scale), in real arithmetic.
+
+    Each axis writes its midpoint x difference table T[s, d] and
+    :func:`_read_pairs` reads the node pairs from it.
     """
     phase = op.symbol.grid
     n = op.position_dim
@@ -237,10 +252,16 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
         # contract the leading xi axis (axis n of the remaining block)
         tab = np.tensordot(tab, phase_mat, axes=([n], [0]))
 
-    w_mid = np.exp(-2.0 * PI * np.subtract.outer(_midpoints(pos_grid),
-                                                 phase_nodes) ** 2)
+    mids = _midpoints(pos_grid)
     for j in range(n):
-        tab = _contract_on_pairs(w_mid, tab, j, n + j, npos)
+        tab = np.moveaxis(tab, (j, n + j), (0, 1))
+        # cells whose s and d - B differ in parity are never read
+        table = np.zeros((2 * npos - 1,) + tab.shape[1:], dtype=complex)
+        for parity in (0, 1):
+            cols = (band + parity) % 2
+            _window_product(table[parity::2, cols::2], mids[parity::2],
+                            phase, np.ascontiguousarray(tab[:, cols::2]))
+        tab = np.moveaxis(_read_pairs(table, npos), (0, 1), (j, n + j))
     # tab axes: (u_1..u_n, v_1..v_n)
     mat = tab.reshape(pos_grid.size, pos_grid.size)
     mat *= 2.0 ** (n / 2.0) * phase.spacing**n
@@ -252,18 +273,39 @@ def _midpoints(g: Grid) -> np.ndarray:
     return -g.half_extent + 0.5 * g.spacing * np.arange(2 * g.npoints - 1)
 
 
-def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
-                       diff_axis: int, npts: int) -> np.ndarray:
-    """out[.., u, .., v, ..] = sum_k w_mid[u+v, k] tab[.., k, .., u-v+B, ..]
+def _window_product(out: np.ndarray, mids: np.ndarray, phase: Grid,
+                    z: np.ndarray) -> None:
+    """out[i] = sum_k e^{-2 pi (mids[i] - x_k)^2} z[k] over the nodes x_k
+    of ``phase`` within T/2 of mids[i].
 
-    for u in place of ``mid_axis`` and v of ``diff_axis``, u, v < ``npts``.
-    The diff axis of ``tab`` holds 2B + 1 differences; pairs with
-    |u - v| > B are zero (B = npts - 1 covers every pair).  u + v and
-    u - v share a parity, so each parity class is one product over that
-    class's rows of ``w_mid`` and columns of ``tab`` (a real product when
-    ``w_mid`` is real), written into its cells of one C-contiguous table
-    T[s, d] of shape (2 npts - 1, 2B + 1) + rest: the full midpoint x
-    difference table is never formed.
+    ``mids`` ascends, ``z`` is C-contiguous with leading axis k.  Each
+    block of ``_WINDOW_ROWS`` midpoints is one real product over the
+    nodes within T/2 of the block's span; the window entries left out are
+    below 2^-60.  A block with no such node stays as ``out`` holds it.
+    """
+    reach = 0.5 * BAND_HALFWIDTH
+    nodes = phase.axis_nodes()
+
+    def index(x):       # fractional k of x = -L + k h
+        return (x + phase.half_extent) / phase.spacing
+
+    for i in range(0, len(mids), _WINDOW_ROWS):
+        m = mids[i:i + _WINDOW_ROWS]
+        lo = max(0, math.ceil(index(m[0] - reach)))
+        hi = min(phase.npoints, math.floor(index(m[-1] + reach)) + 1)
+        if lo < hi:
+            w = np.exp(-2.0 * PI * np.subtract.outer(m, nodes[lo:hi]) ** 2)
+            out[i:i + len(m)] = _real_left_matmul(w, z[lo:hi])
+
+
+def _read_pairs(table: np.ndarray, npts: int) -> np.ndarray:
+    """out[u, v, ..] = table[u + v, u - v + B, ..] for u, v < ``npts``,
+    and 0 where |u - v| > B.
+
+    ``table`` is a C-contiguous midpoint x difference table T[s, d] of
+    shape (2 npts - 1, 2B + 1) + rest (B = npts - 1 covers every pair).
+    u + v and u - v share a parity, so only the cells where s and d - B
+    do are read.
 
     out[u, v] = T[u + v, u - v + B] is affine in (u, v), so it is one
     strided view of T.  With r the product of the trailing axes, element
@@ -272,20 +314,11 @@ def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
     are positive, so the smallest index is B r >= 0 and the largest,
     at u = v = npts - 1 and j = r - 1, is 2(npts - 1)(2B + 1) r + B r + r - 1,
     below the size (2 npts - 1)(2B + 1) r = 2(npts - 1)(2B + 1) r + 2B r + r
-    of T.  Pairs with |u - v| > B read a neighbouring row of T there and
-    are zeroed after the copy.
+    of T.  Pairs with |u - v| > B read a neighbouring row of T there; the
+    copy zeroes them one row slice at a time.
     """
-    tab = np.moveaxis(tab, (mid_axis, diff_axis), (0, 1))
-    band = (tab.shape[1] - 1) // 2
-    rest = tab.shape[2:]
-    # cells whose s and d - B differ in parity are never read in band
-    table = np.empty((2 * npts - 1, 2 * band + 1) + rest, dtype=complex)
-    for parity in (0, 1):
-        rows = w_mid[parity::2]
-        cols = tab[:, (band + parity) % 2::2]
-        table[parity::2, (band + parity) % 2::2] = \
-            _real_left_matmul(rows, cols) if np.isrealobj(rows) \
-            else np.tensordot(rows, cols, axes=1)
+    band = (table.shape[1] - 1) // 2
+    rest = table.shape[2:]
     r = math.prod(rest)
     item = table.itemsize
     pairs = np.lib.stride_tricks.as_strided(
@@ -293,9 +326,10 @@ def _contract_on_pairs(w_mid: np.ndarray, tab: np.ndarray, mid_axis: int,
         strides=((2 * band + 2) * r * item, 2 * band * r * item)
         + table.strides[2:], writeable=False)
     out = pairs.copy()
-    idx = np.arange(npts)
-    out[np.abs(np.subtract.outer(idx, idx)) > band] = 0.0
-    return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
+    for u in range(band + 1, npts):
+        out[u, :u - band] = 0.0          # u - v > B
+        out[u - band - 1, u:] = 0.0      # v - (u - B - 1) > B
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +391,14 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     Differences beyond |t| > L are outside what the xi grid can encode and
     are zero (never formed), matching the zero-extension read of the
     forward map.
+
+    On the self-dual grid (N = 4 L^2, so h^2 = 1/N; N even, as the
+    centered FFT needs) every phase of the xi transform and of the
+    interpolation in x is a whole multiple of 2 pi/(4N).  Both tables
+    therefore index one table of the 4N-th roots of unity: the phases are
+    exact, with no transcendental call per entry.  A grid that passes the
+    self-dual check within its 1e-12 tolerance is taken as exactly
+    self-dual.
     Only position dimension one is supported.
     """
     phase = symbol.grid
@@ -370,20 +412,30 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
 
     kgrid = Grid(1, 2 * np_axis, length)
     nk = kgrid.npoints
-    nodes = phase.axis_nodes()      # also the xi and eta nodes (self-dual)
 
     # trig coefficients along x: sigma(x_j, xi_k) = sum_r C[r,k] e^{2 i pi x_j eta_r}
     coeff = centered_fft(symbol.values, axes=(0,)) / np_axis
 
-    # t = delta * refined spacing, |delta| <= N (|t| <= L)
-    deltas = np.arange(-np_axis, np_axis + 1)
-    e_t = np.exp(2j * PI * np.outer(nodes, deltas * kgrid.spacing)) \
-        * phase.spacing
-    r_tab = coeff @ e_t                                      # R[eta, delta]
-    p_tab = np.exp(2j * PI * np.outer(_midpoints(kgrid), nodes))  # P[s, eta]
-    # the pair table is the call's largest array: do not hold these with it
-    del coeff, e_t
-    return DenseKernel(kgrid, _contract_on_pairs(p_tab, r_tab, 0, 1, nk))
+    # With h^2 = 1/N, xi_k = (k - N/2) h, t = delta h/2 (|delta| <= N,
+    # |t| <= L) and midpoints m_s = (s - 2N) h/4, every phase is a whole
+    # number of 2 pi/(4N): xi_k t = (2k - N) delta / (4N) and
+    # m_s eta_r = (s - 2N)(r - N/2) / (4N).  Both tables index one table
+    # of 4N-th roots of unity.  The indices are at most 2N^2 in size, so
+    # int32 holds them for every N < 32768 (a 64 GB kernel at the limit).
+    mod = 4 * np_axis
+    roots = np.exp(2j * PI / mod * np.arange(mod))
+    ks = np.arange(np_axis, dtype=np.int32)
+    table = np.empty((2 * nk - 1, 2 * np_axis + 1), dtype=complex)
+    for parity in (0, 1):
+        # rows s and columns d = delta + N of this parity class
+        cols = (np_axis + parity) % 2
+        deltas = np.arange(cols - np_axis, np_axis + 1, 2, dtype=np.int32)
+        e_t = roots[np.multiply.outer(2 * ks - np_axis, deltas) % mod]
+        r_tab = coeff @ (e_t * phase.spacing)                # R[eta, delta]
+        mids = np.arange(parity, 2 * nk - 1, 2, dtype=np.int32) - 2 * np_axis
+        p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
+        table[parity::2, cols::2] = p_tab @ r_tab            # P[s, eta] R
+    return DenseKernel(kgrid, _read_pairs(table, nk))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,32 @@ def contract_on_pairs_loop(w_mid, tab, mid_axis: int, diff_axis: int,
     return np.moveaxis(out, (0, 1), (mid_axis, diff_axis))
 
 
+def kernel_from_weyl_literal(symbol) -> np.ndarray:
+    """Refined-grid kernel of a 1-d Weyl symbol on a self-dual grid, as
+    literal sums with plain float phases (no FFT, no table of roots).
+
+    For each refined node pair, m = (x_u + x_v)/2 and t = x_u - x_v:
+    K[u, v] = h sum_k S(m, xi_k) e^{2 i pi xi_k t} when |u - v| <= N
+    (|t| <= L), else 0, where S is the trigonometric interpolation in x,
+    S(m, xi_k) = sum_r C[r, k] e^{2 i pi m eta_r} with
+    C[r, k] = (1/N) sum_j sigma(x_j, xi_k) e^{-2 i pi x_j eta_r}.
+    """
+    phase = symbol.grid
+    nodes, h, n = phase.axis_nodes(), phase.spacing, phase.npoints
+    pos = -phase.half_extent + 0.5 * h * np.arange(2 * n)
+    coeff = np.exp(-1j * TWO_PI * np.outer(nodes, nodes)) @ symbol.values / n
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    for u in range(2 * n):
+        m = (pos[u] + pos) / 2.0
+        t = pos[u] - pos
+        interp = np.exp(1j * TWO_PI * np.outer(m, nodes)) @ coeff
+        wave = np.exp(1j * TWO_PI * np.outer(t, nodes))
+        out[u] = h * np.sum(interp * wave, axis=1)
+    idx = np.arange(2 * n)
+    out[np.abs(np.subtract.outer(idx, idx)) > n] = 0.0
+    return out
+
+
 def hermite_function_reference(m_max: int = 30):
     """Sups and squared L2 norms of h_m = He_m(t) e^{-t^2/2} / sqrt(m!).
 

@@ -251,12 +251,25 @@ def test_pair_manifest_digests_referenced_files(workdir, kind, key, stem):
                 "--test-function", str(workdir / "u.json"))
     assert r.returncode == 0, r.stderr
     manifest = json.loads(
-        (workdir / "out" / "pair.manifest.json").read_text())
+        (workdir / "out" / "pair-result.manifest.json").read_text())
     digests = {Path(k).name: v for k, v in manifest["inputs"].items()}
     names = ["op-aw.json", f"{stem}.json", f"{stem}.bin", "u.json"]
     assert sorted(digests) == sorted(names)
     for name in names:
         assert digests[name] == sha256_file(workdir / name), name
+
+
+def test_pair_runs_keep_their_own_manifests(workdir):
+    out = workdir / "out"
+    args = ["pair", "--operator", str(workdir / "op.json"),
+            "--test-function", str(workdir / "u.json")]
+    for name in ("a", "b"):
+        assert cli.main(["--outdir", str(out), *args,
+                         "--out", f"{name}.json"]) == 0
+    for name in ("a", "b"):
+        manifest = json.loads((out / f"{name}.manifest.json").read_text())
+        assert list(manifest["outputs"]) == [f"{name}.json"]
+    assert not (out / "pair.manifest.json").exists()
 
 
 def test_refined_flag_parses_both_ways(tmp_path):
@@ -340,6 +353,49 @@ def test_non_finite_spec_number_is_usage_error(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert cli.main(["--outdir", str(out), *args]) == 2
     assert f"{field} must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+def gauss_spec(dim=1, **factor):
+    """A one-factor Gaussian-sum spec with ``dim`` and factor entries set."""
+    return json.dumps({"dim": dim,
+                       "terms": [{"factors": [{"width": 1.0, **factor}]}]})
+
+
+GRID64 = {"dim": 1, "N": 64, "L": 4.0}
+
+
+@pytest.mark.parametrize("where,spec,field", [
+    ("gaussian", gauss_spec(dim=1.9), "dim"),
+    ("gaussian", gauss_spec(dim="1"), "dim"),
+    ("gaussian", gauss_spec(power=1.7), "power"),
+    ("gaussian", gauss_spec(power="2"), "power"),
+    ("gaussian", gauss_spec(power=True), "power"),
+    ("grid", {**GRID64, "dim": 1.9, "N": 64.9}, "dim"),
+    ("grid", {**GRID64, "N": 64.9}, "N"),
+    ("grid", {**GRID64, "N": "64"}, "N"),
+    ("manifest", {"N": 64.9}, "N"),
+    ("manifest", {"dim": True}, "dim")])
+def test_non_integral_count_is_usage_error(tmp_path, capsys, where, spec,
+                                           field):
+    # int() used to truncate these: dim 1.9 read as 1, N 64.9 as 64
+    if where == "manifest":
+        g = make_grid(1, 64, 4.0)
+        manifest = save_field(sample(gaussian_1d(1.0), g), tmp_path / "f.json")
+        write_json(tmp_path / "f.json", {**manifest, **spec})
+        args = ["smooth", "--input", str(tmp_path / "f.json")]
+    else:
+        gaussian, grid = gauss_spec(), json.dumps(GRID64)
+        if where == "gaussian":
+            gaussian = spec
+        else:
+            grid = json.dumps(spec)
+        (tmp_path / "u.json").write_text(gaussian, encoding="utf-8")
+        args = ["desmooth", "--input", str(tmp_path / "u.json"),
+                "--grid", grid]
+    out = tmp_path / "out"
+    assert cli.main(["--outdir", str(out), *args]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
     assert not list(out.glob("*.json"))
 
 

@@ -115,7 +115,8 @@ def run_and_check_contract(outdir: Path, args: list[str], report: str):
     assert "Traceback" not in stderr.getvalue()
     if status == 1:
         assert (outdir / report).exists()
-        assert (outdir / f"{args[0]}.manifest.json").exists()
+        name = Path(report).stem if args[0] == "pair" else args[0]
+        assert (outdir / f"{name}.manifest.json").exists()
     return status
 
 

@@ -11,9 +11,10 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                    kernel_from_weyl, make_grid, radial_gaussian, sample,
                    tensor, weyl_from_kernel)
 from awsym.cli import _pairing_families
-from awsym.quantize import BAND_HALFWIDTH, _contract_on_pairs
+from awsym.quantize import BAND_HALFWIDTH, _read_pairs
 from oracles import (antiwick_kernel_full_band, antiwick_matrix_element,
-                     coherent_state_func, contract_on_pairs_loop)
+                     coherent_state_func, contract_on_pairs_loop,
+                     kernel_from_weyl_literal)
 
 
 def rank_one_gaussian_sigma(grid):
@@ -141,7 +142,7 @@ class TestAssemble:
 
 class TestBandLimitedAssembly:
     """assemble_antiwick against the literal full-band quadrature, and the
-    strided pair read of _contract_on_pairs against a plain loop."""
+    strided pair read of _read_pairs against a plain loop."""
 
     SYMBOLS = {
         "unit": None,
@@ -150,6 +151,12 @@ class TestBandLimitedAssembly:
             gaussian_1d(2.0, center=-0.5)),
         "power-1": tensor(gaussian_1d(2.0, center=-0.25, power=1),
                           gaussian_1d(1.2, center=0.5, power=1)),
+        # mass near both box edges, where the window's T/2 cut and its
+        # clip to the phase box both act
+        "edges": tensor(gaussian_1d(2.0, center=3.25, coeff=0.6 - 0.8j),
+                        gaussian_1d(1.5, center=0.5, power=1))
+        + tensor(gaussian_1d(2.5, center=-3.5),
+                 gaussian_1d(1.0, center=-0.75, coeff=0.3j)),
     }
 
     @pytest.mark.parametrize("name", sorted(SYMBOLS))
@@ -168,24 +175,63 @@ class TestBandLimitedAssembly:
         far = np.abs(np.subtract.outer(nodes, nodes)) > BAND_HALFWIDTH
         assert far.any() and np.all(got[far] == 0.0)
 
+    def test_midpoints_beyond_the_phase_box(self):
+        # phase box [-2, 2), position box [-8, 8): midpoint blocks more
+        # than T/2 outside the phase box have no node to sum over
+        phase = make_grid(2, 16, 2.0)
+        symbol = sample(tensor(gaussian_1d(1.5, center=0.5, coeff=1j),
+                               gaussian_1d(2.0, center=-0.25)), phase)
+        g = make_grid(1, 64, 8.0)
+        got = assemble_antiwick(AntiWickFromSymbol(symbol), g).matrix
+        ref = antiwick_kernel_full_band(symbol, g)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # a block spans 1.75 here, so these lie in blocks with no node
+        mids = np.add.outer(g.axis_nodes(), g.axis_nodes()) / 2.0
+        far = np.abs(mids) > 2.0 + 1.75 + BAND_HALFWIDTH / 2
+        assert far.any() and np.all(got[far] == 0.0)
+
+    @pytest.mark.parametrize("k0", [4, 34, *range(48, 56)])
+    def test_window_keeps_every_node_within_half_band(self, phase64, grid64,
+                                                      k0):
+        # a point mass F = delta(x0, xi0) makes every entry one term,
+        # sqrt(2) h^2 e^{-2 pi (m - x0)^2} e^{-pi t^2/2} e^{2 i pi t xi0},
+        # so each one with |m - x0| <= T/2 and |t| <= T must match it to
+        # relative round-off, down to its 2^-120 size; eight neighbouring
+        # x0 put a node just inside T/2 of every block's span
+        h, x0, xi0 = phase64.spacing, phase64.axis_nodes()[k0], 0.5
+        values = np.zeros(phase64.shape)
+        values[k0, phase64.index_of(xi0)] = 1.0
+        op = AntiWickFromSymbol(SampledField(phase64, values))
+        for g in (grid64, grid64.refined()):
+            got = assemble_antiwick(op, g).matrix
+            nodes = g.axis_nodes()
+            m = np.add.outer(nodes, nodes) / 2.0
+            t = np.subtract.outer(nodes, nodes)
+            ref = math.sqrt(2.0) * h * h * np.exp(
+                -2.0 * math.pi * (m - x0) ** 2 - 0.5 * math.pi * t * t
+                + 2j * math.pi * t * xi0)
+            near = (np.abs(m - x0) <= BAND_HALFWIDTH / 2) \
+                & (np.abs(t) <= BAND_HALFWIDTH)
+            rel = np.abs(got - ref)[near] / np.abs(ref[near])
+            assert (~near).any() and np.max(rel) <= 1e-12
+
     @pytest.mark.parametrize("npts", [8, 9])
     @pytest.mark.parametrize("band", ["full", "one", "mid"])
     @pytest.mark.parametrize("rest", [(), (3, 2)], ids=["1d", "2d"])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_contract_on_pairs_against_loop(self, npts, band, rest, real):
+        # the pair read of a midpoint x difference table T = w_mid tab
         rng = np.random.default_rng(npts)
         b = {"full": npts - 1, "one": 1, "mid": npts // 2 - 1}[band]
         k = 5
         w_mid = rng.standard_normal((2 * npts - 1, k))
+        shape = (k, 2 * b + 1) + rest
+        tab = rng.standard_normal(shape)
         if not real:
             w_mid = w_mid + 1j * rng.standard_normal(w_mid.shape)
-        shape = (k, 2 * b + 1) + rest
-        tab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # n = 2 layout: the (mid, diff) pair sits at axes (0, 2)
-        mid_axis, diff_axis = (0, 2) if rest else (0, 1)
-        tab = np.moveaxis(tab, (0, 1), (mid_axis, diff_axis))
-        got = _contract_on_pairs(w_mid, tab, mid_axis, diff_axis, npts)
-        ref = contract_on_pairs_loop(w_mid, tab, mid_axis, diff_axis, npts)
+            tab = tab + 1j * rng.standard_normal(shape)
+        got = _read_pairs(np.tensordot(w_mid, tab, axes=1), npts)
+        ref = contract_on_pairs_loop(w_mid, tab, 0, 1, npts)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -255,6 +301,18 @@ class TestKernelFromWeyl:
         f = sample(gaussian_1d(math.pi), grid256.refined())
         out = apply_operator(k, f)
         assert (out - f).l2_norm() / f.l2_norm() < 2e-3
+
+    @pytest.mark.parametrize("npoints, half_extent",
+                             [(16, 2.0), (36, 3.0), (64, 4.0), (100, 5.0)])
+    def test_matches_literal_sums(self, npoints, half_extent):
+        # complex noise is asymmetric in x and in xi
+        phase = make_grid(2, npoints, half_extent)
+        rng = np.random.default_rng(npoints)
+        sigma = SampledField(phase, rng.standard_normal(phase.shape)
+                             + 1j * rng.standard_normal(phase.shape))
+        got = kernel_from_weyl(sigma).matrix
+        ref = kernel_from_weyl_literal(sigma)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_position_dim_two_unsupported(self):
         g = make_grid(4, 16, 2.0)
