@@ -13,7 +13,12 @@ FFT wrapped in fftshift/ifftshift plus the volume weight h^d:
 
 with the frequency nodes xi_k = (k - N/2) / (2L), i.e. spacing 1/(2L) and
 half-extent N/(4L).  ``inverse_fourier(fourier(u)) == u`` holds to machine
-precision because the weights multiply out to one.
+precision because the weights multiply out to one.  The shifts place the
+node x = 0 at index N/2, which needs N even; :class:`Grid` refuses odd N.
+
+``BAND_HALFWIDTH`` is the one cut of the heat factor exp(-pi t^2 / 2):
+beyond it the factor is below 2^-60, so assembly stores those entries as
+exact zeros and ``heat.smooth`` never carries those frequencies.
 
 Nothing here periodizes silently: fields are taken as literal samples, and
 :meth:`SampledField.boundary_magnitude` reports how much mass sits on the
@@ -41,6 +46,9 @@ __all__ = [
     "GridMismatchError",
 ]
 
+# |t| beyond which e^{-pi t^2/2} < 2^-60 (about 5.1455)
+BAND_HALFWIDTH = math.sqrt(120.0 * math.log(2.0) / math.pi)
+
 
 class GridMismatchError(ValueError):
     """Two fields that must share a grid do not."""
@@ -48,11 +56,15 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Centered uniform grid on [-L, L)^dim with N nodes per axis."""
+    """Centered uniform grid on [-L, L)^dim with N nodes per axis, N even."""
 
     dim: int
     npoints: int
     half_extent: float
+
+    def __post_init__(self):
+        if self.npoints % 2 != 0:
+            raise ValueError(f"npoints must be even (got {self.npoints})")
 
     def __eq__(self, other) -> bool:
         # Dual grids are rebuilt through divisions (L -> N/(4L) -> L), so
@@ -121,13 +133,12 @@ def make_grid(dim: int, npoints: int, half_extent: float) -> Grid:
     """Validated grid constructor.
 
     dim must be 1, 2 or 4 (positions and their phase spaces); npoints must
-    be even and at least 8 so the centered layout and the shift-based FFT
-    wrapping are exact; powers of two are fastest but not required.
+    be at least 8, and even (which :class:`Grid` checks itself) so the
+    centered layout and the shift-based FFT wrapping are exact; powers of
+    two are fastest but not required.
     """
     if dim not in (1, 2, 4):
         raise ValueError(f"dim must be one of 1, 2, 4 (got {dim})")
-    if npoints % 2 != 0:
-        raise ValueError(f"npoints must be even (got {npoints})")
     if npoints < 8:
         raise ValueError(f"npoints must be at least 8 (got {npoints})")
     if not 0.0 < half_extent < math.inf:

@@ -70,9 +70,11 @@ def _json_shape(what: str):
 
 
 def _finite(value, what: str) -> float:
-    """float(value), or ValueError naming ``what`` when it is NaN or
-    infinite (json reads NaN, Infinity and overflowing literals such as
-    1e400 as non-finite floats)."""
+    """value as a float, or ValueError naming ``what`` unless it is a JSON
+    number (not a bool or "2.0") and finite (json reads NaN, Infinity and
+    overflowing literals such as 1e400 as non-finite floats)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
@@ -95,7 +97,7 @@ def grid_to_obj(grid: Grid) -> dict:
 @_json_shape("grid")
 def grid_from_obj(obj: dict) -> Grid:
     return make_grid(_integer(obj["dim"], "dim"), _integer(obj["N"], "N"),
-                     float(obj["L"]))
+                     _finite(obj["L"], "L"))
 
 
 def _read_binary(path: Path, count: int) -> np.ndarray:

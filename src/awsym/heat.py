@@ -6,6 +6,14 @@ package's transform convention this is identical to the convolution
 2^{d/2} (f ∗ exp(-2 pi |.|^2)), the dimension-d form of the phase-space
 smoothing that links anti-Wick and Weyl symbols.
 
+A Fourier multiplier commutes with the centring shifts of
+``core.fourier``, and its weights h^d and (2 L_f)^d multiply out to one,
+so ``smooth`` and ``desmooth_fourier`` run on plain unshifted FFTs:
+smooth(f) = ifftn(m * fftn(f)) with m in unshifted frequency order.  The
+multiplier is below 2^-60 for |xi| > T = ``core.BAND_HALFWIDTH`` (about
+5.1455, the cut anti-Wick assembly uses), so ``smooth`` carries only the
+frequencies |xi| <= T of each axis.
+
 Desmoothing is ill-posed in general, and both inverses make that visible
 instead of hiding it:
 
@@ -34,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Grid, SampledField, centered_fft, fourier, inverse_fourier,
-                   sample)
+from .core import (BAND_HALFWIDTH, Grid, SampledField, centered_fft,
+                   inverse_fourier, sample)
 from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
 from .gsnorm import TWO_PI, e_space_divergent, strip_rule
 
@@ -66,22 +74,54 @@ class DesmoothReport:
     y_nodes: Optional[int] = None
 
 
-def _sq_norm(grid: Grid) -> np.ndarray:
-    """|xi|^2 on the grid nodes."""
-    sq = grid.axis_nodes()**2
-    return reduce(np.add.outer, [sq] * grid.dim) if grid.dim > 1 else sq
-
-
-def _multiplier(grid: Grid, sign: float) -> np.ndarray:
-    """exp(sign * pi |xi|^2 / 2) on the frequency grid nodes."""
-    return np.exp(sign * 0.5 * math.pi * _sq_norm(grid))
+def _unshifted_freqs(grid: Grid) -> np.ndarray:
+    """The 1-d frequency nodes of ``grid`` in unshifted FFT order (xi = 0
+    first, the negative half last): the centred node values, rolled."""
+    return np.fft.ifftshift(grid.freq.axis_nodes())
 
 
 def smooth(f: SampledField) -> SampledField:
-    """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2)."""
-    spec = fourier(f)
-    spec.values *= _multiplier(spec.grid, -1.0)
-    return inverse_fourier(spec)
+    """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2).
+
+    A Fourier multiplier commutes with the centring shifts of ``fourier``,
+    and the weights h^d (2 L_f)^d multiply out to one, so this is
+    ifftn(m * fftn(f)) on unshifted FFTs.  m is separable and below 2^-60
+    for |xi| > T = ``BAND_HALFWIDTH``, so each axis is transformed, cut to
+    its band |xi| <= T and multiplied by its 1-d gain in one pass, and the
+    frequencies beyond T are never carried: the inverse passes zero-pad
+    each axis back to N.  When N/(4L) <= T the band is the whole axis.
+    """
+    dim, n = f.grid.dim, f.grid.npoints
+    xi = _unshifted_freqs(f.grid)
+    gain = np.exp(-0.5 * math.pi * xi**2)
+    # the band is a prefix (xi >= 0) and a suffix (xi < 0) of the axis;
+    # the band array keeps the two side by side
+    inband = np.abs(xi) <= BAND_HALFWIDTH
+    pos = int(np.count_nonzero(inband[:n // 2]))
+    neg = int(np.count_nonzero(inband[n // 2:]))
+    spans = ((slice(0, pos), slice(0, pos)),
+             (slice(n - neg, n), slice(pos, pos + neg)))
+
+    def on(axis, part):
+        return (slice(None),) * axis + (part,)
+
+    # the full-length passes run along the contiguous last axis
+    vals = f.values
+    for axis in reversed(range(dim)):
+        spec = np.fft.fft(vals, axis=axis)
+        vals = np.empty(spec.shape[:axis] + (pos + neg,)
+                        + spec.shape[axis + 1:], dtype=complex)
+        for full, band in spans:
+            np.multiply(spec[on(axis, full)],
+                        gain[full].reshape((-1,) + (1,) * (dim - 1 - axis)),
+                        out=vals[on(axis, band)])
+    for axis in range(dim):
+        padded = np.zeros(vals.shape[:axis] + (n,) + vals.shape[axis + 1:],
+                          dtype=complex)
+        for full, band in spans:
+            padded[on(axis, full)] = vals[on(axis, band)]
+        vals = np.fft.ifft(padded, axis=axis)
+    return SampledField(f.grid, np.ascontiguousarray(vals))
 
 
 def desmooth_fourier(u: SampledField,
@@ -89,39 +129,39 @@ def desmooth_fourier(u: SampledField,
     """Regularized spectral division by the heat multiplier.
 
     Frequencies where |Fu| falls below rel_threshold * max|Fu| are zeroed;
-    everything kept is divided by exp(-pi |xi|^2 / 2).  No attempt is made
-    to decide well-posedness for the caller: the recomputed residual in
-    the report is the verdict.
+    everything kept is divided by exp(-pi |xi|^2 / 2).  As in ``smooth``,
+    the division commutes with the centring shifts and the transform
+    weights cancel, so it runs on unshifted FFTs; the weight h^d enters
+    only the overflow guard, and the logarithm and the gain are evaluated
+    on the kept nodes alone.  No attempt is made to decide well-posedness
+    for the caller: the recomputed residual in the report is the verdict.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
-    spec = fourier(u)
-    mag = np.abs(spec.values)
-    mask = mag >= rel_threshold * float(mag.max())
+    grid = u.grid
+    spec = np.fft.fftn(u.values)
+    mag = np.abs(spec)
+    # never empty: the largest node is always kept
+    kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
 
-    sq = _sq_norm(spec.grid)
+    xi = _unshifted_freqs(grid)
+    sq = sum(xi[idx]**2 for idx in kept)
     with np.errstate(divide="ignore"):
-        log_gain = np.where(mag > 0.0, np.log(mag), -np.inf) \
-            + 0.5 * math.pi * sq
-    peak = float(np.max(log_gain[mask])) if mask.any() else -math.inf
+        log_gain = np.log(mag[kept]) + 0.5 * math.pi * sq
+    peak = float(np.max(log_gain)) + grid.dim * math.log(grid.spacing)
     if peak > _EXP_GUARD:
         raise OverflowGuardError(
             f"regularized division overflows double precision "
             f"(max log magnitude {peak:.1f}); raise rel_threshold or "
             "shrink the frequency box")
 
-    # exp() may overflow on frequencies the mask discards; the guard above
-    # already vetted every kept node, so those lanes are dropped unseen.
+    lifted = np.zeros_like(spec)
+    # a gain past e^709 on a tiny kept value overflows here although the
+    # product would not; SampledField then rejects the non-finite field
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted = np.where(mask, spec.values * np.exp(0.5 * math.pi * sq), 0.0)
-    phi = inverse_fourier(SampledField(spec.grid, lifted))
-
-    axis_abs = np.abs(spec.grid.axis_nodes())
-    kept_cut = 0.0
-    if mask.any():
-        profile = reduce(np.maximum.outer, [axis_abs] * spec.grid.dim) \
-            if spec.grid.dim > 1 else axis_abs
-        kept_cut = float(np.max(profile[mask]))
+        lifted[kept] = spec[kept] * np.exp(0.5 * math.pi * sq)
+    phi = SampledField(grid, np.fft.ifftn(lifted))
+    kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     residual = float(np.max(np.abs(smooth(phi).values - u.values)))
     return DesmoothReport(phi, "fourier-regularized", residual,
                           cutoff_frequency=kept_cut,

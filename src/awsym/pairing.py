@@ -140,10 +140,8 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
 def _coarse_pairing(sigma: SampledField, phi: SampledField) -> complex:
     """Same bilinear quadrature on the stride-two subgrid."""
     sub = (slice(None, None, 2),) * sigma.grid.dim
-    coarse = Grid(sigma.grid.dim, sigma.grid.npoints // 2,
-                  sigma.grid.half_extent)
     return complex(np.sum(sigma.values[sub] * phi.values[sub])
-                   * coarse.cell_volume)
+                   * (2.0 * sigma.grid.spacing)**sigma.grid.dim)
 
 
 def antiwick_pair_reference(symbol: SampledField,

@@ -27,8 +27,8 @@ arrays) and zeroes the pairs beyond the band by row slices.
 
 Each builder does only the arithmetic that reaches the kernel.  Every
 anti-Wick entry carries the factor e^{-pi t^2/2}, which is below 2^-60
-for |t| > T = sqrt(120 ln 2 / pi) (about 5.1455, ``BAND_HALFWIDTH``), so
-assembly forms only the differences |t| <= T and stores the entries
+for |t| > T = sqrt(120 ln 2 / pi) (about 5.1455, ``core.BAND_HALFWIDTH``),
+so assembly forms only the differences |t| <= T and stores the entries
 beyond as exact zeros; its window e^{-2 pi (m - x)^2} is below 2^-60 for
 |m - x| > T/2, so each block of midpoints multiplies only the phase nodes
 within T/2.  On a self-dual grid every phase of kernel_from_weyl is a
@@ -64,7 +64,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import Grid, GridMismatchError, SampledField, centered_fft, inner
+from .core import (BAND_HALFWIDTH, Grid, GridMismatchError, SampledField,
+                   centered_fft, inner)
 
 __all__ = [
     "CoherentCombo",
@@ -83,9 +84,6 @@ __all__ = [
 ]
 
 PI = math.pi
-# |t| beyond which e^{-pi t^2/2} < 2^-60: anti-Wick assembly forms only
-# the differences |x_u - x_v| <= BAND_HALFWIDTH (about 5.1455)
-BAND_HALFWIDTH = math.sqrt(120.0 * math.log(2.0) / PI)
 # midpoints per parity in one block of the assembly window product
 _WINDOW_ROWS = 8
 

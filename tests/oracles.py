@@ -67,6 +67,63 @@ def smooth_by_convolution(f):
     return SampledField(f.grid, out)
 
 
+def _centered_sq_norm(grid) -> np.ndarray:
+    """|xi|^2 on every node of a centred frequency grid."""
+    from functools import reduce
+
+    sq = grid.axis_nodes()**2
+    return reduce(np.add.outer, [sq] * grid.dim) if grid.dim > 1 else sq
+
+
+def smooth_centered_multiplier(f):
+    """Heat smoothing the dense way: ``fourier``, exp(-pi |xi|^2 / 2) on
+    every node of the centred frequency grid, ``inverse_fourier``.
+
+    This is the route ``awsym.heat.smooth`` took before it ran on
+    unshifted, band-limited 1-d passes: both centring shifts, both weights
+    and every frequency, however small its gain.
+    """
+    from awsym.core import fourier, inverse_fourier
+
+    spec = fourier(f)
+    spec.values *= np.exp(-0.5 * np.pi * _centered_sq_norm(spec.grid))
+    return inverse_fourier(spec)
+
+
+def desmooth_fourier_centered(u, rel_threshold: float = 1e-12):
+    """(result values, cutoff frequency, residual) of the regularized
+    spectral division, on centred weighted transforms over the whole grid.
+
+    This is the route ``awsym.heat.desmooth_fourier`` took before it moved
+    to unshifted FFTs and kept-node evaluation; its residual is recomputed
+    with :func:`smooth_centered_multiplier`.  Past the overflow guard it
+    raises the library's OverflowGuardError naming the same peak.
+    """
+    from functools import reduce
+
+    from awsym.core import SampledField, fourier, inverse_fourier
+    from awsym.gaussians import _EXP_GUARD, OverflowGuardError
+
+    spec = fourier(u)
+    mag = np.abs(spec.values)
+    mask = mag >= rel_threshold * float(mag.max())
+    sq = _centered_sq_norm(spec.grid)
+    with np.errstate(divide="ignore"):
+        log_gain = np.log(mag) + 0.5 * np.pi * sq
+    peak = float(np.max(log_gain[mask]))
+    if peak > _EXP_GUARD:
+        raise OverflowGuardError(f"max log magnitude {peak:.1f}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = np.where(mask, spec.values * np.exp(0.5 * np.pi * sq), 0.0)
+    phi = inverse_fourier(SampledField(spec.grid, lifted))
+    axis_abs = np.abs(spec.grid.axis_nodes())
+    profile = reduce(np.maximum.outer, [axis_abs] * spec.grid.dim) \
+        if spec.grid.dim > 1 else axis_abs
+    residual = float(np.max(np.abs(smooth_centered_multiplier(phi).values
+                                   - u.values)))
+    return phi.values, float(np.max(profile[mask])), residual
+
+
 def coherent_state_func(x0: float, xi0: float):
     """Psi_{(x0, xi0)} as a plain callable (1-d position space)."""
     def psi(u):

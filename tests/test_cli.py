@@ -379,6 +379,30 @@ GRID64 = {"dim": 1, "N": 64, "L": 4.0}
 def test_non_integral_count_is_usage_error(tmp_path, capsys, where, spec,
                                            field):
     # int() used to truncate these: dim 1.9 read as 1, N 64.9 as 64
+    assert run_with_bad_spec(tmp_path, where, spec) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("where,spec,field", [
+    ("gaussian", gauss_spec(width="2.0"), "width"),
+    ("gaussian", gauss_spec(center="0.5"), "center"),
+    ("gaussian", gauss_spec(coeff_re=True), "coeff_re"),
+    ("grid", {**GRID64, "L": "4"}, "L"),
+    ("grid", {**GRID64, "L": True}, "L"),
+    ("manifest", {"L": "4"}, "L")])
+def test_non_numeric_real_field_is_usage_error(tmp_path, capsys, where,
+                                               spec, field):
+    # float() used to read these: "2.0" as 2.0, "L": true as L = 1
+    assert run_with_bad_spec(tmp_path, where, spec) == 2
+    assert f"{field} must be a number" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+def run_with_bad_spec(tmp_path, where, spec) -> int:
+    """Exit status of a CLI run given ``spec``: a field manifest's entries
+    for ``smooth``, or a Gaussian-sum spec text or grid dict for
+    ``desmooth``."""
     if where == "manifest":
         g = make_grid(1, 64, 4.0)
         manifest = save_field(sample(gaussian_1d(1.0), g), tmp_path / "f.json")
@@ -393,9 +417,25 @@ def test_non_integral_count_is_usage_error(tmp_path, capsys, where, spec,
         (tmp_path / "u.json").write_text(gaussian, encoding="utf-8")
         args = ["desmooth", "--input", str(tmp_path / "u.json"),
                 "--grid", grid]
+    return cli.main(["--outdir", str(tmp_path / "out"), *args])
+
+
+@pytest.mark.parametrize("command", ["weyl-from-kernel", "pair"])
+def test_kernel_with_odd_phase_count_is_usage_error(tmp_path, capsys,
+                                                    command):
+    # an 18-point kernel grid halves to a 9-point phase grid, which used
+    # to pass the self-dual check (9 = 4 * 1.5^2) and give a wrong symbol
+    save_kernel(identity_kernel(make_grid(1, 18, 1.5)), tmp_path / "k.json")
+    write_json(tmp_path / "op.json",
+               {"type": "dense-kernel", "manifest": "k.json"})
+    write_json(tmp_path / "u.json", gaussian_to_obj(radial_gaussian(2, 3.0)))
+    args = {"weyl-from-kernel": ["weyl-from-kernel",
+                                 "--kernel", str(tmp_path / "k.json")],
+            "pair": ["pair", "--operator", str(tmp_path / "op.json"),
+                     "--test-function", str(tmp_path / "u.json")]}[command]
     out = tmp_path / "out"
     assert cli.main(["--outdir", str(out), *args]) == 2
-    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert "npoints must be even (got 9)" in capsys.readouterr().err
     assert not list(out.glob("*.json"))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from awsym import (GridMismatchError, SampledField, fourier, gaussian_1d,
+from awsym import (Grid, GridMismatchError, SampledField, fourier, gaussian_1d,
                    inner, inverse_fourier, make_grid, radial_gaussian, sample)
 from awsym.quantize import coherent_state
 
@@ -27,6 +27,14 @@ class TestMakeGrid:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):
             make_grid(1, 7, 4.0)
+
+    def test_grid_itself_rejects_odd_n(self):
+        # 9 = 4 * 1.5^2 passes the self-dual test, but the centring shifts
+        # put x = 0 at index N/2 only for even N
+        with pytest.raises(ValueError, match="npoints must be even"):
+            Grid(1, 9, 1.5)
+        with pytest.raises(ValueError, match="npoints must be even"):
+            Grid(2, 9, 1.5)
 
     def test_rejects_bad_extent_and_dim(self):
         with pytest.raises(ValueError):

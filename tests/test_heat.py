@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from numpy.testing import assert_allclose
 from awsym import (SampledField, desmooth_complex, desmooth_fourier,
                    gaussian_1d, make_grid, radial_gaussian, sample, smooth,
                    tensor)
+from awsym.gaussians import OverflowGuardError
 from awsym.heat import ESpaceDivergenceError
+from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
 
-from oracles import (desmooth_complex_per_node, heat_convolution_quadrature,
-                     smooth_by_convolution)
+from oracles import (desmooth_complex_per_node, desmooth_fourier_centered,
+                     heat_convolution_quadrature, smooth_by_convolution,
+                     smooth_centered_multiplier)
 
 
 def closed_form_desmoothed(a: float):
@@ -70,6 +74,105 @@ class TestSmooth:
         smoothed_then_rolled = np.roll(smooth(f).values, k)
         assert np.max(np.abs(rolled_then_smoothed.values
                              - smoothed_then_rolled)) < 1e-13
+
+
+def complex_noise(grid, seed: int) -> SampledField:
+    rng = np.random.default_rng(seed)
+    return SampledField(grid, rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape))
+
+
+def plane_wave(grid, ks) -> SampledField:
+    """exp(2 i pi xi . x) for the frequency node with centred index ks[a]
+    on axis a, from exact integer phases: xi_k x_j = (k - N/2)(j - N/2)/N
+    on every grid, so the samples carry no phase round-off."""
+    n = grid.npoints
+    j = np.arange(n) - n // 2
+    parts = [((k - n // 2) * j) % n for k in ks]
+    idx = reduce(np.add.outer, parts) if len(parts) > 1 else parts[0]
+    return SampledField(grid, np.exp(2j * np.pi * (idx % n) / n))
+
+
+class TestBandLimitedSmooth:
+    """The unshifted band-limited passes against the centred dense
+    multiplier, and plane waves near the band edge |xi| = T, where a
+    missing gain, a narrower band or a pass on the wrong axis shows."""
+
+    @pytest.mark.parametrize("dim, npts, ell", [
+        (1, 1024, 16.0),   # 329 of 1024 frequencies in the band
+        (2, 256, 2.0),     # 41 of 256 per axis
+        (2, 256, 8.0),
+        (2, 1024, 16.0),
+        (2, 64, 4.0),      # N/(4L) = 4 <= T: the whole axis is the band
+        (4, 16, 0.5),
+        (2, 96, 4.0),      # N not a power of two
+    ])
+    def test_matches_centered_multiplier(self, dim, npts, ell):
+        f = complex_noise(make_grid(dim, npts, ell), seed=npts + dim)
+        out = smooth(f).values
+        ref = smooth_centered_multiplier(f).values
+        assert out.flags.c_contiguous
+        assert np.max(np.abs(out - ref)) <= 2e-15 * f.sup_norm()
+
+    @pytest.mark.parametrize("dim, npts, ell", [
+        (1, 1024, 16.0), (2, 256, 8.0), (2, 96, 4.0)])
+    def test_plane_waves_near_band_edge(self, dim, npts, ell):
+        # measured round-off here is at most 3.1e-16; the first node past
+        # T - 0.5 has gain 1.6e-15 (1024/16) and 1.0e-15 (256/8)
+        g = make_grid(dim, npts, ell)
+        xi = g.freq.axis_nodes()
+        centre = npts // 2
+        for k in np.flatnonzero((np.abs(xi) >= 4.0) & (np.abs(xi) <= 5.5)):
+            for ks in [(k,)] if dim == 1 else [(k, centre), (centre + 3, k)]:
+                wave = plane_wave(g, ks)
+                gain = math.exp(-0.5 * math.pi * sum(xi[q]**2 for q in ks))
+                err = np.max(np.abs(smooth(wave).values - gain * wave.values))
+                assert err <= 6e-16, f"frequency indices {ks}"
+
+
+def a4_input(width, npts, ell):
+    return sample(gaussian_1d(width), make_grid(1, npts, ell))
+
+
+def heat_roundtrip_input():
+    return smooth(sample(gaussian_1d(2.0, center=0.5), make_grid(1, 256, 8.0)))
+
+
+class TestDesmoothFourierAgainstCentered:
+    """The unshifted kept-node division against the centred whole-grid
+    route: results to 1e-14 relative, the same cutoff and the same flag."""
+
+    @pytest.mark.parametrize("make_input", [
+        lambda: a4_input(2.0, 256, 8.0),
+        lambda: a4_input(math.pi, 256, 8.0),
+        lambda: a4_input(4.0, 256, 8.0),
+        lambda: a4_input(6.0, 1024, 16.0),
+        heat_roundtrip_input,
+        lambda: sample(tensor(gaussian_1d(2.0, center=0.3),
+                              gaussian_1d(3.0, power=1, coeff=0.5j)),
+                       make_grid(2, 256, 8.0)),
+        lambda: a4_input(0.25, 256, 8.0),   # ill-posed: flagged residual
+    ], ids=["a4-2", "a4-pi", "a4-4", "a4-6", "heat-roundtrip", "2d",
+            "wide-flagged"])
+    def test_matches_centered_route(self, make_input):
+        u = make_input()
+        rep = desmooth_fourier(u)
+        values, cutoff, residual = desmooth_fourier_centered(u)
+        assert np.max(np.abs(rep.result.values - values)) \
+            <= 1e-14 * np.max(np.abs(values))
+        assert rep.cutoff_frequency == cutoff
+        assert (rep.residual > RESIDUAL_FLAG_THRESHOLD) \
+            == (residual > RESIDUAL_FLAG_THRESHOLD)
+
+    def test_overflow_guard_matches_centered_route(self):
+        # a narrow Gaussian keeps |xi| up to 32, whose lift is e^1608
+        u = sample(gaussian_1d(1000.0), make_grid(1, 256, 2.0))
+        with pytest.raises(OverflowGuardError) as centered:
+            desmooth_fourier_centered(u)
+        with pytest.raises(OverflowGuardError) as unshifted:
+            desmooth_fourier(u)
+        # the weight h^d = 2^-6 moves the peak by 4.2
+        assert str(centered.value) in str(unshifted.value)
 
 
 class TestDesmoothFourier:

@@ -5,8 +5,8 @@ import pytest
 
 from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
                    SampledField, antiwick_pair, antiwick_pair_reference,
-                   assemble_antiwick, gaussian_1d, radial_gaussian, sample,
-                   tensor, weyl_symbol)
+                   assemble_antiwick, desmooth_complex, gaussian_1d, make_grid,
+                   radial_gaussian, sample, tensor, weyl_symbol)
 
 from oracles import trapezoid_grid
 
@@ -150,6 +150,17 @@ class TestAntiwickPair:
         u = radial_gaussian(2, math.pi)
         res = antiwick_pair(combo, u, phase_grid=phase64)
         assert res.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_error_estimate_on_ten_point_grid(self):
+        # the stride-two subgrid of 10 points has 5, an odd count that no
+        # Grid accepts; the estimate needs only its cell volume (2h)^2 = 1
+        phase = make_grid(2, 10, 2.5)
+        op, u = gaussian_symbol(phase), radial_gaussian(2, math.pi)
+        res = antiwick_pair(op, u)
+        sigma = weyl_symbol(op, phase).values[::2, ::2]
+        phi = desmooth_complex(u, phase, 3.0, 64).result.values[::2, ::2]
+        assert res.quadrature_error_estimate == pytest.approx(
+            abs(res.value - np.sum(sigma * phi)), rel=1e-12)
 
     def test_phase_grid_required_for_combo(self, phase64):
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
