@@ -16,9 +16,9 @@ half-extent N/(4L).  ``inverse_fourier(fourier(u)) == u`` holds to machine
 precision because the weights multiply out to one.  The shifts place the
 node x = 0 at index N/2, which needs N even; :class:`Grid` refuses odd N.
 
-``BAND_HALFWIDTH`` is the one cut of the heat factor exp(-pi t^2 / 2):
-beyond it the factor is below 2^-60, so assembly stores those entries as
-exact zeros and ``heat.smooth`` never carries those frequencies.
+``RELATIVE_CUT`` = 2^-60 is the one negligibility cut, relative to a peak;
+the heat factor exp(-pi t^2 / 2) crosses it at ``BAND_HALFWIDTH``, so
+assembly and ``heat.smooth`` skip the |t| beyond it.
 
 Nothing here periodizes silently: fields are taken as literal samples, and
 :meth:`SampledField.boundary_magnitude` reports how much mass sits on the
@@ -46,8 +46,9 @@ __all__ = [
     "GridMismatchError",
 ]
 
+RELATIVE_CUT = 2.0**-60
 # |t| beyond which e^{-pi t^2/2} < 2^-60 (about 5.1455)
-BAND_HALFWIDTH = math.sqrt(120.0 * math.log(2.0) / math.pi)
+BAND_HALFWIDTH = math.sqrt(-2.0 * math.log(RELATIVE_CUT) / math.pi)
 
 
 class GridMismatchError(ValueError):

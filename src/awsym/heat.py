@@ -24,13 +24,13 @@ instead of hiding it:
   rather than as silent garbage.
 
 * ``desmooth_complex`` implements the constructive inverse for entire
-  inputs with Gaussian strip decay: the strip integral
+  inputs with Gaussian strip decay as a y-quadrature, with no transform:
 
-      kappa(xi) = 2^{d/2} \\int u(x+iy) exp(-2 pi (|y|^2 + i x.xi)) dx dy
+      Phi(x) = sqrt(2) \\int u(x+iy) exp(-2 pi y^2) dy     (per axis)
 
-  over |y| <= strip_halfwidth, followed by an inverse transform.  Strip
-  evaluations fold the exp(-2 pi y^2) weight into each term's exponent
-  before exponentiating, so e^{a y^2} growth never overflows on its own.
+  over |y| <= strip_halfwidth, since F[u(. + iy)](xi) = e^{-2 pi y xi} Fu(xi)
+  and sqrt(2) \\int e^{-2 pi y^2 - 2 pi y xi} dy = e^{pi xi^2 / 2}.  The
+  weight is folded into each exponent, so e^{a y^2} never overflows alone.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BAND_HALFWIDTH, Grid, SampledField, centered_fft,
-                   inverse_fourier, sample)
+from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField, sample
 from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
-from .gsnorm import TWO_PI, e_space_divergent, strip_rule
+from .gsnorm import e_space_divergent, strip_rule, strip_sum
 
 __all__ = [
     "DesmoothReport",
@@ -156,10 +155,10 @@ def desmooth_fourier(u: SampledField,
             "shrink the frequency box")
 
     lifted = np.zeros_like(spec)
-    # a gain past e^709 on a tiny kept value overflows here although the
-    # product would not; SampledField then rejects the non-finite field
+    # two halves, as exp() alone overflows where the product need not
+    half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted[kept] = spec[kept] * np.exp(0.5 * math.pi * sq)
+        lifted[kept] = spec[kept] * half * half
     phi = SampledField(grid, np.fft.ifftn(lifted))
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     residual = float(np.max(np.abs(smooth(phi).values - u.values)))
@@ -171,15 +170,15 @@ def desmooth_fourier(u: SampledField,
 def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
                      strip_halfwidth: float = 3.0,
                      y_nodes: int = 64) -> DesmoothReport:
-    """Constructive heat inverse through the complex strip integral.
+    """Constructive heat inverse as a y-quadrature over the complex strip.
 
     The input must be numerically in the strip-integrable class: every
     axis width below 2 pi (checked before any evaluation; divergent inputs
-    raise :class:`ESpaceDivergenceError`).  The x-transforms of u(. + iy),
-    with the strip weight folded in, are taken for every trapezoid node y
-    in one batched FFT, the weighted slices are summed into kappa, and the
-    result is the inverse transform of kappa.  Tensor-product terms factor
-    axis by axis, so the cost stays one-dimensional per axis.
+    raise :class:`ESpaceDivergenceError`).  Tensor-product terms factor
+    axis by axis into the trapezoid sums sqrt(2) sum_y w_y f(x + iy)
+    e^{-2 pi y^2} of ``gsnorm.strip_sum``, whose entries below 2^-60 of
+    their peak are zeroed before the outer product, so tails hold exact
+    zeros, not subnormals.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
@@ -190,28 +189,15 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
             "strip integrand grows (some axis width >= 2 pi); the "
             "complex-shift construction diverges for this input")
 
-    g1 = Grid(1, g.npoints, g.half_extent)
-    xs = g1.axis_nodes()
-    y_col = ys[:, None]
-    log_weight = -TWO_PI * y_col * y_col
-    row_weights = wy * math.sqrt(2.0)
+    xs = g.axis_nodes()
+    weights = math.sqrt(2.0) * wy
 
     phi_vals = np.zeros(g.shape, dtype=complex)
     for term in u.terms:
-        axis_phis = []
-        for factor in term:
-            # all y nodes in one (y, x) slab array and one batched FFT;
-            # the rows are summed in node order, as a per-node loop would
-            slabs = factor.shifted_values(xs, y_col, log_weight)
-            spectra = centered_fft(slabs, axes=(1,))
-            spectra *= g1.spacing
-            kappa = np.zeros(g.npoints, dtype=complex)
-            for w, spectrum in zip(row_weights, spectra):
-                kappa += w * spectrum
-            axis_phis.append(
-                inverse_fourier(SampledField(g1.freq, kappa)).values)
-        phi_vals += reduce(np.multiply.outer, axis_phis) \
-            if g.dim > 1 else axis_phis[0]
+        axis_phis = [strip_sum([f], xs, ys, weights) for f in term]
+        for phi in axis_phis:
+            phi[np.abs(phi) < RELATIVE_CUT * np.abs(phi).max()] = 0.0
+        phi_vals += reduce(np.multiply.outer, axis_phis)
 
     phi = SampledField(g, phi_vals)
     reference = sample(u, g)

@@ -328,14 +328,15 @@ def gs_constant_brute_force(u, lam: float, mu: float, max_alpha: int,
     return math.exp(running), tuple(cumulative)
 
 
-def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
-    """(result values, residual) of the strip integral, one y node at a time.
+def desmooth_complex_fft_route(u, g, strip_halfwidth: float, y_nodes: int):
+    """(result values, residual) of the strip integral through transforms.
 
-    This is the loop ``desmooth_complex`` ran before it batched the strip:
-    every node y gets its own slab, its own one-dimensional transform and
-    its own add into kappa.  It shares the strip rule, the FFT wrappers
-    and the slab evaluation with the library, so it checks the batching
-    only, and the two must agree to the last bit.
+    This is the route ``desmooth_complex`` took before it became a
+    y-quadrature: every node y gets its own slab and its own weighted
+    one-dimensional transform, the weighted spectra are summed into
+    kappa(xi), and each axis factor is the inverse transform of kappa.
+    No multiplier sits between the transforms, so it computes the same
+    sum as the library with an FFT's round-off and no 2^-60 cut.
     """
     import math
     from functools import reduce
@@ -365,3 +366,72 @@ def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
     residual = float(np.max(np.abs(smooth(phi).values
                                    - sample(u, g).values)))
     return phi.values, residual
+
+
+def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
+    """(result values, residual) of the y-quadrature, one y node at a time.
+
+    Each axis factor is sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2}, added
+    one node's slab at a time, with its entries below 2^-60 of its peak
+    zeroed.  It shares the strip rule and the slab evaluation with the
+    library, so it checks the blocking only, and the two must agree to
+    the last bit.
+    """
+    import math
+    from functools import reduce
+
+    from awsym.core import SampledField, sample
+    from awsym.gsnorm import strip_rule
+    from awsym.heat import smooth
+
+    ys, wy = strip_rule(strip_halfwidth, y_nodes)
+    xs = g.axis_nodes()
+    phi_vals = np.zeros(g.shape, dtype=complex)
+    for term in u.terms:
+        axis_phis = []
+        for factor in term:
+            phi = np.zeros(g.npoints, dtype=complex)
+            for y, w in zip(ys, wy):
+                phi += (w * math.sqrt(2.0)) \
+                    * factor.shifted_values(xs, y, -TWO_PI * y * y)
+            mag = np.abs(phi)
+            phi[mag < 2.0**-60 * mag.max()] = 0.0
+            axis_phis.append(phi)
+        phi_vals += reduce(np.multiply.outer, axis_phis) \
+            if g.dim > 1 else axis_phis[0]
+    phi = SampledField(g, phi_vals)
+    residual = float(np.max(np.abs(smooth(phi).values
+                                   - sample(u, g).values)))
+    return phi.values, residual
+
+
+def e_space_norm_per_node(u, moment: int, strip_halfwidth: float) -> float:
+    """Value of ``e_space_norm`` from its loop over single y nodes.
+
+    This is the loop ``e_space_norm`` ran before its strip sum was
+    blocked: one slab per node, its weighted x sum added to the total.
+    It shares the strip rule, the x extent and the slab evaluation with
+    the library, so it checks the blocking only.  Convergent inputs only.
+    """
+    import math
+
+    from awsym.gsnorm import _axis_extent, strip_rule
+
+    ys, wy = strip_rule(strip_halfwidth, 129)
+
+    def axis_integral(factors, j):
+        ext = _axis_extent(u, j, moment)
+        xs = np.linspace(-ext, ext, 2049)
+        hx = xs[1] - xs[0]
+        weight = (1.0 + np.abs(xs)) ** moment
+        total = 0.0
+        for y, wyk in zip(ys, wy):
+            vals = sum(f.shifted_values(xs, y, -TWO_PI * y * y)
+                       for f in factors)
+            total += wyk * hx * float(np.sum(np.abs(vals) * weight))
+        return total
+
+    if u.dim == 1:
+        return axis_integral([term[0] for term in u.terms], 0)
+    return sum(math.prod(axis_integral([f], j) for j, f in enumerate(term))
+               for term in u.terms)

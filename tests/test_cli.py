@@ -131,6 +131,22 @@ def test_overflow_guard_exits_with_numerical_flag(tmp_path):
     assert (tmp_path / "desmooth.manifest.json").exists()
 
 
+def test_lift_past_exp_range_exits_with_residual_flag(tmp_path):
+    # kept nodes need e^{pi xi^2 / 2} up to e^715, past exp()'s range,
+    # on a spectrum small enough that the guarded product is finite
+    g = make_grid(1, 256, 3.0)
+    save_field(sample(gaussian_1d(1000.0, coeff=1e-5), g),
+               tmp_path / "narrow.json")
+    r = run_cli("--outdir", str(tmp_path), "desmooth",
+                "--method", "fourier-regularized",
+                "--input", str(tmp_path / "narrow.json"))
+    assert r.returncode == 1
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    assert report["flags"] == ["excessive-residual"]
+    assert math.isfinite(report["residual"])
+    assert np.isfinite(load_field(tmp_path / "desmoothed.json").values).all()
+
+
 def strip_command(tmp_path, command):
     """Arguments of a complex-shift ``desmooth`` or ``pair`` on 16^2 nodes."""
     phase = make_grid(2, 16, 4.0)

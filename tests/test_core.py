@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from awsym import (Grid, GridMismatchError, SampledField, fourier, gaussian_1d,
                    inner, inverse_fourier, make_grid, radial_gaussian, sample)
+from awsym.core import BAND_HALFWIDTH, RELATIVE_CUT
 from awsym.quantize import coherent_state
 
 from oracles import ft_quadrature, inner_quadrature
@@ -195,3 +196,10 @@ class TestSampledField:
         edge = grid64.axis_nodes()[-1]
         assert f.boundary_magnitude() == pytest.approx(
             math.exp(-0.05 * edge**2), rel=1e-12)
+
+
+def test_band_halfwidth_is_where_the_heat_factor_crosses_the_cut():
+    # derived from RELATIVE_CUT, the band keeps its former literal value
+    assert BAND_HALFWIDTH == math.sqrt(120.0 * math.log(2.0) / math.pi)
+    assert math.exp(-0.5 * math.pi * BAND_HALFWIDTH**2) \
+        == pytest.approx(RELATIVE_CUT, rel=1e-14)

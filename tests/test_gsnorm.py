@@ -11,8 +11,8 @@ from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
                              gaussian_derivative_values, tensor)
 from awsym.gsnorm import (MAX_HERMITE_ORDER, _hermite_table,
                           e_space_divergent)
-from oracles import (gaussian_derivative_recurrence, gs_constant_brute_force,
-                     hermite_function_reference)
+from oracles import (e_space_norm_per_node, gaussian_derivative_recurrence,
+                     gs_constant_brute_force, hermite_function_reference)
 
 
 def grower():
@@ -161,6 +161,18 @@ class TestESpace:
         assert r2.value > r0.value
         with pytest.raises(ValueError):
             e_space_norm(gaussian_1d(1.0), 17, 3.0)
+
+    @pytest.mark.parametrize("width", [1.0, math.pi, 5.0, 6.0])
+    @pytest.mark.parametrize("strip", [3.0, 4.0])
+    @pytest.mark.parametrize("moment", [0, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_per_node_loop(self, dim, moment, strip, width):
+        u = gaussian_1d(width, center=0.3, power=1, coeff=0.8 - 0.1j) \
+            + gaussian_1d(2.0, coeff=0.5)
+        if dim == 2:
+            u = tensor(u, gaussian_1d(width, center=-0.2, power=2))
+        value = e_space_norm(u, moment, strip).value
+        assert value == e_space_norm_per_node(u, moment, strip)
 
     @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan, math.inf])
     def test_strip_halfwidth_validation(self, strip):

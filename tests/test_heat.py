@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -12,9 +13,9 @@ from awsym.gaussians import OverflowGuardError
 from awsym.heat import ESpaceDivergenceError
 from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
 
-from oracles import (desmooth_complex_per_node, desmooth_fourier_centered,
-                     heat_convolution_quadrature, smooth_by_convolution,
-                     smooth_centered_multiplier)
+from oracles import (desmooth_complex_fft_route, desmooth_complex_per_node,
+                     desmooth_fourier_centered, heat_convolution_quadrature,
+                     smooth_by_convolution, smooth_centered_multiplier)
 
 
 def closed_form_desmoothed(a: float):
@@ -201,6 +202,16 @@ class TestDesmoothFourier:
         with pytest.raises(ValueError):
             desmooth_fourier(f, rel_threshold=1.0)
 
+    def test_lift_past_exp_range_stays_finite(self):
+        # kept nodes need e^{pi xi^2 / 2} up to e^715, past exp()'s range,
+        # but the guarded product is finite: the field comes back and the
+        # residual flags the ill-posed division
+        u = sample(gaussian_1d(1000.0, coeff=1e-5), make_grid(1, 256, 3.0))
+        rep = desmooth_fourier(u)
+        assert np.isfinite(rep.result.values).all()
+        assert math.isfinite(rep.residual)
+        assert rep.residual > RESIDUAL_FLAG_THRESHOLD
+
     def test_cutoff_reported(self, grid256):
         rep = desmooth_fourier(sample(gaussian_1d(math.pi), grid256))
         # kept region of e^{-pi xi^2}: |xi| <= sqrt(12 ln 10 / pi) ~ 2.97
@@ -248,32 +259,76 @@ class TestDesmoothComplex:
             assert rep.residual < 1e-6, f"width {a}"
 
 
+STRIP_CASES = [
+    (gaussian_1d(math.pi), 256, 8.0, 3.0, 64),
+    # 1024 points: 256 nodes in 64 blocks of 4
+    (gaussian_1d(6.0, center=0.1, power=2, coeff=0.7 - 0.2j),
+     1024, 16.0, 10.0, 256),
+    (gaussian_1d(2.0, center=0.4, power=3, coeff=0.37 + 0.11j)
+     + gaussian_1d(4.5, power=1), 256, 8.0, 3.0, 300),
+    (tensor(gaussian_1d(math.pi), gaussian_1d(2.0, power=2)),
+     256, 8.0, 3.0, 64),
+    (tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
+            gaussian_1d(2.0))
+     + tensor(gaussian_1d(4.0, coeff=0.3 + 0.9j),
+              gaussian_1d(2.5, power=1, coeff=0.123 - 0.456j)),
+     64, 4.0, 3.0, 48),
+    # node counts around the slab blocks of 16 nodes at 256 points
+    *((gaussian_1d(2.0, center=0.3, power=1, coeff=0.5 + 0.2j),
+       256, 8.0, 3.0, ynodes) for ynodes in (4, 15, 16, 17, 33)),
+]
+STRIP_IDS = ["1d", "1d-wide-strip", "1d-sum-powers", "2d-power",
+             "2d-sum-powers", "y4", "y15", "y16", "y17", "y33"]
+
+
+STRIP_1024 = (tensor(gaussian_1d(4.0), gaussian_1d(2.3, center=0.2)),
+              1024, 16.0, 3.0, 64)
+
+
 class TestStripBatching:
-    """The batched strip pass against the literal per-node loop: result
+    """The blocked strip sum against the literal per-node loop: result
     and residual must be equal bit for bit."""
 
-    @pytest.mark.parametrize("u, npts, ell, strip, ynodes", [
-        (gaussian_1d(math.pi), 256, 8.0, 3.0, 64),
-        # 256 x 1024 slabs: large enough for numpy to elide temporaries
-        (gaussian_1d(6.0, center=0.1, power=2, coeff=0.7 - 0.2j),
-         1024, 16.0, 10.0, 256),
-        (gaussian_1d(2.0, center=0.4, power=3, coeff=0.37 + 0.11j)
-         + gaussian_1d(4.5, power=1), 256, 8.0, 3.0, 300),
-        (tensor(gaussian_1d(math.pi), gaussian_1d(2.0, power=2)),
-         256, 8.0, 3.0, 64),
-        (tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
-                gaussian_1d(2.0))
-         + tensor(gaussian_1d(4.0, coeff=0.3 + 0.9j),
-                  gaussian_1d(2.5, power=1, coeff=0.123 - 0.456j)),
-         64, 4.0, 3.0, 48),
-    ], ids=["1d", "1d-wide-strip", "1d-sum-powers", "2d-power",
-            "2d-sum-powers"])
+    @pytest.mark.parametrize("u, npts, ell, strip, ynodes", STRIP_CASES,
+                             ids=STRIP_IDS)
     def test_bytes_equal_per_node_loop(self, u, npts, ell, strip, ynodes):
         g = make_grid(u.dim, npts, ell)
         rep = desmooth_complex(u, g, strip, ynodes)
         values, residual = desmooth_complex_per_node(u, g, strip, ynodes)
         assert np.array_equal(rep.result.values, values)
         assert rep.residual == residual
+
+
+class TestStripAgainstFFTRoute:
+    """The y-quadrature against the transform route it replaced: the same
+    sum up to the FFT's round-off and the 2^-60 cut."""
+
+    @pytest.mark.parametrize("u, npts, ell, strip, ynodes",
+                             STRIP_CASES + [STRIP_1024],
+                             ids=STRIP_IDS + ["2d-1024"])
+    def test_matches_fft_route(self, u, npts, ell, strip, ynodes):
+        g = make_grid(u.dim, npts, ell)
+        rep = desmooth_complex(u, g, strip, ynodes)
+        values, _ = desmooth_complex_fft_route(u, g, strip, ynodes)
+        peak = np.max(np.abs(values))
+        assert np.max(np.abs(rep.result.values - values)) <= 1e-15 * peak
+
+    def test_no_subnormal_entries(self):
+        u, npts, ell, strip, ynodes = STRIP_1024
+        vals = desmooth_complex(u, make_grid(2, npts, ell), strip,
+                                ynodes).result.values
+        for part in (vals.real, vals.imag):
+            tiny = (part != 0.0) & (np.abs(part) < np.finfo(float).tiny)
+            assert not tiny.any()
+
+    def test_memory_does_not_grow_with_y_nodes(self, grid256):
+        tracemalloc.start()
+        try:
+            desmooth_complex(gaussian_1d(math.pi), grid256, 3.0, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestMethodAgreement:
