@@ -60,22 +60,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     outputs: list[Path] = []
+    flag_note = None
     try:
         status, report = args.handler(args, outdir, inputs, outputs)
     except (ESpaceDivergenceError, FloatingPointError) as exc:
+        flag_note = f"[awsym] numerical flag: {exc}"
         flag = "e-space-divergent" \
             if isinstance(exc, ESpaceDivergenceError) else "floating-point"
-        report = {"command": args.command, "flags": [flag],
-                  "error": str(exc)}
-        path = outdir / _report_name(args)
-        write_json(path, report)
-        outputs.append(path)
-        _write_manifest(args, outdir, inputs, outputs, started)
-        print(f"[awsym] numerical flag: {exc}", file=sys.stderr)
-        return 1
+        status, report = 1, {"command": args.command, "flags": [flag],
+                             "error": str(exc)}
     # RecursionError: json.loads on input nested past the recursion limit
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            NotImplementedError, RecursionError) as exc:
+            RecursionError) as exc:
         print(f"[awsym] usage error: {exc}", file=sys.stderr)
         return 2
 
@@ -83,8 +79,11 @@ def main(argv=None) -> int:
     write_json(path, report)
     outputs.append(path)
     _write_manifest(args, outdir, inputs, outputs, started)
-    print(f"[awsym] {args.command}: {'ok' if status == 0 else 'FLAG'} "
-          f"-> {path}")
+    if flag_note:
+        print(flag_note, file=sys.stderr)
+    else:
+        print(f"[awsym] {args.command}: {'ok' if status == 0 else 'FLAG'} "
+              f"-> {path}")
     return status
 
 

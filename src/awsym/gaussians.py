@@ -175,19 +175,12 @@ class AnalyticGaussianSum:
     def merged(self) -> "AnalyticGaussianSum":
         """Collapse product terms that share all (power, width, center) keys."""
         acc: dict[tuple, complex] = {}
-        order: list[tuple] = []
-        coeffs: dict[tuple, complex] = {}
         for term in self.terms:
             key = tuple((f.power, f.width, f.center) for f in term)
             c = reduce(lambda x, f: x * f.coeff, term, complex(1.0))
-            if key not in acc:
-                acc[key] = c
-                order.append(key)
-            else:
-                acc[key] += c
+            acc[key] = acc[key] + c if key in acc else c
         new_terms = []
-        for key in order:
-            c = acc[key]
+        for key, c in acc.items():
             if c == 0:
                 continue
             factors = [GaussFactor(1.0, p, a, b) for (p, a, b) in key]

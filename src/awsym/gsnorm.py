@@ -183,6 +183,9 @@ def gs_constant(u: AnalyticGaussianSum, lam: float, mu: float,
     """
     if lam <= 0 or mu <= 0:
         raise ValueError("lambda and mu must be positive")
+    if min(max_alpha, max_beta) < 0:
+        raise ValueError(f"max_alpha and max_beta must be >= 0, got "
+                         f"{max_alpha} and {max_beta}")
     if max(max_alpha, max_beta) > MAX_PROBE_ORDER:
         raise ValueError(f"probe orders are capped at {MAX_PROBE_ORDER}")
     if max_alpha + max_beta < 1:
@@ -345,8 +348,8 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     which dominates the defining integral because
     1 + |Re z| <= prod_j (1 + |x_j|).
     """
-    if moment > 16:
-        raise ValueError("moment weight is capped at m = 16")
+    if not 0 <= moment <= 16:
+        raise ValueError(f"moment must lie in [0, 16], got {moment}")
     ys, wy = strip_rule(strip_halfwidth, 129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)

@@ -43,6 +43,10 @@ transforms also require a self-dual phase grid (N = 4 L^2, frequency
 nodes == position nodes), which makes the t-slice transform land exactly
 on the xi axis of the same grid.
 
+Assembly and both Weyl transforms are separable: each runs one position
+axis pair (x_j, xi_j) <-> (u_j, v_j) at a time, moved to the front with
+the other axes trailing, so every n takes the same path as n = 1.
+
 Operator action
 ---------------
 An anti-Wick operator is a localization operator (a Gabor multiplier), so
@@ -351,32 +355,21 @@ def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
     phase = Grid(2 * n, np_axis, gk.half_extent)
     require_self_dual(Grid(1, np_axis, gk.half_extent), "weyl_from_kernel")
 
-    karr = kernel.matrix.reshape((gk.npoints,) * (2 * n))
-    js = np.arange(np_axis)
+    # K(x + t/2, x - t/2) at refined indices (2j + o, 2j - o); reads
+    # outside the box are zero
+    even = 2 * np.arange(np_axis)[:, None]
     offs = np.arange(np_axis) - np_axis // 2
+    up, vp = even + offs, even - offs
+    outside = (np.minimum(up, vp) < 0) | (np.maximum(up, vp) >= gk.npoints)
+    up, vp = np.clip(up, 0, gk.npoints - 1), np.clip(vp, 0, gk.npoints - 1)
 
-    # gather K(x + t/2, x - t/2): per axis, refined indices 2j +- o
-    idx_u = []
-    idx_v = []
-    valid = np.ones((np_axis,) * (2 * n), dtype=bool)
-    for j_axis in range(n):
-        shape = [1] * (2 * n)
-        shape[j_axis] = np_axis
-        jj = js.reshape(shape)
-        shape = [1] * (2 * n)
-        shape[n + j_axis] = np_axis
-        oo = offs.reshape(shape)
-        up = 2 * jj + oo
-        vp = 2 * jj - oo
-        valid = valid & (up >= 0) & (up < gk.npoints) \
-            & (vp >= 0) & (vp < gk.npoints)
-        idx_u.append(np.clip(up, 0, gk.npoints - 1))
-        idx_v.append(np.clip(vp, 0, gk.npoints - 1))
-    slices = karr[tuple(np.broadcast_arrays(*(idx_u + idx_v)))]
-    slices = np.where(valid, slices, 0.0)
-
-    sigma = centered_fft(slices, axes=tuple(range(n, 2 * n)))
-    return SampledField(phase, sigma * phase.spacing**n)
+    tab = kernel.matrix.reshape((gk.npoints,) * (2 * n))
+    for j in reversed(range(n)):        # the pass order of np.fft.fftn
+        tab = np.moveaxis(tab, (j, n + j), (0, 1))[up, vp]
+        tab[outside] = 0.0
+        tab = np.moveaxis(centered_fft(tab, axes=(1,)), (0, 1), (j, n + j))
+    # tab axes: (x_1..x_n, xi_1..xi_n)
+    return SampledField(phase, tab * phase.spacing**n)
 
 
 def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
@@ -397,22 +390,11 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     exact, with no transcendental call per entry.  A grid that passes the
     self-dual check within its 1e-12 tolerance is taken as exactly
     self-dual.
-    Only position dimension one is supported.
     """
     phase = symbol.grid
-    if phase.dim != 2:
-        raise NotImplementedError(
-            "kernel_from_weyl is implemented for 1-d position space "
-            "(2-d phase space) only")
-    np_axis = phase.npoints
-    length = phase.half_extent
-    require_self_dual(Grid(1, np_axis, length), "kernel_from_weyl")
-
-    kgrid = Grid(1, 2 * np_axis, length)
-    nk = kgrid.npoints
-
-    # trig coefficients along x: sigma(x_j, xi_k) = sum_r C[r,k] e^{2 i pi x_j eta_r}
-    coeff = centered_fft(symbol.values, axes=(0,)) / np_axis
+    kgrid = position_grid_of(phase).refined()
+    n, np_axis, nk = kgrid.dim, phase.npoints, kgrid.npoints
+    require_self_dual(Grid(1, np_axis, phase.half_extent), "kernel_from_weyl")
 
     # With h^2 = 1/N, xi_k = (k - N/2) h, t = delta h/2 (|delta| <= N,
     # |t| <= L) and midpoints m_s = (s - 2N) h/4, every phase is a whole
@@ -423,17 +405,29 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     mod = 4 * np_axis
     roots = np.exp(2j * PI / mod * np.arange(mod))
     ks = np.arange(np_axis, dtype=np.int32)
-    table = np.empty((2 * nk - 1, 2 * np_axis + 1), dtype=complex)
-    for parity in (0, 1):
-        # rows s and columns d = delta + N of this parity class
-        cols = (np_axis + parity) % 2
-        deltas = np.arange(cols - np_axis, np_axis + 1, 2, dtype=np.int32)
-        e_t = roots[np.multiply.outer(2 * ks - np_axis, deltas) % mod]
-        r_tab = coeff @ (e_t * phase.spacing)                # R[eta, delta]
-        mids = np.arange(parity, 2 * nk - 1, 2, dtype=np.int32) - 2 * np_axis
-        p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
-        table[parity::2, cols::2] = p_tab @ r_tab            # P[s, eta] R
-    return DenseKernel(kgrid, _read_pairs(table, nk))
+    tab = symbol.values
+    for j in range(n):
+        tab = np.moveaxis(tab, (j, n + j), (0, -1))
+        # sigma(x_j, .., xi_k) = sum_r C[r, .., k] e^{2 i pi x_j eta_r}
+        coeff = centered_fft(tab, axes=(0,)) / np_axis
+        table = np.empty((2 * nk - 1, 2 * np_axis + 1) + tab.shape[1:-1],
+                         dtype=complex)
+        for parity in (0, 1):
+            # rows s and columns d = delta + N of this parity class
+            cols = (np_axis + parity) % 2
+            deltas = np.arange(cols - np_axis, np_axis + 1, 2, dtype=np.int32)
+            e_t = roots[np.multiply.outer(2 * ks - np_axis, deltas) % mod]
+            r_tab = np.moveaxis(coeff @ (e_t * phase.spacing), -1, 1)
+            mids = np.arange(parity, 2 * nk - 1, 2,
+                             dtype=np.int32) - 2 * np_axis
+            p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
+            # P[s, eta] R[eta, delta, ..]
+            table[parity::2, cols::2] = (p_tab @ r_tab.reshape(
+                np_axis, -1)).reshape((-1,) + r_tab.shape[1:])
+        del coeff, e_t, r_tab, p_tab    # the pair read sets the peak memory
+        tab = np.moveaxis(_read_pairs(table, nk), (0, 1), (j, n + j))
+    # tab axes: (u_1..u_n, v_1..v_n)
+    return DenseKernel(kgrid, tab.reshape(kgrid.size, kgrid.size))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,26 @@ def kernel_from_weyl_literal(symbol) -> np.ndarray:
     return out
 
 
+def weyl_from_kernel_literal(kernel) -> np.ndarray:
+    """Weyl symbol of a 1-d refined-grid kernel as literal sums with plain
+    float phases (no FFT).
+
+    sigma(x_j, xi_k) = h sum_t K(x_j + t/2, x_j - t/2) e^{-2 i pi xi_k t}
+    over t = o h, o = -N/2 .. N/2 - 1, where x_j +- t/2 sit on refined
+    nodes 2j +- o and a read outside the box counts as zero.
+    """
+    nk = kernel.grid.npoints
+    n, h = nk // 2, 2.0 * kernel.grid.spacing
+    xis = -kernel.grid.half_extent + h * np.arange(n)
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for o in range(-n // 2, n // 2):
+            if 0 <= 2 * j + o < nk and 0 <= 2 * j - o < nk:
+                out[j] += h * kernel.matrix[2 * j + o, 2 * j - o] \
+                    * np.exp(-1j * TWO_PI * xis * o * h)
+    return out
+
+
 def hermite_function_reference(m_max: int = 30):
     """Sups and squared L2 norms of h_m = He_m(t) e^{-t^2/2} / sqrt(m!).
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from awsym import (CoherentCombo, SampledField, cli, gaussian_1d,
-                   identity_kernel, kernel_from_coherent, make_grid,
-                   radial_gaussian, sample)
+                   identity_kernel, kernel_from_coherent, kernel_from_weyl,
+                   make_grid, radial_gaussian, sample)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -182,13 +182,20 @@ def test_too_few_y_nodes_is_usage_error(tmp_path, capsys, command):
     assert not list(out.glob("*.json"))
 
 
-def test_kernel_from_weyl_dim_four_is_usage_error(tmp_path):
-    g = make_grid(4, 8, 2.0)
-    save_field(SampledField(g, np.zeros(g.shape)), tmp_path / "s4.json")
+@pytest.mark.parametrize("npoints, code", [(8, 2), (16, 0)],
+                         ids=["not-self-dual", "self-dual"])
+def test_kernel_from_weyl_dim_four(tmp_path, npoints, code):
+    sigma = sample(radial_gaussian(4, 2.0), make_grid(4, npoints, 2.0))
+    save_field(sigma, tmp_path / "s4.json")
     r = run_cli("--outdir", str(tmp_path), "kernel-from-weyl",
                 "--symbol", str(tmp_path / "s4.json"))
-    assert r.returncode == 2
+    assert r.returncode == code
     assert "Traceback" not in r.stderr
+    if code == 0:
+        manifest = json.loads((tmp_path / "kernel.json").read_text())
+        assert (manifest["dim"], manifest["N"]) == (2, 2 * npoints)
+        assert np.array_equal(load_kernel(tmp_path / "kernel.json").matrix,
+                              kernel_from_weyl(sigma).matrix)
 
 
 @pytest.mark.parametrize("dim,npoints", [(1, 7), (3, 8)])

@@ -53,6 +53,15 @@ def test_term_growth_stays_bounded_under_derivatives():
     assert len(u.terms) <= 11
 
 
+def test_merged_sums_repeated_keys_in_first_seen_order():
+    u = gaussian_1d(1.0, coeff=2.0) + gaussian_1d(2.0, power=1) \
+        + gaussian_1d(3.0) + gaussian_1d(1.0, coeff=0.5j) \
+        + gaussian_1d(3.0, coeff=-1.0)
+    terms = u.merged().terms
+    assert [(t[0].coeff, t[0].power, t[0].width) for t in terms] \
+        == [(2.0 + 0.5j, 0, 1.0), (1.0, 1, 2.0)]
+
+
 def test_smoothed_against_convolution_oracle():
     u = gaussian_1d(1.0, center=0.5, power=2, coeff=1.3) \
         + gaussian_1d(3.0, power=1)

@@ -86,6 +86,12 @@ class TestGSConstant:
         with pytest.raises(ValueError):
             gs_constant(gaussian_1d(1.0), 0.5, 0.5, 50, 10)
 
+    @pytest.mark.parametrize("max_alpha, max_beta", [(-1, 5), (5, -2)])
+    def test_negative_order_is_value_error(self, max_alpha, max_beta):
+        with pytest.raises(ValueError,
+                           match="max_alpha and max_beta must be >= 0"):
+            gs_constant(gaussian_1d(1.0), 0.5, 0.5, max_alpha, max_beta)
+
     @pytest.mark.parametrize("u,lam,mu,max_alpha,max_beta,points", [
         (gaussian_1d(math.pi), 0.5, 0.5, 10, 10, 4097),
         (gaussian_1d(1.5, power=1) + gaussian_1d(math.pi, coeff=0.4),
@@ -161,6 +167,11 @@ class TestESpace:
         assert r2.value > r0.value
         with pytest.raises(ValueError):
             e_space_norm(gaussian_1d(1.0), 17, 3.0)
+
+    def test_negative_moment_is_value_error(self):
+        with pytest.raises(ValueError,
+                           match=r"moment must lie in \[0, 16\], got -3"):
+            e_space_norm(gaussian_1d(1.0), -3)
 
     @pytest.mark.parametrize("width", [1.0, math.pi, 5.0, 6.0])
     @pytest.mark.parametrize("strip", [3.0, 4.0])

@@ -6,7 +6,8 @@ import pytest
 from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
                    SampledField, antiwick_pair, antiwick_pair_reference,
                    assemble_antiwick, desmooth_complex, gaussian_1d, make_grid,
-                   radial_gaussian, sample, tensor, weyl_symbol)
+                   position_grid_of, radial_gaussian, sample, tensor,
+                   weyl_symbol)
 
 from oracles import trapezoid_grid
 
@@ -161,6 +162,31 @@ class TestAntiwickPair:
         phi = desmooth_complex(u, phase, 3.0, 64).result.values[::2, ::2]
         assert res.quadrature_error_estimate == pytest.approx(
             abs(res.value - np.sum(sigma * phi)), rel=1e-12)
+
+    def test_two_dimensional_kernel_pairs_as_product(self):
+        # a tensor symbol assembles to kron(M1, M2), and a tensor test
+        # function desmooths axis by axis, so the n = 2 pairing of the
+        # dense kernel is the product of the two 1-d pairings
+        sym = [(gaussian_1d(1.5, center=0.5),
+                gaussian_1d(2.0, power=1, coeff=0.8 + 0.6j)),
+               (gaussian_1d(2.5, center=-0.25), gaussian_1d(1.2, center=1.0))]
+        test = [(gaussian_1d(3.0, center=0.3), gaussian_1d(3.0, power=1)),
+                (gaussian_1d(3.0, center=-0.2, coeff=0.5j),
+                 gaussian_1d(3.0))]
+
+        def pair(f, u, dim):
+            phase = make_grid(dim, 16, 2.0)
+            op = AntiWickFromSymbol(sample(f, phase))
+            kernel = assemble_antiwick(op, position_grid_of(phase).refined())
+            return antiwick_pair(kernel, u)
+
+        whole = pair(tensor(sym[0][0], sym[1][0], sym[0][1], sym[1][1]),
+                     tensor(test[0][0], test[1][0], test[0][1], test[1][1]),
+                     4)
+        parts = [pair(tensor(*f), tensor(*u), 2) for f, u in zip(sym, test)]
+        ref = parts[0].value * parts[1].value
+        assert abs(whole.value - ref) <= 1e-15 * abs(ref)
+        assert whole.flags == parts[0].flags == parts[1].flags == ()
 
     def test_phase_grid_required_for_combo(self, phase64):
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))

@@ -14,7 +14,7 @@ from awsym.cli import _pairing_families
 from awsym.quantize import BAND_HALFWIDTH, _read_pairs
 from oracles import (antiwick_kernel_full_band, antiwick_matrix_element,
                      coherent_state_func, contract_on_pairs_loop,
-                     kernel_from_weyl_literal)
+                     kernel_from_weyl_literal, weyl_from_kernel_literal)
 
 
 def rank_one_gaussian_sigma(grid):
@@ -258,6 +258,18 @@ class TestWeylFromKernel:
         sigma = weyl_from_kernel(k)
         assert np.max(np.abs(sigma.values - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("npoints, half_extent", [(16, 2.0), (36, 3.0)])
+    def test_matches_literal_sums(self, npoints, half_extent):
+        # complex noise fills the box edges, so the out-of-box reads
+        # (which count as zero) carry weight
+        gk = make_grid(1, 2 * npoints, half_extent)
+        rng = np.random.default_rng(npoints)
+        k = DenseKernel(gk, rng.standard_normal((gk.size, gk.size))
+                        + 1j * rng.standard_normal((gk.size, gk.size)))
+        got = weyl_from_kernel(k).values
+        ref = weyl_from_kernel_literal(k)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_requires_self_dual(self):
         gk = make_grid(1, 128, 8.0).refined()
         k = DenseKernel(gk, np.zeros((256, 256)))
@@ -314,10 +326,10 @@ class TestKernelFromWeyl:
         ref = kernel_from_weyl_literal(sigma)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_position_dim_two_unsupported(self):
-        g = make_grid(4, 16, 2.0)
+    def test_odd_phase_dimension_is_rejected(self):
+        g = make_grid(1, 16, 2.0)
         sigma = SampledField(g, np.zeros(g.shape))
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="even dimension"):
             kernel_from_weyl(sigma)
 
 
@@ -469,6 +481,43 @@ class TestTwoDimensionalPositionSpace:
             m = assemble_antiwick(AntiWickFromSymbol(f), g).matrix
             ref = np.kron(m1, m2)
             assert np.max(np.abs(m - ref)) / np.max(np.abs(ref)) < 1e-13
+
+    def test_weyl_maps_of_tensor_products_are_krons(self, pos2, phase4):
+        # each pass of the Weyl maps acts on one axis pair, so
+        # sum_i s_i (x) r_i maps to sum_i kron(K(s_i), K(r_i)) and back;
+        # complex noise pins the axis order, both parity classes and the
+        # out-of-box reads against the 1-d maps
+        phase2 = make_grid(2, phase4.npoints, phase4.half_extent)
+        g1 = make_grid(1, 2 * pos2.npoints, pos2.half_extent)
+        rng = np.random.default_rng(11)
+
+        def noise(shape):
+            return rng.standard_normal(shape) \
+                + 1j * rng.standard_normal(shape)
+
+        symbols = [SampledField(phase2, noise(phase2.shape))
+                   for _ in range(4)]
+        kernels = [DenseKernel(g1, noise((g1.size, g1.size)))
+                   for _ in range(4)]
+        sym_k = [kernel_from_weyl(s).matrix for s in symbols]
+        ker_w = [weyl_from_kernel(k).values for k in kernels]
+        for terms in ([(0, 1)], [(0, 1), (2, 3)]):
+            sigma = sum(np.einsum("ac,bd->abcd", symbols[a].values,
+                                  symbols[b].values) for a, b in terms)
+            ref = sum(np.kron(sym_k[a], sym_k[b]) for a, b in terms)
+            got = kernel_from_weyl(SampledField(phase4, sigma))
+            assert got.grid == pos2.refined()
+            assert np.max(np.abs(got.matrix - ref)) \
+                <= 1e-15 * np.max(np.abs(ref))
+
+            kernel = sum(np.kron(kernels[a].matrix, kernels[b].matrix)
+                         for a, b in terms)
+            ref = sum(np.einsum("ac,bd->abcd", ker_w[a], ker_w[b])
+                      for a, b in terms)
+            got = weyl_from_kernel(DenseKernel(pos2.refined(), kernel))
+            assert got.grid == phase4
+            assert np.max(np.abs(got.values - ref)) \
+                <= 1e-15 * np.max(np.abs(ref))
 
     def test_unit_symbol_identity(self, pos2, phase4):
         op = AntiWickFromSymbol(SampledField(phase4, np.ones(phase4.shape)))
