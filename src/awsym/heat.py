@@ -31,6 +31,12 @@ instead of hiding it:
   over |y| <= strip_halfwidth, since F[u(. + iy)](xi) = e^{-2 pi y xi} Fu(xi)
   and sqrt(2) \\int e^{-2 pi y^2 - 2 pi y xi} dy = e^{pi xi^2 / 2}.  The
   weight is folded into each exponent, so e^{a y^2} never overflows alone.
+  Each tensor-product term of u gives one 1-d factor per axis
+  (``strip_factors``), and Phi is the sum of their outer products.  The
+  residual is recomputed from the factors the returned field is made of:
+  ``smooth`` is separable, so smooth(Phi) is the sum of the outer products
+  of the 1-d smooths of the factors, and it is compared with u's samples,
+  also taken per axis, without a dense transform.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField, sample
+from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField
 from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
 from .gsnorm import e_space_divergent, strip_rule, strip_sum
 
@@ -54,6 +60,9 @@ __all__ = [
     "desmooth_complex",
 ]
 
+# entries per block of the factored residual's difference (1 MiB complex)
+_RESIDUAL_BLOCK_ENTRIES = 2**16
+
 
 class ESpaceDivergenceError(ValueError):
     """The strip integrand of the input grows; the construction diverges."""
@@ -62,7 +71,9 @@ class ESpaceDivergenceError(ValueError):
 @dataclass
 class DesmoothReport:
     """Outcome of a heat-inverse run; the residual is recomputed, never
-    estimated, so ill-posedness is visible in the report itself."""
+    estimated, so ill-posedness is visible in the report itself: from the
+    returned field for the Fourier route, and from the 1-d factors the
+    returned field is made of for the complex-shift route."""
 
     result: SampledField
     method: str
@@ -132,7 +143,8 @@ def desmooth_fourier(u: SampledField,
     the division commutes with the centring shifts and the transform
     weights cancel, so it runs on unshifted FFTs; the weight h^d enters
     only the overflow guard, and the logarithm and the gain are evaluated
-    on the kept nodes alone.  No attempt is made to decide well-posedness
+    on the kept nodes alone, and the first inverse pass runs only on the
+    lines that hold kept nodes.  No attempt is made to decide well-posedness
     for the caller: the recomputed residual in the report is the verdict.
     """
     if not 0.0 < rel_threshold < 1.0:
@@ -154,12 +166,22 @@ def desmooth_fourier(u: SampledField,
             f"(max log magnitude {peak:.1f}); raise rel_threshold or "
             "shrink the frequency box")
 
-    lifted = np.zeros_like(spec)
+    # ifftn runs its last axis first; that pass only has to touch the
+    # lines (indices on the other axes) that hold a kept node, the other
+    # lines stay exact zeros, and the passes over the other axes are whole
+    lines, row = np.unique(np.ravel_multi_index(kept[:-1], grid.shape[:-1]),
+                           return_inverse=True)
+    lifted = np.zeros((len(lines), grid.npoints), dtype=complex)
     # two halves, as exp() alone overflows where the product need not
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted[kept] = spec[kept] * half * half
-    phi = SampledField(grid, np.fft.ifftn(lifted))
+        lifted[row, kept[-1]] = spec[kept] * half * half
+    vals = np.zeros_like(spec).reshape(-1, grid.npoints)
+    vals[lines] = np.fft.ifft(lifted)
+    vals = vals.reshape(spec.shape)
+    for axis in reversed(range(grid.dim - 1)):
+        vals = np.fft.ifft(vals, axis=axis)
+    phi = SampledField(grid, vals)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     residual = float(np.max(np.abs(smooth(phi).values - u.values)))
     return DesmoothReport(phi, "fourier-regularized", residual,
@@ -167,18 +189,18 @@ def desmooth_fourier(u: SampledField,
                           rel_threshold=rel_threshold)
 
 
-def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
-                     strip_halfwidth: float = 3.0,
-                     y_nodes: int = 64) -> DesmoothReport:
-    """Constructive heat inverse as a y-quadrature over the complex strip.
+def strip_factors(u: AnalyticGaussianSum, g: Grid,
+                  strip_halfwidth: float = 3.0,
+                  y_nodes: int = 64) -> list[list[np.ndarray]]:
+    """The 1-d factors phi[t][a] of the complex-shift heat inverse, so that
+    Phi = sum_t (x)_a phi[t][a] on ``g``.
 
     The input must be numerically in the strip-integrable class: every
     axis width below 2 pi (checked before any evaluation; divergent inputs
-    raise :class:`ESpaceDivergenceError`).  Tensor-product terms factor
-    axis by axis into the trapezoid sums sqrt(2) sum_y w_y f(x + iy)
-    e^{-2 pi y^2} of ``gsnorm.strip_sum``, whose entries below 2^-60 of
-    their peak are zeroed before the outer product, so tails hold exact
-    zeros, not subnormals.
+    raise :class:`ESpaceDivergenceError`).  Each factor is the trapezoid
+    sum sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} of ``gsnorm.strip_sum``
+    on the axis nodes, with its entries below 2^-60 of its peak zeroed, so
+    tails hold exact zeros, not subnormals.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
@@ -191,16 +213,61 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
 
     xs = g.axis_nodes()
     weights = math.sqrt(2.0) * wy
-
-    phi_vals = np.zeros(g.shape, dtype=complex)
+    factors = []
     for term in u.terms:
         axis_phis = [strip_sum([f], xs, ys, weights) for f in term]
         for phi in axis_phis:
             phi[np.abs(phi) < RELATIVE_CUT * np.abs(phi).max()] = 0.0
-        phi_vals += reduce(np.multiply.outer, axis_phis)
+        factors.append(axis_phis)
+    return factors
 
-    phi = SampledField(g, phi_vals)
-    reference = sample(u, g)
-    residual = float(np.max(np.abs(smooth(phi).values - reference.values)))
-    return DesmoothReport(phi, "complex-shift", residual,
-                          strip_halfwidth=strip_halfwidth, y_nodes=y_nodes)
+
+def smooth_factors(factors: list[list[np.ndarray]],
+                   g: Grid) -> list[list[np.ndarray]]:
+    """``smooth`` of every 1-d factor on the axis grid of ``g``: smooth is
+    separable, so smooth(sum_t (x)_a phi[t][a]) is the sum of the tensor
+    products of these."""
+    axis = Grid(1, g.npoints, g.half_extent)
+    return [[smooth(SampledField(axis, phi)).values for phi in term]
+            for term in factors]
+
+
+def factored_residual(smoothed: list[list[np.ndarray]],
+                      u: AnalyticGaussianSum, g: Grid) -> float:
+    """sup |sum_t (x)_a smoothed[t][a] - u| over the nodes of ``g``.
+
+    u's samples are taken per axis too, so the difference is one sum of
+    tensor products, with u's terms negated: its rank-K matrix
+    head @ tail.T (head: the axis-0 factors, tail: the flattened products
+    over the other axes) is formed in blocks of axis-0 rows, and no
+    grid-sized array is ever held.
+    """
+    xs = g.axis_nodes()
+    terms = smoothed + [[-term[0](xs)] + [f(xs) for f in term[1:]]
+                        for term in u.terms]
+    head = np.stack([t[0] for t in terms], axis=1)
+    tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()
+                     for t in terms], axis=1)
+    rows = max(1, _RESIDUAL_BLOCK_ENTRIES // len(tail))
+    return max(float(np.max(np.abs(head[start:start + rows] @ tail.T)))
+               for start in range(0, g.npoints, rows))
+
+
+def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
+                     strip_halfwidth: float = 3.0,
+                     y_nodes: int = 64) -> DesmoothReport:
+    """Constructive heat inverse as a y-quadrature over the complex strip.
+
+    Phi is the sum over u's tensor-product terms of the outer products of
+    the factors of :func:`strip_factors`; the residual is recomputed from
+    those same factors through 1-d smooths (:func:`factored_residual`), so
+    it checks the field that is returned without a dense transform.
+    """
+    factors = strip_factors(u, g, strip_halfwidth, y_nodes)
+    phi_vals = np.zeros(g.shape, dtype=complex)
+    for axis_phis in factors:
+        phi_vals += reduce(np.multiply.outer, axis_phis)
+    residual = factored_residual(smooth_factors(factors, g), u, g)
+    return DesmoothReport(SampledField(g, phi_vals), "complex-shift",
+                          residual, strip_halfwidth=strip_halfwidth,
+                          y_nodes=y_nodes)

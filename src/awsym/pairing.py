@@ -16,6 +16,21 @@ Test functions are Gaussian sums because the default desmoothing method
 walks the complex strip; sampled-only inputs can use the regularized
 Fourier route, whose recomputed residual is carried in the result so an
 ill-posed inversion is never silent.
+
+On the complex-shift route Phi is never formed on the grid.  It is a sum
+of tensor products of 1-d factors (``heat.strip_factors``), so the sum of
+sigma Phi is taken one axis at a time: the last axis of a dense field
+against every factor in one matrix product, then each remaining axis.
+``smooth`` is, per axis, a real symmetric circulant (its gain is real and
+even in xi), so for an anti-Wick symbol F
+
+    <smooth F, Phi> = <F, smooth Phi>,   smooth Phi = sum_t (x)_a smooth(phi_ta),
+
+and F itself is contracted with the 1-d smooths of the factors: the
+pairing runs no 2-d transform.  Kernels and coherent combinations
+contract their Weyl symbol with the factors.  The residual is recomputed
+from the same smoothed factors, and the stride-two estimate is the same
+contraction with each factor zeroed off the stride.
 """
 
 from __future__ import annotations
@@ -27,7 +42,8 @@ import numpy as np
 from .core import Grid, GridMismatchError, SampledField, sample
 from .gaussians import AnalyticGaussianSum
 from .gsnorm import e_space_divergent
-from .heat import desmooth_complex, desmooth_fourier, smooth
+from .heat import (desmooth_fourier, factored_residual, smooth,
+                   smooth_factors, strip_factors)
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                        OperatorRep, kernel_from_coherent, position_grid_of,
                        weyl_from_kernel)
@@ -102,9 +118,10 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
                   y_nodes: int = 64) -> PairingResult:
     """Pair the anti-Wick symbol of ``op`` against the test function ``u``.
 
-    The heat inverse of u is built with the requested method, the Weyl
-    symbol of the operator is formed on the phase grid, and the two are
-    integrated.  Results always carry the desmoothing residual and a
+    The heat inverse of u is built with the requested method and
+    integrated against the Weyl symbol of the operator on the phase grid
+    (on the complex-shift route as 1-d factors, see the module notes).
+    Results always carry the desmoothing residual and a
     stride-two quadrature error estimate; a residual above
     ``RESIDUAL_FLAG_THRESHOLD`` flags the result but the value is still
     returned.  Test functions outside the admissible width range (some
@@ -118,23 +135,23 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
 
     flags: list[str] = []
     if method == "complex-shift":
-        report = desmooth_complex(u, grid, strip_halfwidth=strip_halfwidth,
-                                  y_nodes=y_nodes)
+        value, residual, estimate = _factored_pair(
+            op, u, grid, strip_halfwidth, y_nodes)
     elif method == "fourier-regularized":
         if e_space_divergent(u):
             flags.append("e-space-divergent")
         report = desmooth_fourier(sample(u, grid), rel_threshold=rel_threshold)
+        sigma = weyl_symbol(op, grid)
+        value = _bilinear(sigma, report.result, 1)
+        estimate = abs(value - _bilinear(sigma, report.result, 2))
+        residual = report.residual
     else:
         raise ValueError(
             "method must be 'complex-shift' or 'fourier-regularized'")
 
-    sigma = weyl_symbol(op, grid)
-    value = _bilinear(sigma, report.result, 1)
-    estimate = abs(value - _bilinear(sigma, report.result, 2))
-    if report.residual > RESIDUAL_FLAG_THRESHOLD:
+    if residual > RESIDUAL_FLAG_THRESHOLD:
         flags.append("excessive-residual")
-    return PairingResult(value, report.method, report.residual,
-                         estimate, tuple(flags))
+    return PairingResult(value, method, residual, estimate, tuple(flags))
 
 
 def _bilinear(sigma: SampledField, phi: SampledField, step: int) -> complex:
@@ -143,6 +160,49 @@ def _bilinear(sigma: SampledField, phi: SampledField, step: int) -> complex:
     sub = (slice(None, None, step),) * sigma.grid.dim
     return complex(np.sum(sigma.values[sub] * phi.values[sub])
                    * (step * sigma.grid.spacing)**sigma.grid.dim)
+
+
+def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
+                   strip_halfwidth: float,
+                   y_nodes: int) -> tuple[complex, float, float]:
+    """(value, residual, stride-two estimate) of the complex-shift pairing,
+    with Phi kept as its 1-d factors.
+
+    An anti-Wick symbol F is contracted with the smoothed factors, by the
+    adjoint identity <smooth F, Phi> = <F, smooth Phi>; every other
+    operator's Weyl symbol with the factors themselves.  The stride-two
+    sum is the same contraction with each factor zeroed off the stride,
+    smoothed after the zeroing for F, at the cell volume (2h)^d.
+    """
+    factors = strip_factors(u, grid, strip_halfwidth, y_nodes)
+    smoothed = smooth_factors(factors, grid)
+    residual = factored_residual(smoothed, u, grid)
+    even = np.arange(grid.npoints) % 2 == 0
+    coarse = [[np.where(even, phi, 0.0) for phi in term] for term in factors]
+    if isinstance(op, AntiWickFromSymbol):
+        field = op.symbol.values
+        terms = smoothed + smooth_factors(coarse, grid)
+    else:
+        field = weyl_symbol(op, grid).values
+        terms = factors + coarse
+    sums = _contract(field, terms)
+    fine = len(factors)
+    value = complex(np.sum(sums[:fine]) * grid.spacing**grid.dim)
+    estimate = abs(value - complex(np.sum(sums[fine:])
+                                   * (2 * grid.spacing)**grid.dim))
+    return value, residual, estimate
+
+
+def _contract(field: np.ndarray, terms: list[list[np.ndarray]]) -> np.ndarray:
+    """sum_X field[X] prod_a terms[t][a][X_a] for every t, one axis at a
+    time: the last axis of the field against every term's factor in one
+    matrix product, then each remaining axis per term, so nothing larger
+    than the field divided by one axis is formed."""
+    part = field @ np.stack([t[-1] for t in terms], axis=1)
+    for axis in reversed(range(field.ndim - 1)):
+        part = np.sum(part * np.stack([t[axis] for t in terms], axis=1),
+                      axis=-2)
+    return part
 
 
 def antiwick_pair_reference(symbol: SampledField,

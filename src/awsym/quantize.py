@@ -373,7 +373,7 @@ def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
 
 
 def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
-    """Kernel on the refined grid from a Weyl symbol (exact right inverse).
+    """Kernel on the refined grid from a Weyl symbol.
 
     Writes K(x + t/2, x - t/2) = (inverse transform over xi of the symbol
     slice at midpoint x) for every refined node pair, the midpoint values
@@ -382,6 +382,14 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     Differences beyond |t| > L are outside what the xi grid can encode and
     are zero (never formed), matching the zero-extension read of the
     forward map.
+
+    ``weyl_from_kernel`` inverts it exactly, to round-off, only in the rows
+    x at least L/2 from either box edge.  Nearer an edge, the midpoint
+    slice at x is cut where x +- t/2 leaves the box, so the transform over
+    t misses part of what this kernel encodes: for a symbol that reaches
+    the edge the outer rows come back wrong by up to the order of
+    max|sigma|, while a symbol that decays inside the box round-trips
+    everywhere.
 
     On the self-dual grid (N = 4 L^2, so h^2 = 1/N; N even, as the
     centered FFT needs) every phase of the xi transform and of the

@@ -455,3 +455,47 @@ def e_space_norm_per_node(u, moment: int, strip_halfwidth: float) -> float:
         return axis_integral([term[0] for term in u.terms], 0)
     return sum(math.prod(axis_integral([f], j) for j, f in enumerate(term))
                for term in u.terms)
+
+
+def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
+    """Result values of the regularized spectral division with the lifted
+    spectrum written into a whole grid-sized array and inverted by one
+    ``ifftn``: the route ``awsym.heat.desmooth_fourier`` took before its
+    first inverse pass ran only on the lines holding kept nodes."""
+    import math
+
+    spec = np.fft.fftn(u.values)
+    mag = np.abs(spec)
+    kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
+    xi = np.fft.ifftshift(u.grid.freq.axis_nodes())
+    sq = sum(xi[idx]**2 for idx in kept)
+    lifted = np.zeros_like(spec)
+    half = np.exp(0.25 * math.pi * sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted[kept] = spec[kept] * half * half
+    return np.fft.ifftn(lifted)
+
+
+def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,
+                        y_nodes: int = 64):
+    """(value, residual, stride-two estimate) of the complex-shift pairing
+    with every object dense.
+
+    This is the route ``awsym.pairing.antiwick_pair`` took before it kept
+    Phi as 1-d factors: Phi from :func:`desmooth_complex_per_node`, its
+    residual recomputed as sup |smooth(Phi) - u| on the whole grid, the
+    dense Weyl symbol sigma (an anti-Wick symbol heat smoothed in 2-d),
+    and the plain sums of sigma Phi h^d and, on every second node per
+    axis, sigma Phi (2h)^d.
+    """
+    from awsym.pairing import _infer_phase_grid, weyl_symbol
+
+    grid = _infer_phase_grid(op, phase_grid)
+    phi, residual = desmooth_complex_per_node(u, grid, strip_halfwidth,
+                                              y_nodes)
+    sigma = weyl_symbol(op, grid).values
+    sub = (slice(None, None, 2),) * grid.dim
+    value = complex(np.sum(sigma * phi) * grid.spacing**grid.dim)
+    coarse = complex(np.sum(sigma[sub] * phi[sub])
+                     * (2 * grid.spacing)**grid.dim)
+    return value, residual, abs(value - coarse)

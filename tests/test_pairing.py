@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
                    position_grid_of, radial_gaussian, sample, tensor,
                    weyl_symbol)
 
-from oracles import trapezoid_grid
+from awsym import heat, pairing
+
+from oracles import antiwick_pair_dense, trapezoid_grid
 
 
 def unit_symbol(phase):
@@ -192,6 +195,112 @@ class TestAntiwickPair:
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
         with pytest.raises(ValueError):
             antiwick_pair(combo, radial_gaussian(2, math.pi))
+
+
+PHASE4 = make_grid(4, 16, 2.0)
+PHASE2 = make_grid(2, 64, 4.0)
+
+TESTS_2D = {
+    "centred": radial_gaussian(2, math.pi),
+    "power1-offcentre": tensor(gaussian_1d(2.0, center=0.3, power=1),
+                               gaussian_1d(3.0, center=-0.45)),
+    "power2-complex": tensor(gaussian_1d(2.5, center=-0.2, power=2,
+                                         coeff=0.6 - 0.8j),
+                             gaussian_1d(1.8, power=1, coeff=1.1j)),
+    "sum": tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
+                  gaussian_1d(2.0))
+    + tensor(gaussian_1d(4.0, coeff=0.3 + 0.9j),
+             gaussian_1d(2.5, center=0.25, power=2, coeff=0.12 - 0.46j))
+    + tensor(gaussian_1d(5.0, center=-0.6), gaussian_1d(3.3, coeff=-0.5)),
+}
+TEST_4D = tensor(gaussian_1d(3.0, center=0.3), gaussian_1d(2.5, power=1),
+                 gaussian_1d(3.5, center=-0.2, coeff=0.5j),
+                 gaussian_1d(3.0, power=2)) \
+    + tensor(*(gaussian_1d(4.0, center=0.1, coeff=0.3) for _ in range(4)))
+
+
+def random_symbol(phase, seed):
+    """Complex noise under a Gaussian envelope, centred off the origin."""
+    rng = np.random.default_rng(seed)
+    env = sample(tensor(*(gaussian_1d(0.3, center=0.2 * (a + 1))
+                          for a in range(phase.dim))), phase).values
+    return SampledField(phase, env * (rng.standard_normal(phase.shape)
+                                      + 1j * rng.standard_normal(phase.shape)))
+
+
+def operators(phase):
+    """An anti-Wick symbol, its assembled dense kernel and a coherent
+    combination, each paired on ``phase``."""
+    op = AntiWickFromSymbol(random_symbol(phase, phase.npoints))
+    kernel = assemble_antiwick(op, position_grid_of(phase).refined())
+    n = phase.dim // 2
+    combo = CoherentCombo(((1.0, (0.1,) * 2 * n, (0.1,) * 2 * n),
+                           (0.4 - 0.3j, (0.3, -0.2) * n, (-0.1, 0.2) * n)))
+    return {"antiwick": op, "kernel": kernel, "combo": combo}
+
+
+OPS2 = operators(PHASE2)
+OPS4 = operators(PHASE4)
+CASES = [(kind, name) for kind in OPS2 for name in TESTS_2D]
+
+
+class TestFactoredPairAgainstDense:
+    """The complex-shift pairing on 1-d factors against the dense route it
+    replaced: value to 1e-14 relative, estimate to 1e-15 (1 + |value|),
+    residual to 1e-15 absolute or 1 % relative."""
+
+    @staticmethod
+    def check(op, u, phase):
+        res = antiwick_pair(op, u, phase_grid=phase)
+        value, residual, estimate = antiwick_pair_dense(op, u, phase)
+        assert abs(res.value - value) <= 1e-14 * abs(value)
+        assert abs(res.quadrature_error_estimate - estimate) \
+            <= 1e-15 * (1.0 + abs(value))
+        assert abs(res.residual - residual) <= max(1e-15, 0.01 * residual)
+        assert res.method == "complex-shift"
+        assert res.flags == ()
+
+    @pytest.mark.parametrize("kind, name", CASES,
+                             ids=[f"{k}-{n}" for k, n in CASES])
+    def test_phase_plane(self, kind, name):
+        self.check(OPS2[kind], TESTS_2D[name], PHASE2)
+
+    @pytest.mark.parametrize("kind", list(OPS4))
+    def test_four_dimensional_phase_grid(self, kind):
+        self.check(OPS4[kind], TEST_4D, PHASE4)
+
+    def test_desk_grid_pool(self, phase256):
+        op = AntiWickFromSymbol(random_symbol(phase256, 3))
+        for u in TESTS_2D.values():
+            self.check(op, u, phase256)
+
+
+class TestFactoredPairStaysFactored:
+    def test_no_dense_smooth_and_no_grid_sized_phi(self, monkeypatch):
+        # smooth runs on 1-d factors only, and the traced peak stays well
+        # under one grid-sized complex array
+        phase = make_grid(2, 1024, 16.0)
+        op = AntiWickFromSymbol(random_symbol(phase, 5))
+        u = TESTS_2D["sum"]
+        ref = antiwick_pair(op, u)
+        dims = []
+        real_smooth = heat.smooth
+
+        def spy(f):
+            dims.append(f.grid.dim)
+            return real_smooth(f)
+
+        monkeypatch.setattr(heat, "smooth", spy)
+        monkeypatch.setattr(pairing, "smooth", spy)
+        tracemalloc.start()
+        try:
+            res = antiwick_pair(op, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.value == ref.value
+        assert dims and set(dims) == {1}
+        assert peak < 0.25 * phase.size * 16
 
 
 class TestIllPosedness:

@@ -284,6 +284,19 @@ class TestKernelFromWeyl:
         back = weyl_from_kernel(k)
         assert np.max(np.abs(back.values - sigma.values)) < 1e-12
 
+    def test_right_inverse_in_rows_away_from_the_edge(self, phase64):
+        # random complex symbols reach the box edge; at 64/4 the rows at
+        # least L/2 = 2 from either edge are 16..47, and only they come back
+        rng = np.random.default_rng(64)
+        for _ in range(3):
+            sigma = SampledField(phase64, rng.standard_normal(phase64.shape)
+                                 + 1j * rng.standard_normal(phase64.shape))
+            back = weyl_from_kernel(kernel_from_weyl(sigma)).values
+            err = np.abs(back - sigma.values)
+            peak = np.max(np.abs(sigma.values))
+            assert np.max(err[16:48]) <= 1e-15 * peak
+            assert np.max(err[[0, 63]]) > 0.1 * peak
+
     def test_round_trip_on_rank_one_kernels(self, grid256):
         points = [((0.0, 0.0), (0.0, 0.0)),
                   ((1.0, 2.0), (-0.5, 1.0)),
