@@ -27,10 +27,29 @@ even in xi), so for an anti-Wick symbol F
     <smooth F, Phi> = <F, smooth Phi>,   smooth Phi = sum_t (x)_a smooth(phi_ta),
 
 and F itself is contracted with the 1-d smooths of the factors: the
-pairing runs no 2-d transform.  Kernels and coherent combinations
-contract their Weyl symbol with the factors.  The residual is recomputed
-from the same smoothed factors, and the stride-two estimate is the same
+pairing runs no 2-d transform.  A dense kernel's Weyl symbol is
+sigma = h^n DFT_o S of its midpoint-slice table S[x, o] = K(x + t/2,
+x - t/2) over the offsets o, and the centred DFT matrix is symmetric, so
+
+    sum_xi sigma(x, xi) phi(xi) = h^n sum_o S[x, o] (DFT phi)(o)
+
+per axis: S is contracted with the position factors and the DFTs of the
+xi factors, and sigma is never formed.  The residual is recomputed from
+the same smoothed factors, and the stride-two estimate is the same
 contraction with each factor zeroed off the stride.
+
+A coherent combination needs no quadrature at all.  The anti-Wick symbol
+of |Psi_X><Psi_Y| is not a tempered distribution but a functional carried
+by one complex point: with X = (x, xi) and Y = (y, eta),
+
+    <T(|Psi_X><Psi_Y|), u> = e^{-pi |X-Y|^2/2} e^{i pi (y.xi - x.eta)}
+                             u((x+y)/2 + i(xi-eta)/2, (xi+eta)/2 + i(y-x)/2),
+
+which needs u entire; along the imaginary shift a width-a factor grows
+like e^{a |X-Y|^2/4} against the overlap's e^{-pi |X-Y|^2/2}, so the
+product stays bounded exactly for a < 2 pi, the boundary of the test
+class.  This route reports the method ``closed-form`` with residual and
+quadrature estimate 0.
 """
 
 from __future__ import annotations
@@ -39,14 +58,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, GridMismatchError, SampledField, sample
+from .core import Grid, GridMismatchError, SampledField, centered_fft, sample
 from .gaussians import AnalyticGaussianSum
-from .gsnorm import e_space_divergent
-from .heat import (desmooth_fourier, factored_residual, smooth,
-                   smooth_factors, strip_factors)
+from .gsnorm import e_space_divergent, strip_rule
+from .heat import (ESpaceDivergenceError, desmooth_fourier,
+                   factored_residual, smooth, smooth_factors, strip_factors)
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
-                       OperatorRep, kernel_from_coherent, position_grid_of,
-                       weyl_from_kernel)
+                       OperatorRep, _midpoint_slices, kernel_from_coherent,
+                       position_grid_of, weyl_from_kernel)
 
 __all__ = [
     "PairingResult",
@@ -73,7 +92,10 @@ def weyl_symbol(op: OperatorRep, phase_grid: Grid) -> SampledField:
 
     Kernels transform through the midpoint slices; coherent combinations
     densify on the refined position grid first; anti-Wick symbols are heat
-    smoothed in place.
+    smoothed in place.  The complex-shift pairing needs none of these: it
+    contracts F, a kernel's midpoint-slice table or nothing (a coherent
+    combination's closed form); the Fourier route and the dense test
+    oracle still pair with this dense symbol.
     """
     if isinstance(op, AntiWickFromSymbol):
         if op.symbol.grid != phase_grid:
@@ -121,18 +143,28 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
     The heat inverse of u is built with the requested method and
     integrated against the Weyl symbol of the operator on the phase grid
     (on the complex-shift route as 1-d factors, see the module notes).
-    Results always carry the desmoothing residual and a
-    stride-two quadrature error estimate; a residual above
-    ``RESIDUAL_FLAG_THRESHOLD`` flags the result but the value is still
-    returned.  Test functions outside the admissible width range (some
-    axis width >= 2 pi) abort the complex-shift construction, which
-    genuinely diverges for them, and only flag the Fourier route.
+    On the complex-shift route a coherent combination is paired in closed
+    form instead (method ``closed-form``, residual and estimate 0; the
+    strip parameters are checked but not used).  Other results carry the
+    desmoothing residual and a stride-two quadrature error estimate; a
+    residual above ``RESIDUAL_FLAG_THRESHOLD`` flags the result but the
+    value is still returned.  Test functions outside the admissible width
+    range (some axis width >= 2 pi) abort the complex-shift construction,
+    which genuinely diverges for them, and only flag the Fourier route.
     """
     grid = _infer_phase_grid(op, phase_grid)
     if u.dim != grid.dim:
         raise GridMismatchError(
             f"test function dimension {u.dim} != phase dimension {grid.dim}")
+    if isinstance(op, CoherentCombo) and op.terms \
+            and 2 * op.position_dim != u.dim:
+        raise GridMismatchError(
+            f"test function dimension {u.dim} != phase dimension "
+            f"{2 * op.position_dim} of the coherent combination")
 
+    if method == "complex-shift" and isinstance(op, CoherentCombo):
+        strip_rule(strip_halfwidth, y_nodes)    # unused, but still checked
+        return PairingResult(_closed_form_pair(op, u), "closed-form", 0.0, 0.0)
     flags: list[str] = []
     if method == "complex-shift":
         value, residual, estimate = _factored_pair(
@@ -162,6 +194,47 @@ def _bilinear(sigma: SampledField, phi: SampledField, step: int) -> complex:
                    * (step * sigma.grid.spacing)**sigma.grid.dim)
 
 
+def _closed_form_pair(combo: CoherentCombo,
+                      u: AnalyticGaussianSum) -> complex:
+    """sum_j c_j <T(|Psi_X><Psi_Y|), u> with X = (x, xi), Y = (y, eta) per
+    term, in closed form:
+
+        e^{-pi |X - Y|^2 / 2} e^{i pi (y . xi - x . eta)}
+            u((x + y)/2 + i (xi - eta)/2, (xi + eta)/2 + i (y - x)/2).
+
+    Each axis factor of u is evaluated with its share of the overlap
+    exponent as ``log_weight`` (-pi (xi_j - eta_j)^2 / 2 on position axis
+    j, -pi (x_j - y_j)^2 / 2 on axis n + j), so the exponent's real part is
+    at most (a - 2 pi) times the squared imaginary shift and nothing
+    overflows for widths a < 2 pi, however far X is from Y.  Wider (or
+    non-decaying) test functions are outside the class the functional is
+    defined on and raise, as on the strip route.
+    """
+    if not combo.terms:
+        return 0j
+    n = combo.position_dim
+    u.require_gaussian_decay("closed-form pairing")
+    if e_space_divergent(u):
+        raise ESpaceDivergenceError(
+            "test function outside the class (some axis width >= 2 pi); "
+            "the coherent pairing diverges for it")
+    c = np.array([t[0] for t in combo.terms], dtype=complex)
+    big_x = np.array([t[1] for t in combo.terms], dtype=float)
+    big_y = np.array([t[2] for t in combo.terms], dtype=float)
+    x, xi = big_x[:, :n], big_x[:, n:]
+    y, eta = big_y[:, :n], big_y[:, n:]
+    # rows: axes (x_1..x_n, xi_1..xi_n); columns: the combination's terms
+    re = np.concatenate([x + y, xi + eta], axis=1).T / 2
+    im = np.concatenate([xi - eta, y - x], axis=1).T / 2
+    log_w = -0.5 * np.pi * np.concatenate([xi - eta, x - y], axis=1).T**2
+    total = sum(np.prod([f.shifted_values(re[a], im[a], log_w[a])
+                         for a, f in enumerate(term)], axis=0)
+                for term in u.terms)
+    phase = np.exp(1j * np.pi * (np.sum(y * xi, axis=1)
+                                 - np.sum(x * eta, axis=1)))
+    return complex(np.sum(c * phase * total))
+
+
 def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
                    strip_halfwidth: float,
                    y_nodes: int) -> tuple[complex, float, float]:
@@ -169,10 +242,11 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
     with Phi kept as its 1-d factors.
 
     An anti-Wick symbol F is contracted with the smoothed factors, by the
-    adjoint identity <smooth F, Phi> = <F, smooth Phi>; every other
-    operator's Weyl symbol with the factors themselves.  The stride-two
-    sum is the same contraction with each factor zeroed off the stride,
-    smoothed after the zeroing for F, at the cell volume (2h)^d.
+    adjoint identity <smooth F, Phi> = <F, smooth Phi>; a dense kernel's
+    midpoint-slice table with the position factors and h times the
+    centred DFTs of the xi factors (see the module notes).  The stride-two
+    sum is the same contraction with each factor zeroed off the stride
+    (smoothed or transformed after the zeroing), at the cell volume (2h)^d.
     """
     factors = strip_factors(u, grid, strip_halfwidth, y_nodes)
     smoothed = smooth_factors(factors, grid)
@@ -182,9 +256,14 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
     if isinstance(op, AntiWickFromSymbol):
         field = op.symbol.values
         terms = smoothed + smooth_factors(coarse, grid)
+    elif isinstance(op, DenseKernel):
+        field = _midpoint_slices(op)
+        n = grid.dim // 2
+        terms = [term[:n] + list(centered_fft(np.stack(term[n:]), axes=(1,))
+                                 * grid.spacing)
+                 for term in factors + coarse]
     else:
-        field = weyl_symbol(op, grid).values
-        terms = factors + coarse
+        raise TypeError(f"not an operator representation: {type(op)!r}")
     sums = _contract(field, terms)
     fine = len(factors)
     value = complex(np.sum(sums[:fine]) * grid.spacing**grid.dim)

@@ -43,9 +43,12 @@ transforms also require a self-dual phase grid (N = 4 L^2, frequency
 nodes == position nodes), which makes the t-slice transform land exactly
 on the xi axis of the same grid.
 
-Assembly and both Weyl transforms are separable: each runs one position
-axis pair (x_j, xi_j) <-> (u_j, v_j) at a time, moved to the front with
-the other axes trailing, so every n takes the same path as n = 1.
+Assembly and kernel_from_weyl are separable: each runs one position axis
+pair (x_j, xi_j) <-> (u_j, v_j) at a time, moved to the front with the
+other axes trailing, so every n takes the same path as n = 1.
+weyl_from_kernel reads its whole midpoint-slice table in one flat gather,
+since each axis pair adds its own term to the flat kernel index, and then
+transforms the offset axes.
 
 Operator action
 ---------------
@@ -124,10 +127,17 @@ class CoherentCombo:
     terms: tuple[tuple[complex, tuple[float, ...], tuple[float, ...]], ...]
 
     def __post_init__(self):
-        for c, x, y in self.terms:
+        for k, (c, x, y) in enumerate(self.terms):
             if len(x) != len(y) or len(x) % 2 != 0:
+                raise ValueError(f"term {k}: phase points need matching "
+                                 "even lengths (x, xi)")
+            if len(x) != len(self.terms[0][1]):
                 raise ValueError(
-                    "phase points need matching even lengths (x, xi)")
+                    f"term {k}: phase dimension {len(x)} differs from "
+                    f"term 0's {len(self.terms[0][1])}")
+            if not (np.isfinite(complex(c))
+                    and np.isfinite(np.asarray([*x, *y], dtype=float)).all()):
+                raise ValueError(f"term {k}: c, X and Y must be finite")
 
     @property
     def position_dim(self) -> int:
@@ -338,37 +348,56 @@ def _read_pairs(table: np.ndarray, npts: int) -> np.ndarray:
 # Weyl transforms
 # ---------------------------------------------------------------------------
 
-def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
-    """Weyl symbol of a kernel by transforming the midpoint slices.
+def _midpoint_slices(kernel: DenseKernel) -> np.ndarray:
+    """The midpoint-slice table S[x_1..x_n, o_1..o_n] = K(x + t/2, x - t/2)
+    of a kernel, with x the phase-space position nodes and
+    t_j = (o_j - N/2) h the offsets, one per node of the N-point axis.
 
     The kernel grid must be the 2x refinement of the phase-space position
     axis so x + t/2 and x - t/2 are exact node reads (out-of-box reads are
     zero: kernels are taken as literal samples, not periodized), and the
-    induced phase grid must be self-dual so the t transform lands on the
-    xi nodes.
+    induced phase grid must be self-dual so a transform over o lands on
+    the xi nodes.  The table is gathered in one flat read of the kernel,
+    before any transform.
     """
     gk = kernel.grid
     n = gk.dim
     if gk.npoints % 2 != 0:
         raise GridMismatchError("kernel grid must have an even point count")
     np_axis = gk.npoints // 2
-    phase = Grid(2 * n, np_axis, gk.half_extent)
     require_self_dual(Grid(1, np_axis, gk.half_extent), "weyl_from_kernel")
 
-    # K(x + t/2, x - t/2) at refined indices (2j + o, 2j - o); reads
-    # outside the box are zero
-    even = 2 * np.arange(np_axis)[:, None]
-    offs = np.arange(np_axis) - np_axis // 2
-    up, vp = even + offs, even - offs
-    outside = (np.minimum(up, vp) < 0) | (np.maximum(up, vp) >= gk.npoints)
-    up, vp = np.clip(up, 0, gk.npoints - 1), np.clip(vp, 0, gk.npoints - 1)
+    # K(x + t/2, x - t/2) at refined indices (2j + o, 2j - o) per axis
+    # pair, o the centred offset.  In the flat kernel, axis pair k adds
+    # (2j + o) M^(2n-1-k) + (2j - o) M^(n-1-k), so the whole table is one
+    # flat read; axis pair k reads outside the box when
+    # |o| > min(2j, M - 1 - 2j), and those entries are zeroed
+    m = gk.npoints
+    j = np.arange(np_axis)
+    o = j - np_axis // 2
+    off_box = np.abs(o) > np.minimum(2 * j, m - 1 - 2 * j)[:, None]
+    flat = np.zeros((1,) * (2 * n), dtype=np.intp)
+    outside = np.zeros((1,) * (2 * n), dtype=bool)
+    for k in range(n):
+        row, col = m ** (2 * n - 1 - k), m ** (n - 1 - k)
+        shape = [1] * (2 * n)
+        shape[k] = shape[n + k] = np_axis
+        flat = flat + np.add.outer(2 * j * (row + col),
+                                   o * (row - col)).reshape(shape)
+        outside = outside | off_box.reshape(shape)
+    tab = kernel.matrix.reshape(-1).take(flat, mode="wrap")
+    tab[outside] = 0.0
+    # tab axes: (x_1..x_n, o_1..o_n)
+    return tab
 
-    tab = kernel.matrix.reshape((gk.npoints,) * (2 * n))
-    for j in reversed(range(n)):        # the pass order of np.fft.fftn
-        tab = np.moveaxis(tab, (j, n + j), (0, 1))[up, vp]
-        tab[outside] = 0.0
-        tab = np.moveaxis(centered_fft(tab, axes=(1,)), (0, 1), (j, n + j))
-    # tab axes: (x_1..x_n, xi_1..xi_n)
+
+def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
+    """Weyl symbol of a kernel: the centred transform over the offsets of
+    its midpoint-slice table (:func:`_midpoint_slices`, which states the
+    grid requirements), at the phase spacing h per axis."""
+    n = kernel.grid.dim
+    tab = centered_fft(_midpoint_slices(kernel), axes=tuple(range(n, 2 * n)))
+    phase = Grid(2 * n, kernel.grid.npoints // 2, kernel.grid.half_extent)
     return SampledField(phase, tab * phase.spacing**n)
 
 

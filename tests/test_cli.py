@@ -9,7 +9,7 @@ import pytest
 
 from awsym import (CoherentCombo, SampledField, cli, gaussian_1d,
                    identity_kernel, kernel_from_coherent, kernel_from_weyl,
-                   make_grid, radial_gaussian, sample)
+                   make_grid, radial_gaussian, sample, tensor)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -346,6 +346,52 @@ def test_malformed_spec_json_is_usage_error(tmp_path, capsys, command, spec,
 
 
 PHASE64 = '{"dim": 2, "N": 64, "L": 4.0}'
+
+
+def test_pair_ground_projector_in_closed_form(tmp_path):
+    # the ground projector's anti-Wick symbol is the point mass at 0
+    u = tensor(gaussian_1d(2.0, center=0.3, coeff=0.8 - 0.6j),
+               gaussian_1d(3.0, center=-0.2, power=1))
+    write_json(tmp_path / "u.json", gaussian_to_obj(u))
+    write_json(tmp_path / "op.json", {"type": "coherent-combo", "terms": [
+        {"c_re": 1.0, "c_im": 0.0, "X": [0.0, 0.0], "Y": [0.0, 0.0]}]})
+    args = ["pair", "--operator", str(tmp_path / "op.json"),
+            "--test-function", str(tmp_path / "u.json"),
+            "--phase-grid", PHASE64]
+    reports = []
+    for run in ("a", "b"):
+        assert cli.main(["--outdir", str(tmp_path / run), *args]) == 0
+        reports.append((tmp_path / run / "pair-result.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    ref = complex(u(0.0, 0.0))
+    assert report["method"] == "closed-form"
+    assert report["residual"] == report["quadrature_error_estimate"] == 0.0
+    assert report["flags"] == []
+    assert abs(report["value_re"] - ref.real) <= 1e-15 * abs(ref.real)
+    assert abs(report["value_im"] - ref.imag) <= 1e-15 * abs(ref.imag)
+
+
+@pytest.mark.parametrize("terms, u_dim, message", [
+    ([{"X": [0.0, 0.0], "Y": [0.0, 0.0]},
+      {"X": [0.0, 0.0, 0.0, 0.0], "Y": [0.0, 0.0, 0.0, 0.0]}], 2,
+     "term 1: phase dimension 4 differs"),
+    ([{"X": [0.0, 0.0, 0.0, 0.0], "Y": [0.0, 0.0, 0.0, 0.0]}], 2,
+     "!= phase dimension 4 of the coherent combination")],
+    ids=["mixed-dimensions", "test-function-dimension"])
+def test_pair_bad_combination_is_usage_error(tmp_path, capsys, terms, u_dim,
+                                             message):
+    write_json(tmp_path / "op.json", {"type": "coherent-combo",
+                                      "terms": terms})
+    write_json(tmp_path / "u.json",
+               gaussian_to_obj(radial_gaussian(u_dim, 2.0)))
+    out = tmp_path / "out"
+    assert cli.main(["--outdir", str(out), "pair",
+                     "--operator", str(tmp_path / "op.json"),
+                     "--test-function", str(tmp_path / "u.json"),
+                     "--phase-grid", PHASE64]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
 
 
 @pytest.mark.parametrize("command,spec,field", [

@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
-                   SampledField, antiwick_pair, antiwick_pair_reference,
-                   assemble_antiwick, desmooth_complex, gaussian_1d, make_grid,
+                   GridMismatchError, SampledField, antiwick_pair,
+                   antiwick_pair_reference, assemble_antiwick,
+                   desmooth_complex, gaussian_1d, make_grid,
                    position_grid_of, radial_gaussian, sample, tensor,
                    weyl_symbol)
 
-from awsym import heat, pairing
+from awsym import heat, pairing, quantize
 
 from oracles import antiwick_pair_dense, trapezoid_grid
 
@@ -247,12 +250,19 @@ CASES = [(kind, name) for kind in OPS2 for name in TESTS_2D]
 class TestFactoredPairAgainstDense:
     """The complex-shift pairing on 1-d factors against the dense route it
     replaced: value to 1e-14 relative, estimate to 1e-15 (1 + |value|),
-    residual to 1e-15 absolute or 1 % relative."""
+    residual to 1e-15 absolute or 1 % relative.  Coherent combinations
+    take the closed form, which must lie within the dense route's own
+    stride-two estimate of the dense value."""
 
     @staticmethod
     def check(op, u, phase):
         res = antiwick_pair(op, u, phase_grid=phase)
         value, residual, estimate = antiwick_pair_dense(op, u, phase)
+        if isinstance(op, CoherentCombo):
+            assert abs(res.value - value) <= estimate
+            assert (res.method, res.residual, res.quadrature_error_estimate,
+                    res.flags) == ("closed-form", 0.0, 0.0, ())
+            return
         assert abs(res.value - value) <= 1e-14 * abs(value)
         assert abs(res.quadrature_error_estimate - estimate) \
             <= 1e-15 * (1.0 + abs(value))
@@ -273,6 +283,12 @@ class TestFactoredPairAgainstDense:
         op = AntiWickFromSymbol(random_symbol(phase256, 3))
         for u in TESTS_2D.values():
             self.check(op, u, phase256)
+
+    def test_desk_grid_kernel_pool(self, phase256):
+        op = AntiWickFromSymbol(random_symbol(phase256, 3))
+        kernel = assemble_antiwick(op, position_grid_of(phase256).refined())
+        for u in TESTS_2D.values():
+            self.check(kernel, u, phase256)
 
 
 class TestFactoredPairStaysFactored:
@@ -301,6 +317,156 @@ class TestFactoredPairStaysFactored:
         assert res.value == ref.value
         assert dims and set(dims) == {1}
         assert peak < 0.25 * phase.size * 16
+
+
+class TestPairFormsNoWeylSymbol:
+    def test_kernel_and_combo_pairs_skip_the_dense_symbol(self, monkeypatch):
+        # a kernel pair contracts its midpoint slices and a combination
+        # pair is the closed form: neither transforms nor densifies
+        ops = {"kernel": OPS2["kernel"], "combo": OPS2["combo"]}
+        u = TESTS_2D["sum"]
+        ref = {k: antiwick_pair(op, u, phase_grid=PHASE2)
+               for k, op in ops.items()}
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("weyl_from_kernel", "kernel_from_coherent"):
+            wrapped = spy(name, getattr(quantize, name))
+            monkeypatch.setattr(quantize, name, wrapped)
+            monkeypatch.setattr(pairing, name, wrapped)
+        for kind, op in ops.items():
+            res = antiwick_pair(op, u, phase_grid=PHASE2)
+            assert res.value == ref[kind].value
+        assert calls == []
+        # the spies see the dense route, which still forms sigma
+        weyl_symbol(OPS2["combo"], PHASE2)
+        assert calls == ["kernel_from_coherent", "weyl_from_kernel"]
+
+
+def closed_form_literal(c, point_x, point_y, u):
+    """The coherent pairing formula written out: overlap, phase and u at
+    the complex point, each factor evaluated by ``GaussFactor.__call__``."""
+    n = len(point_x) // 2
+    x, xi = np.array(point_x[:n]), np.array(point_x[n:])
+    y, eta = np.array(point_y[:n]), np.array(point_y[n:])
+    z = np.concatenate([(x + y) / 2 + 0.5j * (xi - eta),
+                        (xi + eta) / 2 + 0.5j * (y - x)])
+    dist2 = np.sum((x - y)**2 + (xi - eta)**2)
+    return c * np.exp(-math.pi * dist2 / 2
+                      + 1j * math.pi * (y @ xi - x @ eta)) * u(*z)
+
+
+class TestClosedForm:
+    U2 = TESTS_2D["sum"]
+
+    def test_equal_points_evaluate_the_test_function(self):
+        # the symbol of |Psi_X><Psi_X| is the point mass at X
+        for u, point in ((self.U2, (0.4, -0.7)), (TEST_4D, (0.3, -0.2,
+                                                           0.1, 0.5))):
+            res = antiwick_pair(CoherentCombo(((1.0, point, point),)), u,
+                                phase_grid=make_grid(u.dim, 16, 2.0))
+            ref = complex(u(*point))
+            assert abs(res.value - ref) <= 1e-15 * abs(ref)
+            assert (res.method, res.residual, res.quadrature_error_estimate,
+                    res.flags) == ("closed-form", 0.0, 0.0, ())
+
+    def test_matches_the_written_out_formula(self):
+        terms = ((0.7 - 0.2j, (0.3, -1.1), (-0.4, 0.6)),
+                 (1.3j, (1.0, 0.5), (0.2, -0.8)))
+        res = antiwick_pair(CoherentCombo(terms), self.U2,
+                            phase_grid=PHASE2)
+        ref = sum(closed_form_literal(c, x, y, self.U2) for c, x, y in terms)
+        assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+    def test_product_combo_pairs_as_product(self):
+        # a product of n = 1 combinations against a tensor test function
+        # pairs to the product of the two n = 1 closed forms
+        combos = [((0.8 + 0.3j, (0.2, -0.5), (-0.6, 0.4)),
+                   (-0.4j, (1.0, 0.1), (0.3, 0.9))),
+                  ((1.1, (-0.3, 0.7), (0.5, 0.2)),)]
+        axes = [(gaussian_1d(2.0, center=0.3, power=1)
+                 + gaussian_1d(3.5, coeff=0.4j),
+                 gaussian_1d(1.5, center=-0.2, power=2, coeff=0.6)),
+                (gaussian_1d(2.5, center=0.1),
+                 gaussian_1d(4.0, power=1) + gaussian_1d(1.0, coeff=-0.3))]
+        parts = [antiwick_pair(CoherentCombo(c), tensor(*a),
+                               phase_grid=PHASE2).value
+                 for c, a in zip(combos, axes)]
+        product = tuple((c1 * c2, (x1[0], x2[0], x1[1], x2[1]),
+                         (y1[0], y2[0], y1[1], y2[1]))
+                        for c1, x1, y1 in combos[0]
+                        for c2, x2, y2 in combos[1])
+        whole = antiwick_pair(
+            CoherentCombo(product),
+            tensor(axes[0][0], axes[1][0], axes[0][1], axes[1][1]),
+            phase_grid=PHASE4)
+        ref = parts[0] * parts[1]
+        assert abs(whole.value - ref) <= 1e-15 * abs(ref)
+
+    def test_far_apart_points_stay_finite(self):
+        # |X - Y| = 40: the overlap e^{-pi |X-Y|^2/2} and u's growth
+        # e^{a |X-Y|^2/4} along the imaginary shift each leave double
+        # range; folded into one exponent they give a normal number
+        u = tensor(gaussian_1d(6.0, center=0.1), gaussian_1d(6.0))
+        point_x, point_y = (0.0, 20.0), (0.0, -20.0)
+        res = antiwick_pair(CoherentCombo(((1.0, point_x, point_y),)), u,
+                            phase_grid=PHASE2)
+        # the exponent written out: -pi 40^2/2 - 6 (0 + 20i - 0.1)^2 - 6 0^2
+        expo = -800.0 * math.pi - 6.0 * (20j - 0.1)**2
+        ref = complex(np.exp(expo))
+        assert np.isfinite(res.value) and res.value != 0.0
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+    def test_wide_test_function_diverges(self):
+        combo = CoherentCombo(((1.0, (0.0, 0.0), (0.5, 0.0)),))
+        with pytest.raises(ESpaceDivergenceError):
+            antiwick_pair(combo, radial_gaussian(2, 2 * math.pi),
+                          phase_grid=PHASE2)
+
+    @pytest.mark.parametrize("strip, nodes", [(math.nan, 64), (3.0, 3)])
+    def test_bad_strip_parameters_still_rejected(self, strip, nodes):
+        combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
+        with pytest.raises(ValueError):
+            antiwick_pair(combo, self.U2, phase_grid=PHASE2,
+                          strip_halfwidth=strip, y_nodes=nodes)
+
+    def test_empty_combination_pairs_to_zero(self):
+        res = antiwick_pair(CoherentCombo(()), self.U2, phase_grid=PHASE2)
+        assert res.value == 0.0 and res.method == "closed-form"
+
+    @pytest.mark.parametrize("method", ["complex-shift",
+                                        "fourier-regularized"])
+    def test_dimension_mismatch(self, method):
+        combo = CoherentCombo(((1.0, (0.0,) * 4, (0.0,) * 4),))
+        with pytest.raises(GridMismatchError):
+            antiwick_pair(combo, self.U2, method=method, phase_grid=PHASE2)
+
+
+DESK = make_grid(2, 256, 8.0)
+coords = st.floats(-1.5, 1.5)
+points = st.tuples(coords, coords)
+test_factors = st.builds(
+    lambda a, b, p, c: gaussian_1d(a, center=b, power=p, coeff=c),
+    st.floats(0.5, 4.0), st.floats(-1.0, 1.0), st.integers(0, 2),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                       allow_infinity=False))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(c=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                            allow_nan=False, allow_infinity=False),
+       point_x=points, point_y=points, fx=test_factors, fxi=test_factors)
+def test_closed_form_matches_dense_route(c, point_x, point_y, fx, fxi):
+    combo = CoherentCombo(((c, point_x, point_y),))
+    u = tensor(fx, fxi)
+    res = antiwick_pair(combo, u, phase_grid=DESK)
+    value, _, _ = antiwick_pair_dense(combo, u, DESK)
+    assert abs(res.value - value) <= 1e-12 * (1.0 + abs(value))
 
 
 class TestIllPosedness:

@@ -46,6 +46,30 @@ class TestCoherentState:
             coherent_state((0.0, 0.0, 0.0), grid256)
 
 
+class TestCoherentComboChecks:
+    GOOD = (0.5j, (0.1, 0.2), (-0.3, 0.4))
+
+    @pytest.mark.parametrize("bad", [
+        (complex(math.nan, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        (complex(1.0, math.inf), (0.0, 0.0), (0.0, 0.0)),
+        (1.0, (math.nan, 0.0), (0.0, 0.0)),
+        (1.0, (0.0, 0.0), (0.0, -math.inf))],
+        ids=["c-nan", "c-inf", "X-nan", "Y-inf"])
+    def test_non_finite_term_is_named(self, bad):
+        with pytest.raises(ValueError, match="term 1: c, X and Y must be "
+                                             "finite"):
+            CoherentCombo((self.GOOD, bad))
+
+    def test_mixed_dimensions_are_named(self):
+        with pytest.raises(ValueError, match="term 1: phase dimension 4 "
+                                             "differs from term 0's 2"):
+            CoherentCombo((self.GOOD, (1.0, (0.0,) * 4, (0.0,) * 4)))
+
+    def test_unequal_point_lengths(self):
+        with pytest.raises(ValueError, match="term 0: phase points"):
+            CoherentCombo(((1.0, (0.0, 0.0), (0.0,) * 4),))
+
+
 class TestKernelFromCoherent:
     def test_single_ground_projector(self, grid64):
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
