@@ -74,6 +74,10 @@ def main(argv=None) -> int:
             RecursionError) as exc:
         print(f"[awsym] usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"[awsym] usage error: {args.command} needs more memory than "
+              f"is available, use a smaller grid ({exc})", file=sys.stderr)
+        return 2
 
     path = outdir / _report_name(args)
     write_json(path, report)
@@ -149,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ynodes", type=int, default=64)
     p.add_argument("--phase-grid", default=None,
                    help='phase grid JSON {"dim","N","L"} (needed for '
-                        "coherent combinations)")
+                        "coherent combinations with --method "
+                        "fourier-regularized)")
     p.add_argument("--out", default="pair-result.json")
     p.set_defaults(handler=_cmd_pair)
 

@@ -232,6 +232,8 @@ def gaussian_to_obj(u: AnalyticGaussianSum) -> dict:
 @_json_shape("Gaussian-sum")
 def gaussian_from_obj(obj: dict) -> AnalyticGaussianSum:
     dim = _integer(obj["dim"], "dim")
+    if not obj["terms"]:
+        raise ValueError("terms must list at least one product term")
     terms = []
     for term in obj["terms"]:
         factors = tuple(

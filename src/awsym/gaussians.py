@@ -29,6 +29,7 @@ otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -205,15 +206,10 @@ class AnalyticGaussianSum:
 
     def smoothed(self) -> "AnalyticGaussianSum":
         """Heat smoothing 2^{d/2} (self ∗ exp(-2 pi |.|^2)), in closed form."""
-        new_terms = []
-        for term in self.terms:
-            pools = [factor.smoothed() for factor in term]
-            stack = [()]
-            for pool in pools:
-                stack = [partial + (piece,) for partial in stack
-                         for piece in pool]
-            new_terms.extend(stack)
-        return AnalyticGaussianSum(self.dim, tuple(new_terms)).merged()
+        new_terms = tuple(
+            piece for term in self.terms
+            for piece in itertools.product(*(f.smoothed() for f in term)))
+        return AnalyticGaussianSum(self.dim, new_terms).merged()
 
     # -- evaluation -------------------------------------------------------
 
@@ -311,10 +307,9 @@ def tensor(*sums: AnalyticGaussianSum) -> AnalyticGaussianSum:
     if not sums:
         raise ValueError("need at least one factor")
     dim = sum(s.dim for s in sums)
-    terms = [()]
-    for s in sums:
-        terms = [t1 + t2 for t1 in terms for t2 in s.terms]
-    return AnalyticGaussianSum(dim, tuple(terms)).merged()
+    terms = tuple(sum(parts, ()) for parts in
+                  itertools.product(*(s.terms for s in sums)))
+    return AnalyticGaussianSum(dim, terms).merged()
 
 
 # -- stable high derivatives -------------------------------------------------

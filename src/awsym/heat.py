@@ -31,12 +31,12 @@ instead of hiding it:
   over |y| <= strip_halfwidth, since F[u(. + iy)](xi) = e^{-2 pi y xi} Fu(xi)
   and sqrt(2) \\int e^{-2 pi y^2 - 2 pi y xi} dy = e^{pi xi^2 / 2}.  The
   weight is folded into each exponent, so e^{a y^2} never overflows alone.
-  Each tensor-product term of u gives one 1-d factor per axis
-  (``strip_factors``), and Phi is the sum of their outer products.  The
-  residual is recomputed from the factors the returned field is made of:
+  Each tensor-product term of u gives one 1-d factor per axis, in one
+  (term, axis, node) array (``strip_factors``); Phi is the sum of their
+  outer products.  The residual is recomputed from those factors:
   ``smooth`` is separable, so smooth(Phi) is the sum of the outer products
-  of the 1-d smooths of the factors, and it is compared with u's samples,
-  also taken per axis, without a dense transform.
+  of the factors' 1-d smooths, one band pass along the node axis, compared
+  with u's samples, also taken per axis, without a dense transform.
 """
 
 from __future__ import annotations
@@ -101,8 +101,15 @@ def smooth(f: SampledField) -> SampledField:
     frequencies beyond T are never carried: the inverse passes zero-pad
     each axis back to N.  When N/(4L) <= T the band is the whole axis.
     """
-    dim, n = f.grid.dim, f.grid.npoints
-    xi = _unshifted_freqs(f.grid)
+    return SampledField(f.grid,
+                        _smooth_axes(f.values, f.grid, range(f.grid.dim)))
+
+
+def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
+    """``smooth`` along ``axes`` of ``vals``, each an axis of ``grid``; the
+    other axes of ``vals`` ride along as a batch."""
+    n, ndim = grid.npoints, vals.ndim
+    xi = _unshifted_freqs(grid)
     gain = np.exp(-0.5 * math.pi * xi**2)
     # the band is a prefix (xi >= 0) and a suffix (xi < 0) of the axis;
     # the band array keeps the two side by side
@@ -116,22 +123,21 @@ def smooth(f: SampledField) -> SampledField:
         return (slice(None),) * axis + (part,)
 
     # the full-length passes run along the contiguous last axis
-    vals = f.values
-    for axis in reversed(range(dim)):
+    for axis in reversed(axes):
         spec = np.fft.fft(vals, axis=axis)
         vals = np.empty(spec.shape[:axis] + (pos + neg,)
                         + spec.shape[axis + 1:], dtype=complex)
         for full, band in spans:
             np.multiply(spec[on(axis, full)],
-                        gain[full].reshape((-1,) + (1,) * (dim - 1 - axis)),
+                        gain[full].reshape((-1,) + (1,) * (ndim - 1 - axis)),
                         out=vals[on(axis, band)])
-    for axis in range(dim):
+    for axis in axes:
         padded = np.zeros(vals.shape[:axis] + (n,) + vals.shape[axis + 1:],
                           dtype=complex)
         for full, band in spans:
             padded[on(axis, full)] = vals[on(axis, band)]
         vals = np.fft.ifft(padded, axis=axis)
-    return SampledField(f.grid, np.ascontiguousarray(vals))
+    return np.ascontiguousarray(vals)
 
 
 def desmooth_fourier(u: SampledField,
@@ -191,9 +197,9 @@ def desmooth_fourier(u: SampledField,
 
 def strip_factors(u: AnalyticGaussianSum, g: Grid,
                   strip_halfwidth: float = 3.0,
-                  y_nodes: int = 64) -> list[list[np.ndarray]]:
-    """The 1-d factors phi[t][a] of the complex-shift heat inverse, so that
-    Phi = sum_t (x)_a phi[t][a] on ``g``.
+                  y_nodes: int = 64) -> np.ndarray:
+    """The 1-d factors phi[t, a] of the complex-shift heat inverse, one
+    (term, axis, node) array, so that Phi = sum_t (x)_a phi[t, a] on ``g``.
 
     The input must be numerically in the strip-integrable class: every
     axis width below 2 pi (checked before any evaluation; divergent inputs
@@ -213,28 +219,16 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
 
     xs = g.axis_nodes()
     weights = math.sqrt(2.0) * wy
-    factors = []
-    for term in u.terms:
-        axis_phis = [strip_sum([f], xs, ys, weights) for f in term]
-        for phi in axis_phis:
-            phi[np.abs(phi) < RELATIVE_CUT * np.abs(phi).max()] = 0.0
-        factors.append(axis_phis)
+    factors = np.array([[strip_sum([f], xs, ys, weights) for f in term]
+                        for term in u.terms], dtype=complex)
+    mag = np.abs(factors)
+    factors[mag < RELATIVE_CUT * mag.max(axis=-1, keepdims=True)] = 0.0
     return factors
 
 
-def smooth_factors(factors: list[list[np.ndarray]],
-                   g: Grid) -> list[list[np.ndarray]]:
-    """``smooth`` of every 1-d factor on the axis grid of ``g``: smooth is
-    separable, so smooth(sum_t (x)_a phi[t][a]) is the sum of the tensor
-    products of these."""
-    axis = Grid(1, g.npoints, g.half_extent)
-    return [[smooth(SampledField(axis, phi)).values for phi in term]
-            for term in factors]
-
-
-def factored_residual(smoothed: list[list[np.ndarray]],
-                      u: AnalyticGaussianSum, g: Grid) -> float:
-    """sup |sum_t (x)_a smoothed[t][a] - u| over the nodes of ``g``.
+def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
+                      g: Grid) -> float:
+    """sup |sum_t (x)_a smoothed[t, a] - u| over the nodes of ``g``.
 
     u's samples are taken per axis too, so the difference is one sum of
     tensor products, with u's terms negated: its rank-K matrix
@@ -243,9 +237,10 @@ def factored_residual(smoothed: list[list[np.ndarray]],
     grid-sized array is ever held.
     """
     xs = g.axis_nodes()
-    terms = smoothed + [[-term[0](xs)] + [f(xs) for f in term[1:]]
-                        for term in u.terms]
-    head = np.stack([t[0] for t in terms], axis=1)
+    samples = np.array([[-term[0](xs)] + [f(xs) for f in term[1:]]
+                        for term in u.terms])
+    terms = np.concatenate([smoothed, samples])
+    head = np.ascontiguousarray(terms[:, 0].T)
     tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()
                      for t in terms], axis=1)
     rows = max(1, _RESIDUAL_BLOCK_ENTRIES // len(tail))
@@ -267,7 +262,7 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     phi_vals = np.zeros(g.shape, dtype=complex)
     for axis_phis in factors:
         phi_vals += reduce(np.multiply.outer, axis_phis)
-    residual = factored_residual(smooth_factors(factors, g), u, g)
+    residual = factored_residual(_smooth_axes(factors, g, (2,)), u, g)
     return DesmoothReport(SampledField(g, phi_vals), "complex-shift",
                           residual, strip_halfwidth=strip_halfwidth,
                           y_nodes=y_nodes)

@@ -18,16 +18,16 @@ Fourier route, whose recomputed residual is carried in the result so an
 ill-posed inversion is never silent.
 
 On the complex-shift route Phi is never formed on the grid.  It is a sum
-of tensor products of 1-d factors (``heat.strip_factors``), so the sum of
-sigma Phi is taken one axis at a time: the last axis of a dense field
-against every factor in one matrix product, then each remaining axis.
+of tensor products of 1-d factors (``heat.strip_factors``, one (term,
+axis, node) array), so the sum of sigma Phi runs one axis at a time: the
+field's last axis against every factor in one matrix product, then the rest.
 ``smooth`` is, per axis, a real symmetric circulant (its gain is real and
 even in xi), so for an anti-Wick symbol F
 
     <smooth F, Phi> = <F, smooth Phi>,   smooth Phi = sum_t (x)_a smooth(phi_ta),
 
-and F itself is contracted with the 1-d smooths of the factors: the
-pairing runs no 2-d transform.  A dense kernel's Weyl symbol is
+and F itself is contracted with the factors' 1-d smooths, one batched band
+pass: the pairing runs no 2-d transform.  A dense kernel's Weyl symbol is
 sigma = h^n DFT_o S of its midpoint-slice table S[x, o] = K(x + t/2,
 x - t/2) over the offsets o, and the centred DFT matrix is symmetric, so
 
@@ -61,8 +61,8 @@ import numpy as np
 from .core import Grid, GridMismatchError, SampledField, centered_fft, sample
 from .gaussians import AnalyticGaussianSum
 from .gsnorm import e_space_divergent, strip_rule
-from .heat import (ESpaceDivergenceError, desmooth_fourier,
-                   factored_residual, smooth, smooth_factors, strip_factors)
+from .heat import (ESpaceDivergenceError, _smooth_axes, desmooth_fourier,
+                   factored_residual, smooth, strip_factors)
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                        OperatorRep, _midpoint_slices, kernel_from_coherent,
                        position_grid_of, weyl_from_kernel)
@@ -113,7 +113,8 @@ def weyl_symbol(op: OperatorRep, phase_grid: Grid) -> SampledField:
     raise TypeError(f"not an operator representation: {type(op)!r}")
 
 
-def _infer_phase_grid(op: OperatorRep, phase_grid: Grid | None) -> Grid:
+def _infer_phase_grid(op: OperatorRep, phase_grid: Grid | None) -> Grid | None:
+    """The implied or given phase grid (checked to agree); None if neither."""
     if isinstance(op, AntiWickFromSymbol):
         inferred = op.symbol.grid
     elif isinstance(op, DenseKernel):
@@ -122,9 +123,6 @@ def _infer_phase_grid(op: OperatorRep, phase_grid: Grid | None) -> Grid:
     else:
         inferred = None
     if phase_grid is None:
-        if inferred is None:
-            raise ValueError(
-                "coherent combinations carry no grid; pass phase_grid")
         return inferred
     if inferred is not None and inferred != phase_grid:
         raise GridMismatchError(
@@ -144,16 +142,17 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
     integrated against the Weyl symbol of the operator on the phase grid
     (on the complex-shift route as 1-d factors, see the module notes).
     On the complex-shift route a coherent combination is paired in closed
-    form instead (method ``closed-form``, residual and estimate 0; the
-    strip parameters are checked but not used).  Other results carry the
-    desmoothing residual and a stride-two quadrature error estimate; a
-    residual above ``RESIDUAL_FLAG_THRESHOLD`` flags the result but the
-    value is still returned.  Test functions outside the admissible width
-    range (some axis width >= 2 pi) abort the complex-shift construction,
-    which genuinely diverges for them, and only flag the Fourier route.
+    form instead, with no phase grid (method ``closed-form``, residual and
+    estimate 0; the strip parameters are checked but not used).  Other
+    results carry the desmoothing residual and a stride-two quadrature
+    error estimate; a residual above ``RESIDUAL_FLAG_THRESHOLD`` flags the
+    result but the value is still returned.  Test functions outside the
+    admissible width range (some axis width >= 2 pi) abort the
+    complex-shift construction, which genuinely diverges for them, and
+    only flag the Fourier route.
     """
     grid = _infer_phase_grid(op, phase_grid)
-    if u.dim != grid.dim:
+    if grid is not None and u.dim != grid.dim:
         raise GridMismatchError(
             f"test function dimension {u.dim} != phase dimension {grid.dim}")
     if isinstance(op, CoherentCombo) and op.terms \
@@ -165,6 +164,9 @@ def antiwick_pair(op: OperatorRep, u: AnalyticGaussianSum,
     if method == "complex-shift" and isinstance(op, CoherentCombo):
         strip_rule(strip_halfwidth, y_nodes)    # unused, but still checked
         return PairingResult(_closed_form_pair(op, u), "closed-form", 0.0, 0.0)
+    if grid is None:
+        raise ValueError("coherent combinations carry no grid; pass "
+                         "phase_grid for the fourier-regularized route")
     flags: list[str] = []
     if method == "complex-shift":
         value, residual, estimate = _factored_pair(
@@ -249,38 +251,37 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
     (smoothed or transformed after the zeroing), at the cell volume (2h)^d.
     """
     factors = strip_factors(u, grid, strip_halfwidth, y_nodes)
-    smoothed = smooth_factors(factors, grid)
-    residual = factored_residual(smoothed, u, grid)
+    fine = len(factors)
     even = np.arange(grid.npoints) % 2 == 0
-    coarse = [[np.where(even, phi, 0.0) for phi in term] for term in factors]
+    terms = np.concatenate([factors, np.where(even, factors, 0.0)])
     if isinstance(op, AntiWickFromSymbol):
         field = op.symbol.values
-        terms = smoothed + smooth_factors(coarse, grid)
+        terms = _smooth_axes(terms, grid, (2,))
+        smoothed = terms[:fine]
     elif isinstance(op, DenseKernel):
         field = _midpoint_slices(op)
+        smoothed = _smooth_axes(factors, grid, (2,))
         n = grid.dim // 2
-        terms = [term[:n] + list(centered_fft(np.stack(term[n:]), axes=(1,))
-                                 * grid.spacing)
-                 for term in factors + coarse]
+        terms[:, n:] = centered_fft(terms[:, n:], axes=(2,)) * grid.spacing
     else:
         raise TypeError(f"not an operator representation: {type(op)!r}")
+    residual = factored_residual(smoothed, u, grid)
     sums = _contract(field, terms)
-    fine = len(factors)
     value = complex(np.sum(sums[:fine]) * grid.spacing**grid.dim)
     estimate = abs(value - complex(np.sum(sums[fine:])
                                    * (2 * grid.spacing)**grid.dim))
     return value, residual, estimate
 
 
-def _contract(field: np.ndarray, terms: list[list[np.ndarray]]) -> np.ndarray:
-    """sum_X field[X] prod_a terms[t][a][X_a] for every t, one axis at a
+def _contract(field: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_X field[X] prod_a terms[t, a, X_a] for every t, one axis at a
     time: the last axis of the field against every term's factor in one
     matrix product, then each remaining axis per term, so nothing larger
     than the field divided by one axis is formed."""
-    part = field @ np.stack([t[-1] for t in terms], axis=1)
+    cols = np.ascontiguousarray(terms.transpose(1, 2, 0))   # (axis, node, t)
+    part = field @ cols[-1]
     for axis in reversed(range(field.ndim - 1)):
-        part = np.sum(part * np.stack([t[axis] for t in terms], axis=1),
-                      axis=-2)
+        part = np.sum(part * cols[axis], axis=-2)
     return part
 
 

@@ -179,6 +179,13 @@ def require_self_dual(grid: Grid, who: str) -> None:
             f"N == 4 L^2); got N={grid.npoints}, L={grid.half_extent}")
 
 
+def _require_position_grid(op: AntiWickFromSymbol, pos_grid: Grid) -> None:
+    if pos_grid.dim != op.position_dim:
+        raise GridMismatchError(
+            f"position grid dim {pos_grid.dim} incompatible with the "
+            f"dim-{op.symbol.grid.dim} phase grid of the symbol")
+
+
 # ---------------------------------------------------------------------------
 # coherent states
 # ---------------------------------------------------------------------------
@@ -246,10 +253,7 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     """
     phase = op.symbol.grid
     n = op.position_dim
-    if pos_grid.dim != n:
-        raise GridMismatchError(
-            f"position grid dim {pos_grid.dim} incompatible with the "
-            f"dim-{phase.dim} phase grid of the symbol")
+    _require_position_grid(op, pos_grid)
 
     npos = pos_grid.npoints
     phase_nodes = phase.axis_nodes()
@@ -511,10 +515,7 @@ def _apply_antiwick(op: AntiWickFromSymbol, f: SampledField) -> SampledField:
     phase = op.symbol.grid
     n = op.position_dim
     g = f.grid
-    if g.dim != n:
-        raise GridMismatchError(
-            f"position grid dim {g.dim} incompatible with the "
-            f"dim-{phase.dim} phase grid of the symbol")
+    _require_position_grid(op, g)
 
     nph, npos = phase.npoints, g.npoints
     phase_nodes, pos_nodes = phase.axis_nodes(), g.axis_nodes()

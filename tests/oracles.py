@@ -491,6 +491,8 @@ def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,
     from awsym.pairing import _infer_phase_grid, weyl_symbol
 
     grid = _infer_phase_grid(op, phase_grid)
+    if grid is None:
+        raise ValueError("a coherent combination needs phase_grid here")
     phi, residual = desmooth_complex_per_node(u, grid, strip_halfwidth,
                                               y_nodes)
     sigma = weyl_symbol(op, grid).values

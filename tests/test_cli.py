@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awsym import (CoherentCombo, SampledField, cli, gaussian_1d,
-                   identity_kernel, kernel_from_coherent, kernel_from_weyl,
-                   make_grid, radial_gaussian, sample, tensor)
+from awsym import (AnalyticGaussianSum, CoherentCombo, SampledField, cli,
+                   gaussian_1d, identity_kernel, kernel_from_coherent,
+                   kernel_from_weyl, make_grid, radial_gaussian, sample,
+                   tensor)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -370,6 +371,63 @@ def test_pair_ground_projector_in_closed_form(tmp_path):
     assert report["flags"] == []
     assert abs(report["value_re"] - ref.real) <= 1e-15 * abs(ref.real)
     assert abs(report["value_im"] - ref.imag) <= 1e-15 * abs(ref.imag)
+
+
+def test_pair_combination_needs_no_phase_grid(tmp_path):
+    # the closed form reads no grid: the report is the same without one
+    write_json(tmp_path / "u.json", gaussian_to_obj(
+        tensor(gaussian_1d(2.0, center=0.3), gaussian_1d(3.0, power=1))))
+    write_json(tmp_path / "op.json", {"type": "coherent-combo", "terms": [
+        {"c_re": 0.5, "c_im": 0.2, "X": [0.1, -0.3], "Y": [0.4, 0.0]}]})
+    args = ["pair", "--operator", str(tmp_path / "op.json"),
+            "--test-function", str(tmp_path / "u.json")]
+    assert cli.main(["--outdir", str(tmp_path / "a"), *args]) == 0
+    assert cli.main(["--outdir", str(tmp_path / "b"), *args,
+                     "--phase-grid", PHASE64]) == 0
+    assert (tmp_path / "a" / "pair-result.json").read_bytes() \
+        == (tmp_path / "b" / "pair-result.json").read_bytes()
+    assert cli.main(["--outdir", str(tmp_path / "c"), *args, "--method",
+                     "fourier-regularized"]) == 2
+
+
+def test_empty_gaussian_sum_is_usage_error(tmp_path, capsys):
+    write_json(tmp_path / "u1.json", {"dim": 1, "terms": []})
+    write_json(tmp_path / "u2.json", {"dim": 2, "terms": []})
+    write_json(tmp_path / "op.json", {"type": "coherent-combo", "terms": [
+        {"c_re": 1.0, "c_im": 0.0, "X": [0.0, 0.0], "Y": [0.0, 0.0]}]})
+    out = tmp_path / "out"
+    for args in (["desmooth", "--input", str(tmp_path / "u1.json")],
+                 ["pair", "--operator", str(tmp_path / "op.json"),
+                  "--test-function", str(tmp_path / "u2.json")]):
+        assert cli.main(["--outdir", str(out), *args]) == 2
+        assert "terms must list at least one" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+def test_request_too_large_for_memory_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # the library raising MemoryError stands in for a grid too large to
+    # allocate; nothing large is ever allocated here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(cli, "desmooth_complex", no_memory)
+    monkeypatch.setattr(AnalyticGaussianSum, "eval_axes", no_memory)
+    write_json(tmp_path / "u.json", gaussian_to_obj(radial_gaussian(2, 2.0)))
+    write_json(tmp_path / "op.json", {
+        "type": "antiwick-symbol", "grid": json.loads(PHASE64),
+        "symbol": gaussian_to_obj(radial_gaussian(2, 1.0))})
+    out = tmp_path / "out"
+    for command, args in (
+            ("desmooth", ["--input", str(tmp_path / "u.json"),
+                          "--grid", PHASE64]),
+            ("pair", ["--operator", str(tmp_path / "op.json"),
+                      "--test-function", str(tmp_path / "u.json")])):
+        assert cli.main(["--outdir", str(out), command, *args]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: {command} needs more memory" in err
+        assert "16.0 TiB" in err and "Traceback" not in err
+    assert not list(out.glob("*.json"))
 
 
 @pytest.mark.parametrize("terms, u_dim, message", [

@@ -13,7 +13,7 @@ from awsym.gaussians import OverflowGuardError
 from awsym.heat import ESpaceDivergenceError
 from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
 
-from awsym.heat import factored_residual, smooth_factors, strip_factors
+from awsym.heat import _smooth_axes, factored_residual, strip_factors
 
 from oracles import (desmooth_complex_fft_route, desmooth_complex_per_node,
                      desmooth_fourier_centered, desmooth_fourier_dense_lift,
@@ -377,8 +377,7 @@ class TestFactors:
     def test_factors_make_up_the_field(self, u, npts, ell, strip, ynodes):
         g = make_grid(u.dim, npts, ell)
         factors = strip_factors(u, g, strip, ynodes)
-        assert len(factors) == len(u.terms)
-        assert all(len(term) == u.dim for term in factors)
+        assert factors.shape == (len(u.terms), u.dim, npts)
         dense = np.zeros(g.shape, dtype=complex)
         for term in factors:
             dense += reduce(np.multiply.outer, term)
@@ -398,15 +397,32 @@ class TestFactors:
                      for a in range(dim))) \
             + tensor(*(gaussian_1d(3.0, coeff=0.4j) for _ in range(dim)))
         factors = strip_factors(u, g)
-        factors[1][0][npts // 2 + 3] += 1e-6
+        factors[1, 0, npts // 2 + 3] += 1e-6
         dense = np.zeros(g.shape, dtype=complex)
         for term in factors:
             dense += reduce(np.multiply.outer, term)
         ref = float(np.max(np.abs(smooth(SampledField(g, dense)).values
                                   - sample(u, g).values)))
-        got = factored_residual(smooth_factors(factors, g), u, g)
+        got = factored_residual(_smooth_axes(factors, g, (2,)), u, g)
         assert ref > 1e-9
         assert residual_matches(got, ref)
+
+    @pytest.mark.parametrize("npts, ell", [(256, 8.0), (1024, 16.0)])
+    def test_batched_smooth_is_smooth_per_factor(self, npts, ell):
+        # the fine and stride-two factors of a pair, smoothed in one call
+        # along the node axis, bit for bit as ``smooth`` of each 1-d field
+        g = make_grid(2, npts, ell)
+        u = tensor(gaussian_1d(4.0), gaussian_1d(2.3, center=0.2)) \
+            + tensor(gaussian_1d(2.0, center=-0.3, power=1, coeff=0.5j),
+                     gaussian_1d(3.0, power=1))
+        factors = strip_factors(u, g)
+        even = np.arange(npts) % 2 == 0
+        both = np.concatenate([factors, np.where(even, factors, 0.0)])
+        got = _smooth_axes(both, g, (2,))
+        axis = make_grid(1, npts, ell)
+        for t, a in np.ndindex(both.shape[:2]):
+            ref = smooth(SampledField(axis, both[t, a])).values
+            assert np.array_equal(got[t, a], ref)
 
 
 class TestMethodAgreement:

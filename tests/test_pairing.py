@@ -194,10 +194,25 @@ class TestAntiwickPair:
         assert abs(whole.value - ref) <= 1e-15 * abs(ref)
         assert whole.flags == parts[0].flags == parts[1].flags == ()
 
-    def test_phase_grid_required_for_combo(self, phase64):
+    def test_fourier_route_needs_a_phase_grid_for_combo(self):
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
-        with pytest.raises(ValueError):
-            antiwick_pair(combo, radial_gaussian(2, math.pi))
+        with pytest.raises(ValueError, match="pass phase_grid"):
+            antiwick_pair(combo, radial_gaussian(2, math.pi),
+                          method="fourier-regularized")
+
+    def test_closed_form_needs_no_phase_grid(self, phase64):
+        # the closed form reads no grid: with and without one the result
+        # is the same bit for bit, and a given grid is still checked
+        combo = CoherentCombo(((0.6 - 0.2j, (0.3, -0.5), (-0.1, 0.4)),
+                               (1.1j, (0.0, 0.2), (0.7, 0.0))))
+        u = tensor(gaussian_1d(2.0, center=0.3, power=1, coeff=0.8 - 0.6j),
+                   gaussian_1d(3.0, center=-0.2))
+        bare = antiwick_pair(combo, u)
+        gridded = antiwick_pair(combo, u, phase_grid=phase64)
+        assert bare == gridded
+        assert bare.method == "closed-form"
+        with pytest.raises(GridMismatchError):
+            antiwick_pair(combo, u, phase_grid=make_grid(4, 16, 2.0))
 
 
 PHASE4 = make_grid(4, 16, 2.0)
@@ -293,17 +308,19 @@ class TestFactoredPairAgainstDense:
 
 class TestFactoredPairStaysFactored:
     def test_no_dense_smooth_and_no_grid_sized_phi(self, monkeypatch):
-        # smooth runs on 1-d factors only, and the traced peak stays well
-        # under one grid-sized complex array
+        # the factors are smoothed as one batch, so neither an anti-Wick
+        # nor a kernel pair calls the field-level smooth, and the traced
+        # peak stays well under one grid-sized complex array
         phase = make_grid(2, 1024, 16.0)
         op = AntiWickFromSymbol(random_symbol(phase, 5))
         u = TESTS_2D["sum"]
         ref = antiwick_pair(op, u)
-        dims = []
+        ref_kernel = antiwick_pair(OPS2["kernel"], u)
+        calls = []
         real_smooth = heat.smooth
 
         def spy(f):
-            dims.append(f.grid.dim)
+            calls.append(f.grid)
             return real_smooth(f)
 
         monkeypatch.setattr(heat, "smooth", spy)
@@ -314,8 +331,9 @@ class TestFactoredPairStaysFactored:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.value == ref.value
-        assert dims and set(dims) == {1}
+        assert antiwick_pair(OPS2["kernel"], u) == ref_kernel
+        assert res == ref
+        assert calls == []
         assert peak < 0.25 * phase.size * 16
 
 
