@@ -91,23 +91,19 @@ def _unshifted_freqs(grid: Grid) -> np.ndarray:
 
 
 def smooth(f: SampledField) -> SampledField:
-    """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2).
-
-    A Fourier multiplier commutes with the centring shifts of ``fourier``,
-    and the weights h^d (2 L_f)^d multiply out to one, so this is
-    ifftn(m * fftn(f)) on unshifted FFTs.  m is separable and below 2^-60
-    for |xi| > T = ``BAND_HALFWIDTH``, so each axis is transformed, cut to
-    its band |xi| <= T and multiplied by its 1-d gain in one pass, and the
-    frequencies beyond T are never carried: the inverse passes zero-pad
-    each axis back to N.  When N/(4L) <= T the band is the whole axis.
-    """
+    """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2), on
+    unshifted FFTs (see the module notes), over every axis of ``f``."""
     return SampledField(f.grid,
                         _smooth_axes(f.values, f.grid, range(f.grid.dim)))
 
 
 def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     """``smooth`` along ``axes`` of ``vals``, each an axis of ``grid``; the
-    other axes of ``vals`` ride along as a batch."""
+    other axes of ``vals`` ride along as a batch.  The multiplier is
+    separable and below 2^-60 for |xi| > T = ``BAND_HALFWIDTH``, so each
+    axis is transformed, cut to its band |xi| <= T and multiplied by its
+    1-d gain in one pass; the inverse passes zero-pad each axis back to N.
+    When N/(4L) <= T the band is the whole axis."""
     n, ndim = grid.npoints, vals.ndim
     xi = _unshifted_freqs(grid)
     gain = np.exp(-0.5 * math.pi * xi**2)
@@ -206,7 +202,8 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     raise :class:`ESpaceDivergenceError`).  Each factor is the trapezoid
     sum sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} of ``gsnorm.strip_sum``
     on the axis nodes, with its entries below 2^-60 of its peak zeroed, so
-    tails hold exact zeros, not subnormals.
+    tails hold exact zeros, not subnormals; an overflow raises
+    ``FloatingPointError``.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
@@ -221,9 +218,16 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     weights = math.sqrt(2.0) * wy
     factors = np.array([[strip_sum([f], xs, ys, weights) for f in term]
                         for term in u.terms], dtype=complex)
+    if not np.isfinite(factors).all():
+        raise FloatingPointError("strip factors overflow to NaN/Inf")
     mag = np.abs(factors)
     factors[mag < RELATIVE_CUT * mag.max(axis=-1, keepdims=True)] = 0.0
     return factors
+
+
+def smooth_factors(factors: np.ndarray, g: Grid) -> np.ndarray:
+    """``smooth`` of each 1-d factor of a (term, axis, node) array."""
+    return _smooth_axes(factors, g, (2,))
 
 
 def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
@@ -262,7 +266,7 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     phi_vals = np.zeros(g.shape, dtype=complex)
     for axis_phis in factors:
         phi_vals += reduce(np.multiply.outer, axis_phis)
-    residual = factored_residual(_smooth_axes(factors, g, (2,)), u, g)
+    residual = factored_residual(smooth_factors(factors, g), u, g)
     return DesmoothReport(SampledField(g, phi_vals), "complex-shift",
                           residual, strip_halfwidth=strip_halfwidth,
                           y_nodes=y_nodes)

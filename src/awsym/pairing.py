@@ -61,8 +61,8 @@ import numpy as np
 from .core import Grid, GridMismatchError, SampledField, centered_fft, sample
 from .gaussians import AnalyticGaussianSum
 from .gsnorm import e_space_divergent, strip_rule
-from .heat import (ESpaceDivergenceError, _smooth_axes, desmooth_fourier,
-                   factored_residual, smooth, strip_factors)
+from .heat import (ESpaceDivergenceError, desmooth_fourier, factored_residual,
+                   smooth, smooth_factors, strip_factors)
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                        OperatorRep, _midpoint_slices, kernel_from_coherent,
                        position_grid_of, weyl_from_kernel)
@@ -243,12 +243,10 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
     """(value, residual, stride-two estimate) of the complex-shift pairing,
     with Phi kept as its 1-d factors.
 
-    An anti-Wick symbol F is contracted with the smoothed factors, by the
-    adjoint identity <smooth F, Phi> = <F, smooth Phi>; a dense kernel's
-    midpoint-slice table with the position factors and h times the
-    centred DFTs of the xi factors (see the module notes).  The stride-two
-    sum is the same contraction with each factor zeroed off the stride
-    (smoothed or transformed after the zeroing), at the cell volume (2h)^d.
+    F or a kernel's midpoint-slice table is contracted with the factors as
+    the module notes describe.  The stride-two sum is the same contraction
+    with each factor zeroed off the stride (smoothed or transformed after
+    the zeroing), at the cell volume (2h)^d.
     """
     factors = strip_factors(u, grid, strip_halfwidth, y_nodes)
     fine = len(factors)
@@ -256,13 +254,13 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
     terms = np.concatenate([factors, np.where(even, factors, 0.0)])
     if isinstance(op, AntiWickFromSymbol):
         field = op.symbol.values
-        terms = _smooth_axes(terms, grid, (2,))
+        terms = smooth_factors(terms, grid)
         smoothed = terms[:fine]
     elif isinstance(op, DenseKernel):
         field = _midpoint_slices(op)
-        smoothed = _smooth_axes(factors, grid, (2,))
+        smoothed = smooth_factors(factors, grid)
         n = grid.dim // 2
-        terms[:, n:] = centered_fft(terms[:, n:], axes=(2,)) * grid.spacing
+        terms[:, n:] = centered_fft(terms[:, n:], axes=(-1,)) * grid.spacing
     else:
         raise TypeError(f"not an operator representation: {type(op)!r}")
     residual = factored_residual(smoothed, u, grid)

@@ -132,6 +132,28 @@ def test_overflow_guard_exits_with_numerical_flag(tmp_path):
     assert (tmp_path / "desmooth.manifest.json").exists()
 
 
+@pytest.mark.parametrize("operator", ["op.json", "kernel.json"])
+def test_strip_sum_overflow_exits_with_numerical_flag(workdir, operator):
+    # every term is finite and strip-integrable (width < 2 pi), but the
+    # strip weight integrates to about 4.6, so 1e308 overflows to Inf:
+    # the complex-shift pair must flag it, not report NaN with exit 0
+    u = tensor(gaussian_1d(6.0, coeff=1e308), gaussian_1d(6.0))
+    write_json(workdir / "big.json", gaussian_to_obj(u))
+    combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
+    save_kernel(kernel_from_coherent(combo, make_grid(1, 256, 8.0).refined()),
+                workdir / "K.json")
+    write_json(workdir / "kernel.json",
+               {"type": "dense-kernel", "manifest": "K.json"})
+    r = run_cli("--outdir", str(workdir), "pair",
+                "--operator", str(workdir / operator),
+                "--test-function", str(workdir / "big.json"),
+                "--out", "big-pr.json")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    report = json.loads((workdir / "big-pr.json").read_text())
+    assert report["flags"] == ["floating-point"]
+
+
 def test_lift_past_exp_range_exits_with_residual_flag(tmp_path):
     # kept nodes need e^{pi xi^2 / 2} up to e^715, past exp()'s range,
     # on a spectrum small enough that the guarded product is finite

@@ -13,7 +13,7 @@ from awsym.gaussians import OverflowGuardError
 from awsym.heat import ESpaceDivergenceError
 from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
 
-from awsym.heat import _smooth_axes, factored_residual, strip_factors
+from awsym.heat import factored_residual, smooth_factors, strip_factors
 
 from oracles import (desmooth_complex_fft_route, desmooth_complex_per_node,
                      desmooth_fourier_centered, desmooth_fourier_dense_lift,
@@ -387,6 +387,13 @@ class TestFactors:
                                   - sample(u, g).values)))
         assert residual_matches(rep.residual, ref)
 
+    def test_overflowing_factor_raises(self):
+        # finite, strip-integrable terms whose strip sum overflows: the
+        # factors must not go on to a NaN value or residual
+        u = tensor(gaussian_1d(6.0, coeff=1e308), gaussian_1d(6.0))
+        with pytest.raises(FloatingPointError):
+            strip_factors(u, make_grid(2, 64, 4.0))
+
     @pytest.mark.parametrize("dim, npts, ell", [(2, 1024, 16.0), (4, 16, 2.0)])
     def test_residual_sees_a_defect_anywhere(self, dim, npts, ell):
         # one factor entry off by 1e-6 shows in the residual at the size a
@@ -403,7 +410,7 @@ class TestFactors:
             dense += reduce(np.multiply.outer, term)
         ref = float(np.max(np.abs(smooth(SampledField(g, dense)).values
                                   - sample(u, g).values)))
-        got = factored_residual(_smooth_axes(factors, g, (2,)), u, g)
+        got = factored_residual(smooth_factors(factors, g), u, g)
         assert ref > 1e-9
         assert residual_matches(got, ref)
 
@@ -418,7 +425,7 @@ class TestFactors:
         factors = strip_factors(u, g)
         even = np.arange(npts) % 2 == 0
         both = np.concatenate([factors, np.where(even, factors, 0.0)])
-        got = _smooth_axes(both, g, (2,))
+        got = smooth_factors(both, g)
         axis = make_grid(1, npts, ell)
         for t, a in np.ndindex(both.shape[:2]):
             ref = smooth(SampledField(axis, both[t, a])).values

@@ -308,23 +308,29 @@ class TestFactoredPairAgainstDense:
 
 class TestFactoredPairStaysFactored:
     def test_no_dense_smooth_and_no_grid_sized_phi(self, monkeypatch):
-        # the factors are smoothed as one batch, so neither an anti-Wick
-        # nor a kernel pair calls the field-level smooth, and the traced
-        # peak stays well under one grid-sized complex array
+        # the factors are smoothed as one (term, axis, node) batch, so
+        # neither an anti-Wick nor a kernel pair calls the field-level
+        # smooth, and the traced peak stays well under one grid-sized
+        # complex array
         phase = make_grid(2, 1024, 16.0)
         op = AntiWickFromSymbol(random_symbol(phase, 5))
         u = TESTS_2D["sum"]
         ref = antiwick_pair(op, u)
         ref_kernel = antiwick_pair(OPS2["kernel"], u)
-        calls = []
-        real_smooth = heat.smooth
+        dense_calls, batch_shapes = [], []
+        real_smooth, real_batch = heat.smooth, heat.smooth_factors
 
         def spy(f):
-            calls.append(f.grid)
+            dense_calls.append(f.grid)
             return real_smooth(f)
 
-        monkeypatch.setattr(heat, "smooth", spy)
-        monkeypatch.setattr(pairing, "smooth", spy)
+        def batch_spy(factors, g):
+            batch_shapes.append(factors.shape)
+            return real_batch(factors, g)
+
+        for module in (heat, pairing):
+            monkeypatch.setattr(module, "smooth", spy)
+            monkeypatch.setattr(module, "smooth_factors", batch_spy)
         tracemalloc.start()
         try:
             res = antiwick_pair(op, u)
@@ -333,7 +339,11 @@ class TestFactoredPairStaysFactored:
             tracemalloc.stop()
         assert antiwick_pair(OPS2["kernel"], u) == ref_kernel
         assert res == ref
-        assert calls == []
+        assert dense_calls == []
+        # anti-Wick: fine and coarse in one call; kernel: the fine factors
+        terms = len(u.terms)
+        assert batch_shapes == [(2 * terms, 2, phase.npoints),
+                                (terms, 2, PHASE2.npoints)]
         assert peak < 0.25 * phase.size * 16
 
 
