@@ -42,6 +42,7 @@ __all__ = [
     "centered_fft",
     "fourier",
     "inverse_fourier",
+    "phase_table",
     "inner",
     "GridMismatchError",
 ]
@@ -233,6 +234,33 @@ def inverse_fourier(f: SampledField) -> SampledField:
     vals = centered_fft(f.values, inverse=True)
     vals *= (2.0 * f.grid.half_extent)**f.grid.dim
     return SampledField(f.grid.freq, vals)
+
+
+def phase_table(x, scale: float, start: float, step: float,
+                count: int) -> np.ndarray:
+    """Rows e^{i scale (start + step j) x} for j < ``count``, shape
+    (count, len(x)), by angle addition.
+
+    With R = ceil(sqrt(count)) and j = R m + r, row j is the product of a
+    coarse row e^{i scale (start + R m step) x} and a fine row
+    e^{i scale r step x}, so about 2 sqrt(count) len(x) complex exps and one
+    product per entry form the table.  Each entry lies within
+    8 eps max(1, max|arg|) of its direct exp.  ``start`` and ``step``
+    should come from the rule that defines the nodes, not from differences
+    of rounded nodes.
+    """
+    x = np.asarray(x, dtype=float)
+    fine_rows = math.isqrt(count - 1) + 1
+    coarse_rows = -(-count // fine_rows)
+
+    def rows(first, stride, n):
+        return np.exp(1j * scale * np.multiply.outer(
+            first + stride * np.arange(n), x))
+
+    out = np.empty((coarse_rows, fine_rows) + x.shape, dtype=complex)
+    np.multiply(rows(start, fine_rows * step, coarse_rows)[:, None],
+                rows(0.0, step, fine_rows)[None], out=out)
+    return out.reshape((-1,) + x.shape)[:count]
 
 
 def inner(f: SampledField, g: SampledField) -> complex:

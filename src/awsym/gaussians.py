@@ -77,9 +77,10 @@ class GaussFactor:
         The weight is folded into the exponent before exponentiating, so
         expressions like u(x + iy) * exp(-2*pi*y**2) never materialize the
         raw e^{a y^2} growth.  ``y`` and ``log_weight`` may be arrays that
-        broadcast against ``x`` (a column of shifts against a row of
-        nodes evaluates every shift at once); the overflow guard covers
-        every entry and names the shift of the worst one.
+        broadcast against ``x``; the overflow guard covers every entry and
+        names the shift of the worst one.  The closed-form pairing calls
+        it; the strip sums of ``gsnorm.strip_sum`` do not, so the per-node
+        test oracles that call it are independent of them.
         """
         w = np.asarray(x, dtype=float) - self.center + 1j * y
         expo = -self.width * w * w + log_weight

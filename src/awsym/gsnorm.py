@@ -37,6 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .core import phase_table
 from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, scaled_hermite_orders,
                         sum_derivatives)
 
@@ -61,8 +62,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 MAX_PROBE_ORDER = 40
 MAX_HERMITE_ORDER = 200
-# complex entries per slab block of ``strip_sum`` (~64 KiB); larger ran slower
-_STRIP_BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -303,32 +302,70 @@ def e_space_divergent(u: AnalyticGaussianSum) -> bool:
 
 
 def strip_rule(strip_halfwidth: float,
-               nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid y nodes and weights over the strip |y| <= strip_halfwidth."""
+               nodes: int) -> tuple[float, float, np.ndarray]:
+    """Trapezoid rule over the strip |y| <= strip_halfwidth: its first
+    node, its step and its weights, with node k at start + k step."""
     if nodes < 4:
         raise ValueError("need at least 4 y nodes")
     if not (math.isfinite(strip_halfwidth) and strip_halfwidth > 0.0):
         raise ValueError("strip half-width must be finite and positive, "
                          f"got {strip_halfwidth}")
-    ys = np.linspace(-strip_halfwidth, strip_halfwidth, nodes)
-    wy = np.full(nodes, ys[1] - ys[0])
+    step = 2.0 * strip_halfwidth / (nodes - 1)
+    wy = np.full(nodes, step)
     wy[0] *= 0.5
     wy[-1] *= 0.5
-    return ys, wy
+    return -strip_halfwidth, step, wy
 
 
-def strip_sum(factors, xs, ys, weights, rows=lambda slab: slab):
-    """sum_k weights[k] rows(S)[k] for S[k] = sum_f f(xs + i ys[k])
-    e^{-2 pi ys[k]^2} (weight folded into each exponent), formed in blocks
-    of whole rows nearest to ``_STRIP_BLOCK_ENTRIES`` entries (at least one)
-    and added in node order, as a per-node loop adds them."""
-    block = max(1, round(_STRIP_BLOCK_ENTRIES / len(xs)))
+def strip_sum(factors, xs, start, step, weights, rows=lambda slab: slab):
+    """sum_k weights[k] rows(S)[k] for S[k] = sum_f f(xs + i y_k)
+    e^{-2 pi y_k^2} over the strip nodes y_k = start + k step.
+
+    For a factor c (z - b)^p e^{-a (z - b)^2} and w = x - b,
+
+        f(x + iy) e^{-2 pi y^2}
+            = c (w + iy)^p e^{-a w^2} e^{(a - 2 pi) y^2} e^{-2 i a w y},
+
+    and only the last factor is grid sized.  The nodes go in blocks of
+    R = ceil(sqrt(K)) rows; block m's phases are the coarse row
+    e^{-2 i a w (start + R m step)} times the R x N fine table
+    e^{-2 i a w r step}, both from ``core.phase_table``, and the block adds
+    in as one weights @ rows(slab) product.  For the callers' widths
+    0 < a < 2 pi no real exponent is positive, so only the coefficient
+    and the power can overflow.
+    """
+    count = len(weights)
+    block = math.isqrt(count - 1) + 1
+    ys = start + step * np.arange(count)
+    tables = []
+    for f in factors:
+        w = xs - f.center
+        scale = -2.0 * f.width
+        tables.append((f.power, w, f.coeff * np.exp(-f.width * w * w),
+                       np.exp((f.width - TWO_PI) * ys * ys)[:, None],
+                       phase_table(w, scale, 0.0, step, block),
+                       phase_table(w, scale, start, block * step,
+                                   -(-count // block))))
+
+    # every block reuses these buffers: fresh ones fault their pages in
+    # again per block, which cost more than the arithmetic
+    slab = np.empty((block, len(xs)), dtype=complex)
+    part, z = np.empty_like(slab), np.empty_like(slab)
     total = 0.0
-    for start in range(0, len(ys), block):
-        y = ys[start:start + block, None]
-        slab = sum(f.shifted_values(xs, y, -TWO_PI * y * y) for f in factors)
-        for w, row in zip(weights[start:start + block], rows(slab)):
-            total += w * row
+    for m, lo in enumerate(range(0, count, block)):
+        n = min(block, count - lo)
+        for i, (power, w, head, damp, fine, coarse) in enumerate(tables):
+            vals = part[:n] if i else slab[:n]
+            np.multiply(fine[:n], coarse[m] * head, out=vals)
+            real = vals.view(float)     # the damping is real: scale (re, im)
+            real *= damp[lo:lo + n]
+            if power:
+                z[:n].real, z[:n].imag = w, ys[lo:lo + n, None]
+                for _ in range(power):      # faster than ** for small p
+                    vals *= z[:n]
+            if i:
+                slab[:n] += vals
+        total = total + weights[lo:lo + n] @ rows(slab[:n])
     return total
 
 
@@ -336,8 +373,9 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
                  strip_halfwidth: float = 3.0) -> ESpaceReport:
     """Truncated-strip quadrature of  int e^{-2 pi |Im z|^2} (1+|Re z|)^m |u|.
 
-    Trapezoid rules with 129 y nodes over the strip, two per ``strip_sum``
-    block, and 2049 x nodes per axis over the tail-safe ``_axis_extent``.
+    Trapezoid rules with 129 y nodes over the strip, summed by
+    ``strip_sum`` in blocks of 12 nodes, and 2049 x nodes per axis over the
+    tail-safe ``_axis_extent``.
 
     The y integrand of a width-a factor scales like e^{(a - 2 pi) y^2}, so
     widths a >= 2 pi (or a <= 0, which already breaks the x integral) are
@@ -350,7 +388,7 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if not 0 <= moment <= 16:
         raise ValueError(f"moment must lie in [0, 16], got {moment}")
-    ys, wy = strip_rule(strip_halfwidth, 129)
+    start, step, wy = strip_rule(strip_halfwidth, 129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
 
@@ -359,7 +397,7 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
         ext = _axis_extent(u, j, moment)
         xs = np.linspace(-ext, ext, 2049)
         weight = (1.0 + np.abs(xs)) ** moment
-        return strip_sum(factors, xs, ys, wy * (xs[1] - xs[0]),
+        return strip_sum(factors, xs, start, step, wy * (xs[1] - xs[0]),
                          lambda slab: np.sum(np.abs(slab) * weight, axis=1))
 
     if u.dim == 1:

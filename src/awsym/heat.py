@@ -30,10 +30,12 @@ instead of hiding it:
 
   over |y| <= strip_halfwidth, since F[u(. + iy)](xi) = e^{-2 pi y xi} Fu(xi)
   and sqrt(2) \\int e^{-2 pi y^2 - 2 pi y xi} dy = e^{pi xi^2 / 2}.  The
-  weight is folded into each exponent, so e^{a y^2} never overflows alone.
-  Each tensor-product term of u gives one 1-d factor per axis, in one
-  (term, axis, node) array (``strip_factors``); Phi is the sum of their
-  outer products.  The residual is recomputed from those factors:
+  weight is folded into each y node's real exponent, e^{(a - 2 pi) y^2}, so
+  e^{a y^2} never overflows alone, and the phases e^{-2 i a (x - b) y} are
+  formed by angle addition (``gsnorm.strip_sum``).  Each tensor-product
+  term of u gives one 1-d factor per axis, in one (term, axis, node)
+  array (``strip_factors``); Phi is the sum of their outer products.  The
+  residual is recomputed from those factors:
   ``smooth`` is separable, so smooth(Phi) is the sum of the outer products
   of the factors' 1-d smooths, one band pass along the node axis, compared
   with u's samples, also taken per axis, without a dense transform.
@@ -201,13 +203,15 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     axis width below 2 pi (checked before any evaluation; divergent inputs
     raise :class:`ESpaceDivergenceError`).  Each factor is the trapezoid
     sum sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} of ``gsnorm.strip_sum``
-    on the axis nodes, with its entries below 2^-60 of its peak zeroed, so
-    tails hold exact zeros, not subnormals; an overflow raises
-    ``FloatingPointError``.
+    on the axis nodes, its phases formed by angle addition from the
+    strip rule's start and step; its entries below 2^-60 of its peak are
+    zeroed, so tails hold exact zeros, not subnormals.  An overflow raises
+    ``FloatingPointError``; the zero function (no terms) gives an empty
+    array.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
-    ys, wy = strip_rule(strip_halfwidth, y_nodes)
+    start, step, wy = strip_rule(strip_halfwidth, y_nodes)
     u.require_gaussian_decay("complex-shift desmoothing")
     if e_space_divergent(u):
         raise ESpaceDivergenceError(
@@ -216,8 +220,9 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
 
     xs = g.axis_nodes()
     weights = math.sqrt(2.0) * wy
-    factors = np.array([[strip_sum([f], xs, ys, weights) for f in term]
-                        for term in u.terms], dtype=complex)
+    factors = np.array([[strip_sum([f], xs, start, step, weights)
+                         for f in term] for term in u.terms],
+                       dtype=complex).reshape(len(u.terms), g.dim, g.npoints)
     if not np.isfinite(factors).all():
         raise FloatingPointError("strip factors overflow to NaN/Inf")
     mag = np.abs(factors)
@@ -238,8 +243,11 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     tensor products, with u's terms negated: its rank-K matrix
     head @ tail.T (head: the axis-0 factors, tail: the flattened products
     over the other axes) is formed in blocks of axis-0 rows, and no
-    grid-sized array is ever held.
+    grid-sized array is ever held.  The zero function (no terms) has
+    residual 0.
     """
+    if not u.terms:
+        return 0.0
     xs = g.axis_nodes()
     samples = np.array([[-term[0](xs)] + [f(xs) for f in term[1:]]
                         for term in u.terms])

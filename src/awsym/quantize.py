@@ -72,7 +72,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import (BAND_HALFWIDTH, Grid, GridMismatchError, SampledField,
-                   centered_fft, inner)
+                   centered_fft, inner, phase_table)
 
 __all__ = [
     "CoherentCombo",
@@ -248,20 +248,22 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
       midpoints, each over only the phase nodes x within T/2 of its
       midpoints (about 90 of 256 at the desk scale), in real arithmetic.
 
-    Each axis writes its midpoint x difference table T[s, d] and
-    :func:`_read_pairs` reads the node pairs from it.
+    The xi table e^{2 i pi xi_k t_d} is formed by angle addition
+    (``core.phase_table``) from the phase grid's start and step.  Each axis
+    writes its midpoint x difference table T[s, d] and :func:`_read_pairs`
+    reads the node pairs from it.
     """
     phase = op.symbol.grid
     n = op.position_dim
     _require_position_grid(op, pos_grid)
 
     npos = pos_grid.npoints
-    phase_nodes = phase.axis_nodes()
     band = min(npos - 1, math.floor(BAND_HALFWIDTH / pos_grid.spacing))
 
     # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - B) h_pos
     diffs = np.arange(-band, band + 1) * pos_grid.spacing
-    phase_mat = np.exp(2j * PI * np.outer(phase_nodes, diffs)) \
+    phase_mat = phase_table(diffs, 2.0 * PI, -phase.half_extent,
+                            phase.spacing, phase.npoints) \
         * (phase.spacing * np.exp(-0.5 * PI * diffs * diffs))
     tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
     for _ in range(n):
@@ -509,8 +511,10 @@ def _apply_antiwick(op: AntiWickFromSymbol, f: SampledField) -> SampledField:
     E[v,xi] = e^{-2 i pi v xi}, so the action is the analysis
     V = A (E o f), the multiplication W = F o V and the synthesis
     sum_xi conj(E) o (A^T W), one position axis at a time, scaled by
-    2^{n/2} h_phase^{2n} h_pos^n.  Any phase grid and position grid pair
-    works, and no N_pos^n x N_pos^n kernel is formed.
+    2^{n/2} h_phase^{2n} h_pos^n.  The wave table is formed by angle
+    addition (``core.phase_table``) from the position grid's start and
+    step.  Any phase grid and position grid pair works, and no
+    N_pos^n x N_pos^n kernel is formed.
     """
     phase = op.symbol.grid
     n = op.position_dim
@@ -520,7 +524,8 @@ def _apply_antiwick(op: AntiWickFromSymbol, f: SampledField) -> SampledField:
     nph, npos = phase.npoints, g.npoints
     phase_nodes, pos_nodes = phase.axis_nodes(), g.axis_nodes()
     window = np.exp(-PI * np.subtract.outer(phase_nodes, pos_nodes) ** 2)
-    wave = np.exp(-2j * PI * np.outer(pos_nodes, phase_nodes))
+    wave = phase_table(phase_nodes, -2.0 * PI, -g.half_extent, g.spacing,
+                       npos)
 
     # analysis: the leading v axis becomes a trailing (x, xi) pair, so
     # after n passes the axes are (x_1, xi_1, .., x_n, xi_n)

@@ -348,6 +348,38 @@ def gs_constant_brute_force(u, lam: float, mu: float, max_alpha: int,
     return math.exp(running), tuple(cumulative)
 
 
+def strip_trapezoid(strip_halfwidth: float, y_nodes: int):
+    """(nodes, weights) of the trapezoid rule over |y| <= strip_halfwidth,
+    the weights from the rule's step 2 w / (n - 1)."""
+    ys = np.linspace(-strip_halfwidth, strip_halfwidth, y_nodes)
+    wy = np.full(y_nodes, 2.0 * strip_halfwidth / (y_nodes - 1))
+    wy[[0, -1]] *= 0.5
+    return ys, wy
+
+
+def strip_factor_longdouble(factor, xs, strip_halfwidth: float,
+                            y_nodes: int) -> np.ndarray:
+    """sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} for one axis factor, each
+    node's value and the sum formed in ``np.clongdouble`` straight from
+    c (z - b)^p e^{-a (z - b)^2}, then rounded to complex128: a reference
+    for the double-precision strip sums about a thousand times finer than
+    their round-off where long double is the x87 80-bit format.  The
+    weight's 2 pi is the double constant the library uses, so only
+    round-off separates the two."""
+    ld = np.longdouble
+    step = 2 * ld(strip_halfwidth) / (y_nodes - 1)
+    ys = -ld(strip_halfwidth) + step * np.arange(y_nodes, dtype=ld)
+    wy = np.full(y_nodes, step)
+    wy[[0, -1]] /= 2
+    w = (np.asarray(xs, dtype=ld)[None, :] - ld(factor.center)
+         + 1j * ys[:, None]).astype(np.clongdouble)
+    coeff = np.clongdouble(factor.coeff.real) \
+        + 1j * np.clongdouble(factor.coeff.imag)
+    vals = coeff * w**factor.power * np.exp(
+        -ld(factor.width) * w * w - ld(TWO_PI) * (ys * ys)[:, None])
+    return (np.sqrt(ld(2)) * (wy[:, None] * vals).sum(axis=0)).astype(complex)
+
+
 def desmooth_complex_fft_route(u, g, strip_halfwidth: float, y_nodes: int):
     """(result values, residual) of the strip integral through transforms.
 
@@ -363,10 +395,9 @@ def desmooth_complex_fft_route(u, g, strip_halfwidth: float, y_nodes: int):
 
     from awsym.core import (Grid, SampledField, fourier, inverse_fourier,
                             sample)
-    from awsym.gsnorm import strip_rule
     from awsym.heat import smooth
 
-    ys, wy = strip_rule(strip_halfwidth, y_nodes)
+    ys, wy = strip_trapezoid(strip_halfwidth, y_nodes)
     g1 = Grid(1, g.npoints, g.half_extent)
     xs = g1.axis_nodes()
     phi_vals = np.zeros(g.shape, dtype=complex)
@@ -388,37 +419,43 @@ def desmooth_complex_fft_route(u, g, strip_halfwidth: float, y_nodes: int):
     return phi.values, residual
 
 
-def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
-    """(result values, residual) of the y-quadrature, one y node at a time.
+def strip_factors_per_node(u, g, strip_halfwidth: float,
+                           y_nodes: int) -> np.ndarray:
+    """The (term, axis, node) factors of the y-quadrature, one y node at a
+    time.
 
     Each axis factor is sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2}, added
     one node's slab at a time, with its entries below 2^-60 of its peak
-    zeroed.  It shares the strip rule and the slab evaluation with the
-    library, so it checks the blocking only, and the two must agree to
-    the last bit.
+    zeroed.  Each slab is one direct evaluation of the factor at x + iy
+    (``GaussFactor.shifted_values``, which the library's strip sums do not
+    call), so it agrees with ``heat.strip_factors`` to round-off.
     """
     import math
+
+    ys, wy = strip_trapezoid(strip_halfwidth, y_nodes)
+    xs = g.axis_nodes()
+    factors = np.zeros((len(u.terms), u.dim, g.npoints), dtype=complex)
+    for t, a in np.ndindex(factors.shape[:2]):
+        phi = factors[t, a]
+        for y, w in zip(ys, wy):
+            phi += (w * math.sqrt(2.0)) \
+                * u.terms[t][a].shifted_values(xs, y, -TWO_PI * y * y)
+        mag = np.abs(phi)
+        phi[mag < 2.0**-60 * mag.max()] = 0.0
+    return factors
+
+
+def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
+    """(result values, residual) of the y-quadrature from the factors of
+    :func:`strip_factors_per_node`, the residual from a dense smooth."""
     from functools import reduce
 
     from awsym.core import SampledField, sample
-    from awsym.gsnorm import strip_rule
     from awsym.heat import smooth
 
-    ys, wy = strip_rule(strip_halfwidth, y_nodes)
-    xs = g.axis_nodes()
     phi_vals = np.zeros(g.shape, dtype=complex)
-    for term in u.terms:
-        axis_phis = []
-        for factor in term:
-            phi = np.zeros(g.npoints, dtype=complex)
-            for y, w in zip(ys, wy):
-                phi += (w * math.sqrt(2.0)) \
-                    * factor.shifted_values(xs, y, -TWO_PI * y * y)
-            mag = np.abs(phi)
-            phi[mag < 2.0**-60 * mag.max()] = 0.0
-            axis_phis.append(phi)
-        phi_vals += reduce(np.multiply.outer, axis_phis) \
-            if g.dim > 1 else axis_phis[0]
+    for axis_phis in strip_factors_per_node(u, g, strip_halfwidth, y_nodes):
+        phi_vals += reduce(np.multiply.outer, axis_phis)
     phi = SampledField(g, phi_vals)
     residual = float(np.max(np.abs(smooth(phi).values
                                    - sample(u, g).values)))
@@ -426,18 +463,19 @@ def desmooth_complex_per_node(u, g, strip_halfwidth: float, y_nodes: int):
 
 
 def e_space_norm_per_node(u, moment: int, strip_halfwidth: float) -> float:
-    """Value of ``e_space_norm`` from its loop over single y nodes.
+    """Value of ``e_space_norm`` from a loop over single y nodes.
 
-    This is the loop ``e_space_norm`` ran before its strip sum was
-    blocked: one slab per node, its weighted x sum added to the total.
-    It shares the strip rule, the x extent and the slab evaluation with
-    the library, so it checks the blocking only.  Convergent inputs only.
+    One slab per node, each a direct evaluation of the factors at x + iy
+    (``GaussFactor.shifted_values``, which the library's strip sums do not
+    call), its weighted x sum added to the total.  It shares the x extent
+    with the library, so it agrees with it to round-off.  Convergent
+    inputs only.
     """
     import math
 
-    from awsym.gsnorm import _axis_extent, strip_rule
+    from awsym.gsnorm import _axis_extent
 
-    ys, wy = strip_rule(strip_halfwidth, 129)
+    ys, wy = strip_trapezoid(strip_halfwidth, 129)
 
     def axis_integral(factors, j):
         ext = _axis_extent(u, j, moment)

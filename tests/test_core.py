@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from awsym import (Grid, GridMismatchError, SampledField, fourier, gaussian_1d,
                    inner, inverse_fourier, make_grid, radial_gaussian, sample)
-from awsym.core import BAND_HALFWIDTH, RELATIVE_CUT
+from awsym.core import BAND_HALFWIDTH, RELATIVE_CUT, phase_table
 from awsym.quantize import coherent_state
 
 from oracles import ft_quadrature, inner_quadrature
@@ -203,3 +203,24 @@ def test_band_halfwidth_is_where_the_heat_factor_crosses_the_cut():
     assert BAND_HALFWIDTH == math.sqrt(120.0 * math.log(2.0) / math.pi)
     assert math.exp(-0.5 * math.pi * BAND_HALFWIDTH**2) \
         == pytest.approx(RELATIVE_CUT, rel=1e-14)
+
+
+class TestPhaseTable:
+    """Angle-addition phase tables against the direct exp of each entry:
+    within 8 eps of the largest argument, or of 1 where every argument is
+    smaller, the rounding of one unit complex product."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(count=st.sampled_from([1, 2, 4, 15, 16, 17, 64, 129, 256, 329,
+                                  2048]),
+           scale=st.floats(-7.0, 7.0),
+           start=st.floats(-20.0, 0.0),
+           step=st.floats(1e-3, 1.0),
+           x=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=32))
+    def test_matches_direct_exp(self, count, scale, start, step, x):
+        x = np.array(x)
+        arg = scale * np.multiply.outer(x, start + step * np.arange(count))
+        got = phase_table(x, scale, start, step, count)
+        assert got.shape == (count, len(x))
+        bound = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(arg)))
+        assert np.max(np.abs(got.T - np.exp(1j * arg))) <= bound

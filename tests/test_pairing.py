@@ -14,6 +14,7 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
                    weyl_symbol)
 
 from awsym import heat, pairing, quantize
+from awsym.gaussians import AnalyticGaussianSum
 
 from oracles import antiwick_pair_dense, trapezoid_grid
 
@@ -304,6 +305,20 @@ class TestFactoredPairAgainstDense:
         kernel = assemble_antiwick(op, position_grid_of(phase256).refined())
         for u in TESTS_2D.values():
             self.check(kernel, u, phase256)
+
+
+class TestZeroFunction:
+    """The zero function (a sum with no terms) pairs to 0 with residual 0
+    on every operator route, as an empty coherent combination does."""
+
+    @pytest.mark.parametrize("phase, ops", [(PHASE2, OPS2), (PHASE4, OPS4)],
+                             ids=["1d", "2d"])
+    def test_pairs_to_zero(self, phase, ops):
+        u = AnalyticGaussianSum(phase.dim, ())
+        for op in ops.values():
+            res = antiwick_pair(op, u, phase_grid=phase)
+            assert (res.value, res.residual, res.quadrature_error_estimate,
+                    res.flags) == (0.0, 0.0, 0.0, ())
 
 
 class TestFactoredPairStaysFactored:

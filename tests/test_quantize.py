@@ -10,6 +10,7 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                    identity_kernel, inner, kernel_from_coherent,
                    kernel_from_weyl, make_grid, radial_gaussian, sample,
                    tensor, weyl_from_kernel)
+from awsym import quantize
 from awsym.cli import _pairing_families
 from awsym.quantize import BAND_HALFWIDTH, _read_pairs
 from oracles import (antiwick_kernel_full_band, antiwick_matrix_element,
@@ -470,6 +471,53 @@ class TestMatrixFreeApply:
                    make_grid(2, 16, 2.0))
         with pytest.raises(GridMismatchError):
             apply_operator(op, f)
+
+
+def direct_phase_table(x, scale, start, step, count):
+    """Every entry of a phase table its own exp."""
+    return np.exp(1j * scale * np.multiply.outer(
+        start + step * np.arange(count), x))
+
+
+TABLE_CASES = [
+    (tensor(gaussian_1d(1.5, center=0.5, coeff=0.8 + 0.6j),
+            gaussian_1d(2.0, center=-0.75, power=1)),
+     gaussian_1d(2.0, center=0.5, power=1) + gaussian_1d(1.2, coeff=0.3j),
+     64, 4.0),
+    (tensor(gaussian_1d(1.5, center=0.5, coeff=0.8 + 0.6j),
+            gaussian_1d(2.0, center=-0.75, power=1)),
+     gaussian_1d(2.0, center=0.5, power=1) + gaussian_1d(1.2, coeff=0.3j),
+     256, 8.0),
+    (tensor(gaussian_1d(1.5, center=0.5, coeff=0.8 + 0.6j),
+            gaussian_1d(2.0, center=-0.75, power=1),
+            gaussian_1d(2.5, center=-0.25, power=1),
+            gaussian_1d(1.2, center=1.0)),
+     tensor(gaussian_1d(math.pi, center=0.2),
+            gaussian_1d(2.0, center=0.3, power=1)),
+     16, 2.0),
+]
+
+
+class TestAngleAdditionTables:
+    """Refined assembly and the matrix-free action, whose phase tables are
+    formed by angle addition, against the same maps with every table entry
+    its own exp: within 1e-15 of the largest entry."""
+
+    @pytest.mark.parametrize("fsym, u, npts, ell", TABLE_CASES,
+                             ids=["64", "256", "4d-16"])
+    def test_matches_direct_tables(self, monkeypatch, fsym, u, npts, ell):
+        op = AntiWickFromSymbol(sample(fsym, make_grid(2 * u.dim, npts,
+                                                       ell)))
+        f = sample(u, make_grid(u.dim, npts, ell))
+
+        def both():
+            return (assemble_antiwick(op, f.grid.refined()).matrix,
+                    apply_operator(op, f).values)
+
+        got = both()
+        monkeypatch.setattr(quantize, "phase_table", direct_phase_table)
+        for new, ref in zip(got, both()):
+            assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")
