@@ -54,6 +54,22 @@ class OverflowGuardError(FloatingPointError):
     """Raised when a strip evaluation would overflow double precision."""
 
 
+def _outer_sum(terms, shape) -> np.ndarray:
+    """sum_t (x)_a terms[t][a], the outer products of each term's 1-d
+    factors, as a new complex array of ``shape``.  The first term's outer
+    product is the output itself, so no zero-filled grid is written first
+    (its signed zeros stay as the products give them)."""
+    total = None
+    for factors in terms:
+        term = reduce(np.multiply.outer, factors[1:],
+                      np.array(factors[0], dtype=complex))
+        if total is None:
+            total = term
+        else:
+            total += term
+    return np.zeros(shape, dtype=complex) if total is None else total
+
+
 @dataclass(frozen=True)
 class GaussFactor:
     """One axis factor  c * (z - b)**p * exp(-a * (z - b)**2)."""
@@ -232,12 +248,9 @@ class AnalyticGaussianSum:
         """
         if len(axes) != self.dim:
             raise ValueError("axis count mismatch")
-        shape = tuple(len(ax) for ax in axes)
-        total = np.zeros(shape, dtype=complex)
-        for term in self.terms:
-            total += reduce(np.multiply.outer,
-                            [f(ax) for f, ax in zip(term, axes)])
-        return total
+        return _outer_sum([[f(ax) for f, ax in zip(term, axes)]
+                           for term in self.terms],
+                          tuple(len(ax) for ax in axes))
 
     # -- structure queries --------------------------------------------------
 

@@ -352,20 +352,23 @@ def strip_sum(factors, xs, start, step, weights, rows=lambda slab: slab):
     slab = np.empty((block, len(xs)), dtype=complex)
     part, z = np.empty_like(slab), np.empty_like(slab)
     total = 0.0
-    for m, lo in enumerate(range(0, count, block)):
-        n = min(block, count - lo)
-        for i, (power, w, head, damp, fine, coarse) in enumerate(tables):
-            vals = part[:n] if i else slab[:n]
-            np.multiply(fine[:n], coarse[m] * head, out=vals)
-            real = vals.view(float)     # the damping is real: scale (re, im)
-            real *= damp[lo:lo + n]
-            if power:
-                z[:n].real, z[:n].imag = w, ys[lo:lo + n, None]
-                for _ in range(power):      # faster than ** for small p
-                    vals *= z[:n]
-            if i:
-                slab[:n] += vals
-        total = total + weights[lo:lo + n] @ rows(slab[:n])
+    # an overflow shows as Inf/NaN in the returned sum, not as a warning:
+    # ``heat.strip_factors`` raises on it, ``e_space_norm`` returns it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, lo in enumerate(range(0, count, block)):
+            n = min(block, count - lo)
+            for i, (power, w, head, damp, fine, coarse) in enumerate(tables):
+                vals = part[:n] if i else slab[:n]
+                np.multiply(fine[:n], coarse[m] * head, out=vals)
+                real = vals.view(float)  # real damping: scale (re, im)
+                real *= damp[lo:lo + n]
+                if power:
+                    z[:n].real, z[:n].imag = w, ys[lo:lo + n, None]
+                    for _ in range(power):      # faster than ** for small p
+                        vals *= z[:n]
+                if i:
+                    slab[:n] += vals
+            total = total + weights[lo:lo + n] @ rows(slab[:n])
     return total
 
 

@@ -12,7 +12,9 @@ so ``smooth`` and ``desmooth_fourier`` run on plain unshifted FFTs:
 smooth(f) = ifftn(m * fftn(f)) with m in unshifted frequency order.  The
 multiplier is below 2^-60 for |xi| > T = ``core.BAND_HALFWIDTH`` (about
 5.1455, the cut anti-Wick assembly uses), so ``smooth`` carries only the
-frequencies |xi| <= T of each axis.
+frequencies |xi| <= T of each axis.  Neither writes its input: the first
+forward pass writes a new array, and every later pass runs in place
+(``out=``) in a buffer the call already holds, not in a new one per pass.
 
 Desmoothing is ill-posed in general, and both inverses make that visible
 instead of hiding it:
@@ -51,7 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField
-from .gaussians import _EXP_GUARD, AnalyticGaussianSum, OverflowGuardError
+from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, OverflowGuardError,
+                        _outer_sum)
 from .gsnorm import e_space_divergent, strip_rule, strip_sum
 
 __all__ = [
@@ -105,7 +108,14 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     separable and below 2^-60 for |xi| > T = ``BAND_HALFWIDTH``, so each
     axis is transformed, cut to its band |xi| <= T and multiplied by its
     1-d gain in one pass; the inverse passes zero-pad each axis back to N.
-    When N/(4L) <= T the band is the whole axis."""
+    When N/(4L) <= T the band is the whole axis.
+
+    The forward passes run last axis first.  Only the first one writes a
+    new array, so ``vals`` is never written; each later forward pass
+    transforms the previous pass's band array in place.  Each inverse pass
+    zeroes the out-of-band slab of its forward pass's buffer, copies the
+    band in and inverts there, so the result lands in the first pass's
+    buffer."""
     n, ndim = grid.npoints, vals.ndim
     xi = _unshifted_freqs(grid)
     gain = np.exp(-0.5 * math.pi * xi**2)
@@ -120,22 +130,22 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     def on(axis, part):
         return (slice(None),) * axis + (part,)
 
-    # the full-length passes run along the contiguous last axis
+    specs = []
     for axis in reversed(axes):
-        spec = np.fft.fft(vals, axis=axis)
+        spec = np.fft.fft(vals, axis=axis, out=vals if specs else None)
+        specs.append(spec)
         vals = np.empty(spec.shape[:axis] + (pos + neg,)
                         + spec.shape[axis + 1:], dtype=complex)
         for full, band in spans:
             np.multiply(spec[on(axis, full)],
                         gain[full].reshape((-1,) + (1,) * (ndim - 1 - axis)),
                         out=vals[on(axis, band)])
-    for axis in axes:
-        padded = np.zeros(vals.shape[:axis] + (n,) + vals.shape[axis + 1:],
-                          dtype=complex)
+    for axis, spec in zip(axes, reversed(specs)):
+        spec[on(axis, slice(pos, n - neg))] = 0.0
         for full, band in spans:
-            padded[on(axis, full)] = vals[on(axis, band)]
-        vals = np.fft.ifft(padded, axis=axis)
-    return np.ascontiguousarray(vals)
+            spec[on(axis, full)] = vals[on(axis, band)]
+        vals = np.fft.ifft(spec, axis=axis, out=spec)
+    return vals
 
 
 def desmooth_fourier(u: SampledField,
@@ -147,14 +157,20 @@ def desmooth_fourier(u: SampledField,
     the division commutes with the centring shifts and the transform
     weights cancel, so it runs on unshifted FFTs; the weight h^d enters
     only the overflow guard, and the logarithm and the gain are evaluated
-    on the kept nodes alone, and the first inverse pass runs only on the
-    lines that hold kept nodes.  No attempt is made to decide well-posedness
-    for the caller: the recomputed residual in the report is the verdict.
+    on the kept nodes alone.  The first inverse pass runs along axis 0,
+    only on the lines that hold kept nodes; the passes along the other
+    axes run in place in the forward transform's buffer, and the residual
+    is formed in the smoothed field's buffer.  No attempt is made to decide
+    well-posedness for the caller: the recomputed residual in the report
+    is the verdict.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
-    grid = u.grid
-    spec = np.fft.fftn(u.values)
+    grid, n = u.grid, u.grid.npoints
+    # fftn's passes, last axis first; only the first writes a new array
+    spec = np.fft.fft(u.values)
+    for axis in reversed(range(grid.dim - 1)):
+        np.fft.fft(spec, axis=axis, out=spec)
     mag = np.abs(spec)
     # never empty: the largest node is always kept
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
@@ -163,6 +179,7 @@ def desmooth_fourier(u: SampledField,
     sq = sum(xi[idx]**2 for idx in kept)
     with np.errstate(divide="ignore"):
         log_gain = np.log(mag[kept]) + 0.5 * math.pi * sq
+    del mag
     peak = float(np.max(log_gain)) + grid.dim * math.log(grid.spacing)
     if peak > _EXP_GUARD:
         raise OverflowGuardError(
@@ -170,24 +187,32 @@ def desmooth_fourier(u: SampledField,
             f"(max log magnitude {peak:.1f}); raise rel_threshold or "
             "shrink the frequency box")
 
-    # ifftn runs its last axis first; that pass only has to touch the
-    # lines (indices on the other axes) that hold a kept node, the other
-    # lines stay exact zeros, and the passes over the other axes are whole
-    lines, row = np.unique(np.ravel_multi_index(kept[:-1], grid.shape[:-1]),
+    # the first inverse pass runs along axis 0, only on the lines (indices
+    # on the other axes) that hold a kept node; the other lines stay exact
+    # zeros.  Once spec[kept] is lifted, spec's buffer is free, and the
+    # whole passes along the other axes run in place there
+    lines, col = np.unique(np.ravel_multi_index(kept[1:], grid.shape[1:]),
                            return_inverse=True)
-    lifted = np.zeros((len(lines), grid.npoints), dtype=complex)
+    lifted = np.zeros((len(lines), n), dtype=complex)
     # two halves, as exp() alone overflows where the product need not
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted[row, kept[-1]] = spec[kept] * half * half
-    vals = np.zeros_like(spec).reshape(-1, grid.npoints)
-    vals[lines] = np.fft.ifft(lifted)
-    vals = vals.reshape(spec.shape)
-    for axis in reversed(range(grid.dim - 1)):
-        vals = np.fft.ifft(vals, axis=axis)
-    phi = SampledField(grid, vals)
+        lifted[col, kept[0]] = spec[kept] * half * half
+    np.fft.ifft(lifted, out=lifted)
+    vals = spec.reshape(n, -1)
+    vals.fill(0.0)
+    vals[:, lines] = lifted.T
+    for axis in reversed(range(1, grid.dim)):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    phi = SampledField(grid, spec)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
-    residual = float(np.max(np.abs(smooth(phi).values - u.values)))
+    # sup |smooth(phi) - u|, recomputed from the returned field and formed
+    # in the smoothed field's buffer
+    diff = _smooth_axes(spec, grid, range(grid.dim))
+    np.subtract(diff, u.values, out=diff)
+    residual = float(np.max(np.abs(diff)))
+    if not math.isfinite(residual):
+        raise FloatingPointError("smoothed field contains NaN/Inf samples")
     return DesmoothReport(phi, "fourier-regularized", residual,
                           cutoff_frequency=kept_cut,
                           rel_threshold=rel_threshold)
@@ -271,9 +296,7 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     it checks the field that is returned without a dense transform.
     """
     factors = strip_factors(u, g, strip_halfwidth, y_nodes)
-    phi_vals = np.zeros(g.shape, dtype=complex)
-    for axis_phis in factors:
-        phi_vals += reduce(np.multiply.outer, axis_phis)
+    phi_vals = _outer_sum(factors, g.shape)
     residual = factored_residual(smooth_factors(factors, g), u, g)
     return DesmoothReport(SampledField(g, phi_vals), "complex-shift",
                           residual, strip_halfwidth=strip_halfwidth,

@@ -90,6 +90,44 @@ def smooth_centered_multiplier(f):
     return inverse_fourier(spec)
 
 
+def smooth_axes_out_of_place(vals, grid, axes):
+    """``awsym.heat._smooth_axes`` as it was before its passes ran in place:
+    every forward pass returns a new array, and every inverse pass inverts a
+    new zero-padded array.  Kept only to pin that the in-place passes give
+    the same bytes."""
+    import math
+
+    from awsym.core import BAND_HALFWIDTH
+
+    n, ndim = grid.npoints, vals.ndim
+    xi = np.fft.ifftshift(grid.freq.axis_nodes())
+    gain = np.exp(-0.5 * math.pi * xi**2)
+    inband = np.abs(xi) <= BAND_HALFWIDTH
+    pos = int(np.count_nonzero(inband[:n // 2]))
+    neg = int(np.count_nonzero(inband[n // 2:]))
+    spans = ((slice(0, pos), slice(0, pos)),
+             (slice(n - neg, n), slice(pos, pos + neg)))
+
+    def on(axis, part):
+        return (slice(None),) * axis + (part,)
+
+    for axis in reversed(axes):
+        spec = np.fft.fft(vals, axis=axis)
+        vals = np.empty(spec.shape[:axis] + (pos + neg,)
+                        + spec.shape[axis + 1:], dtype=complex)
+        for full, band in spans:
+            np.multiply(spec[on(axis, full)],
+                        gain[full].reshape((-1,) + (1,) * (ndim - 1 - axis)),
+                        out=vals[on(axis, band)])
+    for axis in axes:
+        padded = np.zeros(vals.shape[:axis] + (n,) + vals.shape[axis + 1:],
+                          dtype=complex)
+        for full, band in spans:
+            padded[on(axis, full)] = vals[on(axis, band)]
+        vals = np.fft.ifft(padded, axis=axis)
+    return np.ascontiguousarray(vals)
+
+
 def desmooth_fourier_centered(u, rel_threshold: float = 1e-12):
     """(result values, cutoff frequency, residual) of the regularized
     spectral division, on centred weighted transforms over the whole grid.
@@ -497,9 +535,10 @@ def e_space_norm_per_node(u, moment: int, strip_halfwidth: float) -> float:
 
 def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     """Result values of the regularized spectral division with the lifted
-    spectrum written into a whole grid-sized array and inverted by one
-    ``ifftn``: the route ``awsym.heat.desmooth_fourier`` took before its
-    first inverse pass ran only on the lines holding kept nodes."""
+    spectrum written into a whole grid-sized array and inverted along
+    axis 0 first, then by one ``ifftn`` over the other axes: the pass
+    order of ``awsym.heat.desmooth_fourier``, without its first pass
+    running only on the lines holding kept nodes."""
     import math
 
     spec = np.fft.fftn(u.values)
@@ -511,7 +550,8 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
         lifted[kept] = spec[kept] * half * half
-    return np.fft.ifftn(lifted)
+    return np.fft.ifftn(np.fft.ifft(lifted, axis=0),
+                        axes=range(1, lifted.ndim))
 
 
 def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,

@@ -150,7 +150,36 @@ def test_strip_sum_overflow_exits_with_numerical_flag(workdir, operator):
                 "--out", "big-pr.json")
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr
     report = json.loads((workdir / "big-pr.json").read_text())
+    assert report["flags"] == ["floating-point"]
+
+
+def test_desmooth_strip_overflow_prints_no_numpy_warning(tmp_path):
+    # the overflowing strip sum is flagged by the CLI's own line only
+    write_json(tmp_path / "big.json",
+               gaussian_to_obj(gaussian_1d(6.0, coeff=1e308)))
+    r = run_cli("--outdir", str(tmp_path), "desmooth",
+                "--method", "complex-shift",
+                "--input", str(tmp_path / "big.json"),
+                "--grid", '{"dim": 1, "N": 256, "L": 8.0}')
+    assert r.returncode == 1
+    assert "Warning" not in r.stderr
+    assert "[awsym] numerical flag" in r.stderr
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    assert report["flags"] == ["floating-point"]
+
+
+def test_non_finite_residual_exits_with_numerical_flag(workdir, monkeypatch):
+    from awsym import heat
+    from test_heat import poison_first_entry
+
+    monkeypatch.setattr(heat, "_smooth_axes",
+                        poison_first_entry(heat._smooth_axes))
+    assert cli.main(["--outdir", str(workdir), "desmooth",
+                     "--method", "fourier-regularized",
+                     "--input", str(workdir / "field.json")]) == 1
+    report = json.loads((workdir / "desmooth-report.json").read_text())
     assert report["flags"] == ["floating-point"]
 
 
