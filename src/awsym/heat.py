@@ -111,7 +111,8 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     When N/(4L) <= T the band is the whole axis.
 
     The forward passes run last axis first.  Only the first one writes a
-    new array, so ``vals`` is never written; each later forward pass
+    new array, C-ordered whatever the strides of ``vals``, so ``vals`` is
+    never written and the result is C-ordered; each later forward pass
     transforms the previous pass's band array in place.  Each inverse pass
     zeroes the out-of-band slab of its forward pass's buffer, copies the
     band in and inverts there, so the result lands in the first pass's
@@ -132,7 +133,8 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
 
     specs = []
     for axis in reversed(axes):
-        spec = np.fft.fft(vals, axis=axis, out=vals if specs else None)
+        out = vals if specs else np.empty(vals.shape, dtype=complex)
+        spec = np.fft.fft(vals, axis=axis, out=out)
         specs.append(spec)
         vals = np.empty(spec.shape[:axis] + (pos + neg,)
                         + spec.shape[axis + 1:], dtype=complex)
@@ -167,10 +169,9 @@ def desmooth_fourier(u: SampledField,
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     grid, n = u.grid, u.grid.npoints
-    # fftn's passes, last axis first; only the first writes a new array
-    spec = np.fft.fft(u.values)
-    for axis in reversed(range(grid.dim - 1)):
-        np.fft.fft(spec, axis=axis, out=spec)
+    # last axis first; the first pass writes the C-ordered buffer, which the
+    # later passes and the inverse passes reuse in place
+    spec = np.fft.fftn(u.values, out=np.empty(grid.shape, dtype=complex))
     mag = np.abs(spec)
     # never empty: the largest node is always kept
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
@@ -202,8 +203,7 @@ def desmooth_fourier(u: SampledField,
     vals = spec.reshape(n, -1)
     vals.fill(0.0)
     vals[:, lines] = lifted.T
-    for axis in reversed(range(1, grid.dim)):
-        np.fft.ifft(spec, axis=axis, out=spec)
+    np.fft.ifftn(spec, axes=range(1, grid.dim), out=spec)
     phi = SampledField(grid, spec)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     # sup |smooth(phi) - u|, recomputed from the returned field and formed
