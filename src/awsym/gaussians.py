@@ -273,12 +273,14 @@ class AnalyticGaussianSum:
 
         Uses a running max-exponent rescale over the product terms, so
         values like e^{x^2} on large boxes do not overflow before taking
-        the logarithm.
+        the logarithm.  The zero function (no terms) is -inf everywhere.
         """
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinate arrays")
         coords = [np.asarray(c, dtype=complex) for c in coords]
         shape = np.broadcast_shapes(*(c.shape for c in coords))
+        if not self.terms:
+            return np.full(shape, -np.inf)
         exps = []
         prefs = []
         for term in self.terms:

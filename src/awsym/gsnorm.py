@@ -394,6 +394,8 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     start, step, wy = strip_rule(strip_halfwidth, 129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
+    if u.is_zero():     # ``strip_sum`` needs at least one factor
+        return ESpaceReport(0.0, False, strip_halfwidth, moment)
 
     def axis_integral(factors, j):
         """Strip integral over axis j of |sum of the factors|, weighted."""
@@ -409,7 +411,7 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
         total = sum(math.prod(axis_integral([f], j)
                               for j, f in enumerate(term))
                     for term in u.terms)
-    return ESpaceReport(total, False, strip_halfwidth, moment)
+    return ESpaceReport(float(total), False, strip_halfwidth, moment)
 
 
 # ---------------------------------------------------------------------------

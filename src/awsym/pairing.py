@@ -9,8 +9,10 @@ which is what :func:`antiwick_pair` computes.  The pairing is bilinear:
 it is the plain quadrature sum of sigma Phi, with no conjugation, so real
 symbols paired with real test functions give real values, and for an
 operator built from a bounded continuous symbol F the value reproduces
-\\int F u (the direct quadrature of which,
-:func:`antiwick_pair_reference`, is the validation oracle).
+\\int F u.  The direct quadrature of that integral,
+:func:`antiwick_pair_reference`, is the validation oracle: it runs no heat
+smoothing, and it contracts F with u's own 1-d factors the way the
+pairing below contracts it with Phi's, so u is never sampled on the grid.
 
 Test functions are Gaussian sums because the default desmoothing method
 walks the complex strip; sampled-only inputs can use the regularized
@@ -289,11 +291,19 @@ def antiwick_pair_reference(symbol: SampledField,
 
     This is the value the pairing must reproduce when the operator is
     assembled from F; it never touches the heat semigroup, which is what
-    makes it an independent oracle.
+    makes it an independent oracle.  u is not sampled on the grid: each
+    term's 1-d factors are evaluated on the axis nodes and F is contracted
+    with them by :func:`_contract`, so nothing grid-sized is formed.
     """
     if u.dim != symbol.grid.dim:
         raise GridMismatchError(
             f"test function dimension {u.dim} != symbol dimension "
             f"{symbol.grid.dim}")
-    uvals = sample(u, symbol.grid).values
-    return complex(np.sum(symbol.values * uvals) * symbol.grid.cell_volume)
+    nodes = symbol.grid.axis_nodes()
+    # filled as (axis, node, term), the layout _contract reads: no copy
+    cols = np.empty((u.dim, len(nodes), len(u.terms)), dtype=complex)
+    for t, term in enumerate(u.terms):
+        for a, f in enumerate(term):
+            cols[a, :, t] = f(nodes)
+    return complex(np.sum(_contract(symbol.values, cols.transpose(2, 0, 1)))
+                   * symbol.grid.cell_volume)

@@ -579,3 +579,48 @@ def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,
     coarse = complex(np.sum(sigma[sub] * phi[sub])
                      * (2 * grid.spacing)**grid.dim)
     return value, residual, abs(value - coarse)
+
+
+def antiwick_pair_reference_dense(symbol, u):
+    """(value, scale) of the direct quadrature \\int F u the dense way: u
+    evaluated at every node of the phase grid, multiplied into F and
+    summed, times the cell volume.  ``scale`` is sum |F u| times the cell
+    volume, the size the sum's round-off is relative to.
+
+    This is what ``awsym.pairing.antiwick_pair_reference`` computed before
+    it contracted F with u's 1-d factors instead of sampling u."""
+    grid = symbol.grid
+    dense = symbol.values * u(*np.meshgrid(*grid.axes(), indexing="ij"))
+    return (complex(np.sum(dense) * grid.cell_volume),
+            float(np.sum(np.abs(dense)) * grid.cell_volume))
+
+
+def desmoothed(u):
+    """The exact heat inverse of a Gaussian sum: the sum Phi with
+    ``Phi.smoothed() == u``, for every axis width 0 < a' < 2 pi.
+
+    ``smoothed()`` maps a width a to a' = 2 pi a / (a + 2 pi) and a power p
+    to p, p - 2, ...  So each factor's pre-image has width
+    a = 2 pi a' / (2 pi - a'); its top power is matched by dividing by the
+    gain ``smoothed()`` gives that power, and the lower powers this
+    brings in are taken back by the same step, one power at a time."""
+    import itertools
+
+    from awsym.gaussians import AnalyticGaussianSum, GaussFactor
+
+    def pre_images(f):
+        if not 0.0 < f.width < TWO_PI:
+            raise ValueError("no Gaussian pre-image for width outside "
+                             "(0, 2 pi)")
+        a = TWO_PI * f.width / (TWO_PI - f.width)
+        gain = GaussFactor(1.0, f.power, a, f.center).smoothed()[0].coeff
+        top = GaussFactor(f.coeff / gain, f.power, a, f.center)
+        out = [top]
+        for lower in top.smoothed()[1:]:
+            out += pre_images(GaussFactor(-lower.coeff, lower.power, f.width,
+                                          f.center))
+        return out
+
+    return AnalyticGaussianSum(u.dim, tuple(
+        piece for term in u.terms
+        for piece in itertools.product(*map(pre_images, term))))

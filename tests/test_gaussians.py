@@ -135,6 +135,15 @@ def test_log_abs_handles_growth():
     assert grower.log_abs(z)[0] == pytest.approx(900.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_log_abs_of_empty_sum_is_minus_inf(dim):
+    z = np.linspace(-2, 2, 5) + 0.3j
+    coords = [z] + [z[:, None]] * (dim - 1)
+    out = AnalyticGaussianSum(dim, ()).log_abs(*coords)
+    assert out.shape == np.broadcast_shapes(*(c.shape for c in coords))
+    assert np.all(out == -np.inf)
+
+
 def test_stable_derivative_values_match_symbolic():
     factor = GaussFactor(1.2, 2, 1.7, 0.3)
     dn = AnalyticGaussianSum(1, ((factor,),))

@@ -130,6 +130,15 @@ class TestHoloBound:
                                4.0, 2.5)
         assert not res.ok
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_function(self, dim):
+        # no terms at all, and one zero-coefficient term, read the same
+        w = WeightParams(0.5, 0.45, 1.0)
+        empty = holo_bound_check(AnalyticGaussianSum(dim, ()), w, 4.0, 2.5)
+        zero = holo_bound_check(
+            0.0 * tensor(*[gaussian_1d(1.0)] * dim), w, 4.0, 2.5)
+        assert empty == zero == (0.0, True, 0.0)
+
     def test_real_axis_slice_matches_scan(self):
         # y -> 0 reduces the check to sup e^{phi(x)} |u(x)|
         u = gaussian_1d(math.pi)
@@ -160,6 +169,12 @@ class TestESpace:
         u = 0.0 * gaussian_1d(1.0)
         r = e_space_norm(u, 0, 3.0)
         assert r.value == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_sum_is_float_zero(self, dim):
+        r = e_space_norm(AnalyticGaussianSum(dim, ()), 0, 3.0)
+        assert type(r.value) is float
+        assert r.value == 0.0 and not r.divergent
 
     def test_moment_weight_and_cap(self):
         r0 = e_space_norm(gaussian_1d(1.0), 0, 3.0)

@@ -19,6 +19,7 @@ from awsym.heat import factored_residual, smooth_factors, strip_factors
 
 from oracles import (desmooth_complex_fft_route, desmooth_complex_per_node,
                      desmooth_fourier_centered, desmooth_fourier_dense_lift,
+                     desmoothed,
                      heat_convolution_quadrature, smooth_axes_out_of_place,
                      smooth_by_convolution, smooth_centered_multiplier,
                      strip_factor_longdouble, strip_factors_per_node)
@@ -339,6 +340,63 @@ class TestDesmoothComplex:
                 + gaussian_1d(min(a + 0.4, 6.0), coeff=0.5)
             rep = desmooth_complex(u, grid256, 3.0, 64)
             assert rep.residual < 1e-6, f"width {a}"
+
+
+GRID_256 = make_grid(1, 256, 8.0)
+PHASE_64 = make_grid(2, 64, 4.0)
+
+
+def exact_inverse_cases():
+    """(id, u, grid): powers 0-2, centres +-0.5, widths up to 3.5, 1-d at
+    256/8 and 2-d at 64/4 with a second term."""
+    cases = []
+    for p in (0, 1, 2):
+        for b in (-0.5, 0.5):
+            for a in (0.5, 1.0, 2.0, math.pi, 3.5):
+                u = gaussian_1d(a, center=b, power=p, coeff=0.7 - 0.4j)
+                cases.append((f"1d-p{p}-b{b}-a{a:.2f}", u, GRID_256))
+            for a in (1.0, 3.5):
+                u = tensor(gaussian_1d(a, center=b, power=p, coeff=0.7 - 0.4j),
+                           gaussian_1d(2.0, center=-b, power=2 - p)) \
+                    + tensor(gaussian_1d(1.5, power=1), gaussian_1d(a, center=b))
+                cases.append((f"2d-p{p}-b{b}-a{a:.2f}", u, PHASE_64))
+    return cases
+
+
+EXACT_CASES = exact_inverse_cases()
+
+
+class TestDesmoothComplexAgainstExactInverse:
+    """``desmooth_complex`` at strip 3 with 64 nodes against the exact
+    Gaussian pre-image of :func:`oracles.desmoothed`, relative to max|Phi|.
+    Below width 2 the error is round-off.  Above it the strip truncation
+    dominates: about 0.13, 1.1 and 6.7 times e^{-(2 pi - a) Y^2} at Y = 3
+    for powers 0, 1 and 2 (1.65e-10 at width 4, power 0), so the
+    tolerance is that bound times 8^p."""
+
+    @pytest.mark.parametrize("u, grid", [c[1:] for c in EXACT_CASES],
+                             ids=[c[0] for c in EXACT_CASES])
+    def test_oracle_smooths_back(self, u, grid):
+        target = sample(u, grid).values
+        back = sample(desmoothed(u).smoothed(), grid).values
+        assert np.max(np.abs(back - target)) <= 2e-15 * np.max(np.abs(target))
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, math.pi, 4.0, 5.5])
+    def test_oracle_matches_power_zero_closed_form(self, a):
+        u = gaussian_1d(a)
+        ref = sample(closed_form_desmoothed(a), GRID_256).values
+        got = sample(desmoothed(u), GRID_256).values
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("u, grid", [c[1:] for c in EXACT_CASES],
+                             ids=[c[0] for c in EXACT_CASES])
+    def test_matches_exact_inverse(self, u, grid):
+        ref = sample(desmoothed(u), grid).values
+        got = desmooth_complex(u, grid, 3.0, 64).result.values
+        a = max(f.width for term in u.terms for f in term)
+        p = max(f.power for term in u.terms for f in term)
+        tol = 2e-15 + 8.0**p * math.exp(-(2 * math.pi - a) * 9.0)
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
 STRIP_CASES = [

@@ -14,9 +14,10 @@ from awsym import (AntiWickFromSymbol, CoherentCombo, ESpaceDivergenceError,
                    weyl_symbol)
 
 from awsym import heat, pairing, quantize
-from awsym.gaussians import AnalyticGaussianSum
+from awsym.gaussians import AnalyticGaussianSum, GaussFactor
 
-from oracles import antiwick_pair_dense, trapezoid_grid
+from oracles import (antiwick_pair_dense, antiwick_pair_reference_dense,
+                     trapezoid_grid)
 
 
 def unit_symbol(phase):
@@ -56,6 +57,13 @@ class TestWeylSymbol:
                              - via_kernel.values[sl])) < 1e-6
 
 
+REF_GRIDS = {"2d-64": make_grid(2, 64, 4.0), "4d-16": make_grid(4, 16, 2.0)}
+small_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                   allow_infinity=False)
+axis_factors = st.builds(GaussFactor, small_complex, st.integers(0, 2),
+                         st.floats(0.5, 4.0), st.floats(-1.0, 1.0))
+
+
 class TestReference:
     def test_unit_symbol_gaussian(self, phase64):
         # int e^{-pi |X|^2} dX = 1
@@ -76,6 +84,58 @@ class TestReference:
         dens = np.sum(np.exp(-2 * math.pi * xs**2)) * h
         assert val == pytest.approx(0.5, abs=1e-12)
         assert val == pytest.approx(dens**2, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(REF_GRIDS))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, name, data, seed):
+        grid = REF_GRIDS[name]
+        terms = data.draw(st.lists(
+            st.tuples(*[axis_factors] * grid.dim), min_size=1, max_size=3))
+        u = AnalyticGaussianSum(grid.dim, tuple(terms))
+        rng = np.random.default_rng(seed)
+        symbol = SampledField(grid, rng.standard_normal(grid.shape)
+                              + 1j * rng.standard_normal(grid.shape))
+        value, scale = antiwick_pair_reference_dense(symbol, u)
+        got = antiwick_pair_reference(symbol, u)
+        assert type(got) is complex
+        assert abs(got - value) <= 1e-13 * scale
+
+    def test_zero_function(self, phase64):
+        symbol = gaussian_symbol(phase64).symbol
+        got = antiwick_pair_reference(symbol, AnalyticGaussianSum(2, ()))
+        assert type(got) is complex and got == 0j
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_dimension_mismatch(self, phase64, dim):
+        with pytest.raises(GridMismatchError):
+            antiwick_pair_reference(gaussian_symbol(phase64).symbol,
+                                    radial_gaussian(dim, math.pi))
+
+    def test_forms_no_grid_sized_array(self, phase256, monkeypatch):
+        u = tensor(gaussian_1d(2.0, center=0.3, power=1, coeff=0.8 - 0.6j),
+                   gaussian_1d(3.0, center=-0.2)) + radial_gaussian(2, 1.5)
+        symbol = gaussian_symbol(phase256).symbol
+        grid_bytes = phase256.size * 16
+        dense = traced_peak(lambda: antiwick_pair_reference_dense(symbol, u))
+        assert dense > grid_bytes     # the unit is the one that bites
+
+        def refuse(*args):
+            raise AssertionError("the reference sampled u on the grid")
+        monkeypatch.setattr(AnalyticGaussianSum, "eval_axes", refuse)
+        monkeypatch.setattr(pairing, "sample", refuse)
+        assert traced_peak(lambda: antiwick_pair_reference(symbol, u)) \
+            < 0.05 * grid_bytes
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAntiwickPair:
