@@ -8,12 +8,13 @@ verification suite and emits a machine-readable report.
 Every invocation writes its outputs into ``--outdir`` (default: the
 ``AWSYM_OUTDIR`` environment variable, else the current directory)
 together with one run manifest ``<name>.manifest.json`` recording the
-command, parameters, input/output digests, versions and wall time.
-``<name>`` is the command, ``check-<suite>`` for ``check``, and the stem
-of ``--out`` for ``pair``, so pair runs with different ``--out`` in one
-directory keep their own manifests.  The
-manifest is the only file allowed to differ between identical reruns
-(wall time); every other output is byte-reproducible.
+command, parameters, versions, wall time and the SHA-256 of every file
+the command read (the binary behind a field or kernel manifest included)
+or wrote.  ``<name>`` is the command, ``check-<suite>`` for ``check``, and
+the stem of ``--out`` for ``pair``, so pair runs with different ``--out``
+in one directory keep their own manifests.  The manifest is the only
+file allowed to differ between identical reruns (wall time); every other
+output is byte-reproducible.
 
 Exit status: 0 on success, 1 when a numerical flag fired (divergence,
 floating-point overflow, excessive residual, failed suite), 2 on usage
@@ -37,7 +38,8 @@ from . import __version__
 from .core import make_grid, sample
 from .fieldio import (export_csv, gaussian_from_obj, grid_from_obj,
                       grid_to_obj, load_field, load_kernel, operator_from_obj,
-                      save_field, save_kernel, sha256_file, write_json)
+                      read_json, save_field, save_kernel, sha256_file,
+                      write_json)
 from .gaussians import AnalyticGaussianSum, GaussFactor, gaussian_1d, \
     radial_gaussian, tensor
 from .gsnorm import (WeightParams, e_space_norm, gevrey_order_estimate,
@@ -58,7 +60,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    inputs: dict[str, str] = {}
+    inputs: dict[str, str] = {}     # every file read -> SHA-256 (fieldio)
     outputs: list[Path] = []
     flag_note = None
     try:
@@ -79,10 +81,11 @@ def main(argv=None) -> int:
               f"is available, use a smaller grid ({exc})", file=sys.stderr)
         return 2
 
-    path = outdir / _report_name(args)
+    report_name, manifest_name = _run_names(args)
+    path = outdir / report_name
     write_json(path, report)
     outputs.append(path)
-    _write_manifest(args, outdir, inputs, outputs, started)
+    _write_manifest(args, outdir / manifest_name, inputs, outputs, started)
     if flag_note:
         print(flag_note, file=sys.stderr)
     else:
@@ -110,12 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="field manifest (fourier) or Gaussian-sum JSON "
                         "(complex-shift)")
-    p.add_argument("--method", default="complex-shift",
-                   choices=("complex-shift", "fourier-regularized"))
-    p.add_argument("--threshold", type=float, default=1e-12)
-    p.add_argument("--strip", type=float, default=3.0,
-                   help="strip half-width Y")
-    p.add_argument("--ynodes", type=int, default=64)
+    _add_heat_inverse_options(p)
     p.add_argument("--grid", default=None,
                    help='grid for complex-shift, JSON {"dim","N","L"}')
     p.add_argument("--out", default="desmoothed.json")
@@ -146,11 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", required=True, help="operator JSON spec")
     p.add_argument("--test-function", required=True,
                    help="Gaussian-sum JSON spec")
-    p.add_argument("--method", default="complex-shift",
-                   choices=("complex-shift", "fourier-regularized"))
-    p.add_argument("--threshold", type=float, default=1e-12)
-    p.add_argument("--strip", type=float, default=3.0)
-    p.add_argument("--ynodes", type=int, default=64)
+    _add_heat_inverse_options(p)
     p.add_argument("--phase-grid", default=None,
                    help='phase grid JSON {"dim","N","L"} (needed for '
                         "coherent combinations with --method "
@@ -166,40 +160,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(args, outdir: Path, inputs: dict, outputs: list[Path],
-                    started: float) -> None:
+def _add_heat_inverse_options(p: argparse.ArgumentParser) -> None:
+    """The heat-inverse options ``desmooth`` and ``pair`` share."""
+    p.add_argument("--method", default="complex-shift",
+                   choices=("complex-shift", "fourier-regularized"))
+    p.add_argument("--threshold", type=float, default=1e-12,
+                   help="relative spectral cutoff (fourier-regularized)")
+    p.add_argument("--strip", type=float, default=3.0,
+                   help="strip half-width Y (complex-shift)")
+    p.add_argument("--ynodes", type=int, default=64,
+                   help="strip quadrature nodes (complex-shift)")
+
+
+def _run_names(args) -> tuple[str, str]:
+    """(report, manifest) file names of a run: ``check-<suite>`` for
+    ``check``; for ``pair`` the ``--out`` name and its stem, so each pair
+    run keeps its own manifest; else ``<command>-report`` and
+    ``<command>``."""
     if args.command == "check":
         name = f"check-{args.suite}"
-    elif args.command == "pair":
-        name = Path(args.out).stem      # one manifest per pair run
-    else:
-        name = args.command
+        return f"{name}.json", f"{name}.manifest.json"
+    if args.command == "pair":
+        return args.out, f"{Path(args.out).stem}.manifest.json"
+    return f"{args.command}-report.json", f"{args.command}.manifest.json"
+
+
+def _write_manifest(args, path: Path, inputs: dict, outputs: list[Path],
+                    started: float) -> None:
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("handler",) and not callable(v)},
         "inputs": inputs,
-        "outputs": {str(p.relative_to(outdir)): sha256_file(p)
+        "outputs": {str(p.relative_to(path.parent)): sha256_file(p)
                     for p in outputs},
         "versions": {"awsym": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    write_json(outdir / f"{name}.manifest.json", manifest)
-
-
-def _report_name(args) -> str:
-    if args.command == "check":
-        return f"check-{args.suite}.json"
-    if args.command == "pair":
-        return args.out
-    return f"{args.command}-report.json"
-
-
-def _register_input(inputs: dict, path) -> Path:
-    path = Path(path)
-    inputs[str(path)] = sha256_file(path)
-    return path
+    write_json(path, manifest)
 
 
 def _save_output(obj, outdir: Path, name: str, outputs: list[Path]) -> None:
@@ -214,8 +213,7 @@ def _save_output(obj, outdir: Path, name: str, outputs: list[Path]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_smooth(args, outdir, inputs, outputs):
-    field = load_field(_register_input(inputs, args.input))
-    out = smooth(field)
+    out = smooth(load_field(args.input, inputs))
     _save_output(out, outdir, args.out, outputs)
     if args.csv:
         csv_path = outdir / (Path(args.out).stem + ".csv")
@@ -229,12 +227,10 @@ def _cmd_smooth(args, outdir, inputs, outputs):
 
 def _cmd_desmooth(args, outdir, inputs, outputs):
     if args.method == "fourier-regularized":
-        field = load_field(_register_input(inputs, args.input))
-        report_obj = desmooth_fourier(field, rel_threshold=args.threshold)
+        report_obj = desmooth_fourier(load_field(args.input, inputs),
+                                      rel_threshold=args.threshold)
     else:
-        spec = json.loads(_register_input(inputs, args.input)
-                          .read_text(encoding="utf-8"))
-        u = gaussian_from_obj(spec)
+        u = gaussian_from_obj(read_json(args.input, inputs))
         if args.grid:
             grid = grid_from_obj(json.loads(args.grid))
         else:
@@ -258,7 +254,7 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
 
 
 def _cmd_assemble(args, outdir, inputs, outputs):
-    symbol = load_field(_register_input(inputs, args.symbol))
+    symbol = load_field(args.symbol, inputs)
     op = AntiWickFromSymbol(symbol)
     pos = position_grid_of(symbol.grid)
     if args.refined:
@@ -272,8 +268,7 @@ def _cmd_assemble(args, outdir, inputs, outputs):
 
 
 def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
-    kernel = load_kernel(_register_input(inputs, args.kernel))
-    sigma = weyl_from_kernel(kernel)
+    sigma = weyl_from_kernel(load_kernel(args.kernel, inputs))
     _save_output(sigma, outdir, args.out, outputs)
     report = {"command": "weyl-from-kernel", "output": args.out,
               "phase_grid": grid_to_obj(sigma.grid)}
@@ -281,8 +276,7 @@ def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
 
 
 def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
-    sigma = load_field(_register_input(inputs, args.symbol))
-    kernel = kernel_from_weyl(sigma)
+    kernel = kernel_from_weyl(load_field(args.symbol, inputs))
     _save_output(kernel, outdir, args.out, outputs)
     report = {"command": "kernel-from-weyl", "output": args.out,
               "kernel_grid": grid_to_obj(kernel.grid)}
@@ -290,15 +284,9 @@ def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
 
 
 def _cmd_pair(args, outdir, inputs, outputs):
-    op_spec = json.loads(_register_input(inputs, args.operator)
-                         .read_text(encoding="utf-8"))
-    referenced: list[Path] = []
-    op = operator_from_obj(op_spec, Path(args.operator).parent, referenced)
-    for path in referenced:
-        _register_input(inputs, path)
-    u = gaussian_from_obj(json.loads(
-        _register_input(inputs, args.test_function)
-        .read_text(encoding="utf-8")))
+    op = operator_from_obj(read_json(args.operator, inputs),
+                           Path(args.operator).parent, inputs)
+    u = gaussian_from_obj(read_json(args.test_function, inputs))
     phase_grid = grid_from_obj(json.loads(args.phase_grid)) \
         if args.phase_grid else None
     result = antiwick_pair(op, u, method=args.method, phase_grid=phase_grid,

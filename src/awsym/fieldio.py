@@ -10,7 +10,8 @@ and a raw binary of interleaved little-endian IEEE-754 doubles (re, im) in
 row-major node order.  Dense kernels use the same scheme plus a "shape"
 entry [N^n, N^n] and kind tag.  Analytic objects (Gaussian sums, coherent
 combinations) are stored as explicit JSON rather than opaque binaries, so
-run inputs stay reviewable.
+run inputs stay reviewable.  Every loader can record the SHA-256 of each
+file it read, which is how a CLI run manifest lists its inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "combo_to_obj", "combo_from_obj",
     "gaussian_to_obj", "gaussian_from_obj",
     "operator_from_obj", "grid_from_obj", "grid_to_obj",
-    "sha256_file", "write_json",
+    "read_json", "sha256_file", "write_json",
 ]
 
 _FIELD_DTYPE = "complex128-le"
@@ -51,6 +52,23 @@ def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
+
+
+def _read(path, record) -> bytes:
+    """The bytes of ``path``.  When ``record`` is a dict, the SHA-256 of
+    those bytes is entered under ``str(path)``: the digest of what was
+    read, even if the file is rewritten afterwards."""
+    path = Path(path)
+    raw = path.read_bytes()
+    if record is not None:
+        record[str(path)] = hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+def read_json(path, record=None):
+    """The JSON value in the UTF-8 file ``path``; ``record`` as in
+    :func:`_read`."""
+    return json.loads(_read(path, record).decode("utf-8"))
 
 
 def _json_shape(what: str):
@@ -100,8 +118,8 @@ def grid_from_obj(obj: dict) -> Grid:
                      _finite(obj["L"], "L"))
 
 
-def _read_binary(path: Path, count: int) -> np.ndarray:
-    raw = np.frombuffer(Path(path).read_bytes(), dtype="<c16")
+def _read_binary(path: Path, count: int, record) -> np.ndarray:
+    raw = np.frombuffer(_read(path, record), dtype="<c16")
     if raw.size != count:
         raise ValueError(
             f"{path}: expected {count} complex samples, found {raw.size}")
@@ -131,11 +149,10 @@ def _read_manifest(manifest_path, kind=None,
     """Validated grid and flat samples of a field (kind None) or kernel.
 
     The "data" path must resolve inside the manifest's own directory.
-    When ``record`` is a list, the manifest and data paths are appended
-    to it once both have been read.
+    Both files are recorded as by :func:`_read`.
     """
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path, record)
     if not isinstance(manifest, dict) or "data" not in manifest:
         raise ValueError(f"{manifest_path}: not a manifest with a data path")
     if manifest.get("kind") != kind:
@@ -151,10 +168,7 @@ def _read_manifest(manifest_path, kind=None,
         raise ValueError(f"{manifest_path}: {exc}") from exc
     data = _inside(manifest_path.parent, manifest["data"], "data")
     count = grid.size if kind is None else grid.size ** 2
-    values = _read_binary(data, count)
-    if record is not None:
-        record += [manifest_path, data]
-    return grid, values
+    return grid, _read_binary(data, count, record)
 
 
 def _write_manifest(manifest_path, header: dict, values: np.ndarray) -> dict:
@@ -183,24 +197,17 @@ def load_field(manifest_path, record=None) -> SampledField:
 
 
 def export_csv(f: SampledField, path) -> None:
-    """Node coordinates + re + im, for dim <= 2 only."""
-    if f.grid.dim > 2:
+    """Node coordinates + re + im, one row per node in row-major order,
+    for dim <= 2 only."""
+    dim = f.grid.dim
+    if dim > 2:
         raise ValueError("CSV export is limited to dim <= 2")
-    path = Path(path)
-    nodes = [float(x) for x in f.grid.axis_nodes()]
-    lines = []
-    if f.grid.dim == 1:
-        lines.append("x,re,im")
-        for x, v in zip(nodes, f.values):
-            lines.append(f"{x!r},{float(v.real)!r},{float(v.imag)!r}")
-    else:
-        lines.append("x1,x2,re,im")
-        for i, x1 in enumerate(nodes):
-            for j, x2 in enumerate(nodes):
-                v = f.values[i, j]
-                lines.append(
-                    f"{x1!r},{x2!r},{float(v.real)!r},{float(v.imag)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["x"] if dim == 1 else ["x1", "x2"]
+    columns = [c.ravel().tolist()
+               for c in (*f.grid.meshgrid(), f.values.real, f.values.imag)]
+    lines = [",".join(header + ["re", "im"])]
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_kernel(k: DenseKernel, manifest_path) -> dict:
@@ -274,8 +281,8 @@ def operator_from_obj(obj: dict, base_dir: Path,
       * "coherent-combo":    {"terms": [{c_re, c_im, X, Y}, ...]}
       * "dense-kernel":      {"manifest": "<manifest path>"}
 
-    Files a spec points to are appended to ``record`` (when it is a list)
-    as they are read, manifest then binary, so a caller can digest them.
+    Files a spec points to are recorded as they are read (see
+    :func:`_read_manifest`).
     """
     from .core import sample  # local import to avoid cycle at module load
 

@@ -398,9 +398,8 @@ def sum_derivatives(u: AnalyticGaussianSum,
     tables = [[factor_derivative_values(f, max(b[j] for b in order_list), ax)
                for j, (f, ax) in enumerate(zip(term, axes))]
               for term in u.terms]
-    zero = np.zeros(tuple(len(ax) for ax in axes), dtype=complex)
-    return (sum((reduce(np.multiply.outer, [r[b] for r, b in zip(rows, beta)])
-                 for rows in tables), zero) for beta in order_list)
+    return (_outer_sum([[r[b] for r, b in zip(rows, beta)] for rows in tables],
+                       tuple(len(ax) for ax in axes)) for beta in order_list)
 
 
 def sum_derivative_values(u: AnalyticGaussianSum, orders: Sequence[int],

@@ -105,13 +105,12 @@ def _axis_extent(u: AnalyticGaussianSum, axis: int, extra_order: int) -> float:
     For a factor (z-b)^p e^{-a(z-b)^2} with polynomial load up to
     p + extra_order, every stationary point lies within
     sqrt((p + extra_order + 1) / (2a)) of the center; a few standard
-    deviations are added on top so the grid max is the global sup.
+    deviations are added on top so the grid max is the global sup.  Every
+    factor must decay (width > 0); the callers check that first.
     """
     r = 1.0
     for term in u.terms:
         f = term[axis]
-        if f.width <= 0.0:
-            continue
         load = f.power + extra_order + 1
         r = max(r, abs(f.center) + math.sqrt(load / (2.0 * f.width))
                 + 8.0 / math.sqrt(2.0 * f.width))

@@ -97,18 +97,14 @@ def weyl_symbol(op: OperatorRep, phase_grid: Grid) -> SampledField:
     smoothed in place.  The complex-shift pairing needs none of these: it
     contracts F, a kernel's midpoint-slice table or nothing (a coherent
     combination's closed form); the Fourier route and the dense test
-    oracle still pair with this dense symbol.
+    oracle still pair with this dense symbol.  A symbol or kernel whose
+    phase grid is not ``phase_grid`` raises GridMismatchError.
     """
+    _infer_phase_grid(op, phase_grid)
     if isinstance(op, AntiWickFromSymbol):
-        if op.symbol.grid != phase_grid:
-            raise GridMismatchError("symbol lives on a different phase grid")
         return smooth(op.symbol)
     if isinstance(op, DenseKernel):
-        sigma = weyl_from_kernel(op)
-        if sigma.grid != phase_grid:
-            raise GridMismatchError(
-                f"kernel induces phase grid {sigma.grid}, expected {phase_grid}")
-        return sigma
+        return weyl_from_kernel(op)
     if isinstance(op, CoherentCombo):
         refined = position_grid_of(phase_grid).refined()
         return weyl_from_kernel(kernel_from_coherent(op, refined))

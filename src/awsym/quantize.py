@@ -368,8 +368,6 @@ def _midpoint_slices(kernel: DenseKernel) -> np.ndarray:
     """
     gk = kernel.grid
     n = gk.dim
-    if gk.npoints % 2 != 0:
-        raise GridMismatchError("kernel grid must have an even point count")
     np_axis = gk.npoints // 2
     require_self_dual(Grid(1, np_axis, gk.half_extent), "weyl_from_kernel")
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awsym import (AnalyticGaussianSum, CoherentCombo, SampledField, cli,
-                   gaussian_1d, identity_kernel, kernel_from_coherent,
-                   kernel_from_weyl, make_grid, radial_gaussian, sample,
+from awsym import (AnalyticGaussianSum, AntiWickFromSymbol, CoherentCombo,
+                   SampledField, assemble_antiwick, cli, gaussian_1d,
+                   identity_kernel, kernel_from_coherent, kernel_from_weyl,
+                   make_grid, position_grid_of, radial_gaussian, sample,
                    tensor)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
@@ -89,6 +90,21 @@ def test_desmooth_complex_shift_via_cli(workdir):
     assert r.returncode == 0, r.stderr
     phi = load_field(workdir / "phi.json")
     g = make_grid(1, 256, 8.0)
+    ref = sample(gaussian_1d(2 * math.pi, coeff=math.sqrt(2.0)), g)
+    assert np.max(np.abs(phi.values - ref.values)) < 1e-6
+
+
+def test_desmooth_complex_shift_default_grid(workdir):
+    # without --grid, --strip and --ynodes the run takes the defaults: the
+    # 256/8 grid in the Gaussian sum's dimension, strip 3 and 64 nodes
+    write_json(workdir / "ags.json",
+               gaussian_to_obj(gaussian_1d(math.pi)))
+    r = run_cli("--outdir", str(workdir), "desmooth",
+                "--input", str(workdir / "ags.json"), "--out", "phi.json")
+    assert r.returncode == 0, r.stderr
+    phi = load_field(workdir / "phi.json")
+    g = make_grid(1, 256, 8.0)
+    assert phi.grid == g
     ref = sample(gaussian_1d(2 * math.pi, coeff=math.sqrt(2.0)), g)
     assert np.max(np.abs(phi.values - ref.values)) < 1e-6
 
@@ -332,6 +348,53 @@ def test_pair_manifest_digests_referenced_files(workdir, kind, key, stem):
     assert sorted(digests) == sorted(names)
     for name in names:
         assert digests[name] == sha256_file(workdir / name), name
+
+
+@pytest.fixture()
+def small_inputs(workdir):
+    """workdir plus a 16/2 phase-space field (self-dual, so it is also a
+    Weyl symbol), the kernel assembled from it and a 1-d Gaussian sum."""
+    phase = make_grid(2, 16, 2.0)
+    symbol = AntiWickFromSymbol(sample(radial_gaussian(2, math.pi), phase))
+    save_field(symbol.symbol, workdir / "F16.json")
+    save_kernel(assemble_antiwick(symbol, position_grid_of(phase).refined()),
+                workdir / "K16.json")
+    write_json(workdir / "u1.json", gaussian_to_obj(gaussian_1d(math.pi)))
+    return workdir
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["smooth", "--input", "field.json"], ["field.json", "field.bin"]),
+    (["desmooth", "--method", "fourier-regularized", "--input", "field.json"],
+     ["field.json", "field.bin"]),
+    (["desmooth", "--method", "complex-shift", "--input", "u1.json",
+      "--grid", '{"dim": 1, "N": 64, "L": 4.0}'], ["u1.json"]),
+    (["antiwick-assemble", "--symbol", "F16.json"], ["F16.json", "F16.bin"]),
+    (["weyl-from-kernel", "--kernel", "K16.json"], ["K16.json", "K16.bin"]),
+    (["kernel-from-weyl", "--symbol", "F16.json"], ["F16.json", "F16.bin"]),
+], ids=["smooth", "desmooth-fourier", "desmooth-complex-shift",
+        "antiwick-assemble", "weyl-from-kernel", "kernel-from-weyl"])
+def test_manifest_digests_every_file_read(small_inputs, monkeypatch, argv,
+                                         read):
+    monkeypatch.chdir(small_inputs)
+    assert cli.main(["--outdir", "out", *argv]) == 0
+    manifest = json.loads(Path(f"out/{argv[0]}.manifest.json").read_text())
+    digests = {Path(k).name: v for k, v in manifest["inputs"].items()}
+    assert sorted(digests) == sorted(read)
+    for name in read:
+        assert digests[name] == sha256_file(name), name
+
+
+def test_manifest_digests_inputs_as_read(workdir, monkeypatch):
+    # a run that rewrites its own input records the bytes it read, not
+    # the file it left behind
+    monkeypatch.chdir(workdir)
+    read = {name: sha256_file(name) for name in ("field.json", "field.bin")}
+    assert cli.main(["--outdir", ".", "smooth", "--input", "field.json",
+                     "--out", "field.json"]) == 0
+    assert sha256_file("field.bin") != read["field.bin"]
+    manifest = json.loads(Path("smooth.manifest.json").read_text())
+    assert {Path(k).name: v for k, v in manifest["inputs"].items()} == read
 
 
 def test_pair_runs_keep_their_own_manifests(workdir):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from awsym import (CoherentCombo, gaussian_1d, identity_kernel, make_grid,
                    radial_gaussian, sample, tensor)
 from awsym.fieldio import (combo_from_obj, combo_to_obj, export_csv,
                            gaussian_from_obj, gaussian_to_obj, load_field,
-                           load_kernel, operator_from_obj, save_field,
-                           save_kernel, sha256_file, write_json)
+                           load_kernel, operator_from_obj, read_json,
+                           save_field, save_kernel, sha256_file, write_json)
 from awsym.quantize import AntiWickFromSymbol
 
 
@@ -45,6 +46,17 @@ def test_kernel_round_trip(tmp_path, grid64):
     assert np.array_equal(k2.matrix, k.matrix)
     manifest = json.loads((tmp_path / "k.json").read_text())
     assert manifest["shape"] == [64, 64]
+
+
+def test_loaders_record_what_they_read(tmp_path, grid64):
+    save_kernel(identity_kernel(grid64), tmp_path / "k.json")
+    write_json(tmp_path / "spec.json", {"a": [1, 2.5]})
+    record = {}
+    assert read_json(tmp_path / "spec.json", record) == {"a": [1, 2.5]}
+    load_kernel(tmp_path / "k.json", record)
+    assert {Path(k).name: v for k, v in record.items()} == {
+        name: sha256_file(tmp_path / name)
+        for name in ("spec.json", "k.json", "k.bin")}
 
 
 def test_csv_export(tmp_path, grid64):

@@ -28,6 +28,18 @@ def gaussian_symbol(phase, width=math.pi):
     return AntiWickFromSymbol(sample(radial_gaussian(2, width), phase))
 
 
+def symbol_or_kernel(kind, phase64, grid64):
+    """An operator whose phase grid is phase64: a sampled anti-Wick symbol,
+    or the dense kernel assembled from it."""
+    op = gaussian_symbol(phase64)
+    return op if kind == "antiwick-symbol" \
+        else assemble_antiwick(op, grid64.refined())
+
+
+# a phase grid neither operator of symbol_or_kernel lives on
+OTHER_PHASE = make_grid(2, 32, 4.0)
+
+
 class TestWeylSymbol:
     def test_unit_antiwick_symbol_smooths_to_one(self, phase64):
         sigma = weyl_symbol(unit_symbol(phase64), phase64)
@@ -55,6 +67,12 @@ class TestWeylSymbol:
         sl = (slice(q, 3 * q),) * 2
         assert np.max(np.abs(direct.values[sl]
                              - via_kernel.values[sl])) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["antiwick-symbol", "dense-kernel"])
+    def test_wrong_phase_grid(self, phase64, grid64, kind):
+        op = symbol_or_kernel(kind, phase64, grid64)
+        with pytest.raises(GridMismatchError, match="implies phase grid"):
+            weyl_symbol(op, OTHER_PHASE)
 
 
 REF_GRIDS = {"2d-64": make_grid(2, 64, 4.0), "4d-16": make_grid(4, 16, 2.0)}
@@ -254,6 +272,15 @@ class TestAntiwickPair:
         ref = parts[0].value * parts[1].value
         assert abs(whole.value - ref) <= 1e-15 * abs(ref)
         assert whole.flags == parts[0].flags == parts[1].flags == ()
+
+    @pytest.mark.parametrize("method",
+                             ["complex-shift", "fourier-regularized"])
+    @pytest.mark.parametrize("kind", ["antiwick-symbol", "dense-kernel"])
+    def test_wrong_phase_grid(self, phase64, grid64, kind, method):
+        op = symbol_or_kernel(kind, phase64, grid64)
+        with pytest.raises(GridMismatchError, match="implies phase grid"):
+            antiwick_pair(op, radial_gaussian(2, math.pi), method=method,
+                          phase_grid=OTHER_PHASE)
 
     def test_fourier_route_needs_a_phase_grid_for_combo(self):
         combo = CoherentCombo(((1.0, (0.0, 0.0), (0.0, 0.0)),))
