@@ -58,6 +58,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     outdir = Path(args.outdir or os.environ.get("AWSYM_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
+    report_path, manifest_path = (outdir / name for name in _run_names(args))
+    for path in (report_path, manifest_path):
+        if path.is_dir() or not os.access(path.parent, os.W_OK):
+            print(f"[awsym] usage error: cannot write {path}",
+                  file=sys.stderr)
+            return 2
 
     started = time.perf_counter()
     inputs: dict[str, str] = {}     # every file read -> SHA-256 (fieldio)
@@ -81,16 +87,14 @@ def main(argv=None) -> int:
               f"is available, use a smaller grid ({exc})", file=sys.stderr)
         return 2
 
-    report_name, manifest_name = _run_names(args)
-    path = outdir / report_name
-    write_json(path, report)
-    outputs.append(path)
-    _write_manifest(args, outdir / manifest_name, inputs, outputs, started)
+    write_json(report_path, report)
+    outputs.append(report_path)
+    _write_manifest(args, manifest_path, inputs, outputs, started)
     if flag_note:
         print(flag_note, file=sys.stderr)
     else:
         print(f"[awsym] {args.command}: {'ok' if status == 0 else 'FLAG'} "
-              f"-> {path}")
+              f"-> {report_path}")
     return status
 
 
@@ -187,13 +191,21 @@ def _run_names(args) -> tuple[str, str]:
 
 def _write_manifest(args, path: Path, inputs: dict, outputs: list[Path],
                     started: float) -> None:
+    """The run manifest at ``path``.  Every file read or written is keyed
+    by its resolved path relative to the manifest's resolved directory, so
+    the keys do not depend on the working directory or on how a path was
+    typed."""
+    home = path.parent.resolve()
+
+    def key(file) -> str:
+        return os.path.relpath(Path(file).resolve(), home)
+
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("handler",) and not callable(v)},
-        "inputs": inputs,
-        "outputs": {str(p.relative_to(path.parent)): sha256_file(p)
-                    for p in outputs},
+        "inputs": {key(p): digest for p, digest in inputs.items()},
+        "outputs": {key(p): sha256_file(p) for p in outputs},
         "versions": {"awsym": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "wall_time_s": round(time.perf_counter() - started, 6),

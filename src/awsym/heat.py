@@ -16,6 +16,18 @@ frequencies |xi| <= T of each axis.  Neither writes its input: the first
 forward pass writes a new array, and every later pass runs in place
 (``out=``) in a buffer the call already holds, not in a new one per pass.
 
+Real fields take half-spectrum transforms.  Both check once per call
+whether every sample's imaginary part is exactly zero; that property of
+the input, not an option, selects the route.  A real field's first pass
+is ``rfft`` along the last axis and its last pass ``irfft``, so only the
+columns 0 <= j <= N/2 are transformed (a real field's spectrum is
+Hermitian, the other half its mirror), and its outputs' imaginary parts
+are exactly +0.0: ``desmooth_fourier(smooth(F))`` stays real.  The
+division's kept mask is then Hermitian by construction; at a threshold
+tie it can differ from the complex route's at round-off, and the
+recomputed residual still judges the result.  Any nonzero imaginary part
+selects the complex passes.
+
 Desmoothing is ill-posed in general, and both inverses make that visible
 instead of hiding it:
 
@@ -97,9 +109,20 @@ def _unshifted_freqs(grid: Grid) -> np.ndarray:
 
 def smooth(f: SampledField) -> SampledField:
     """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2), on
-    unshifted FFTs (see the module notes), over every axis of ``f``."""
-    return SampledField(f.grid,
-                        _smooth_axes(f.values, f.grid, range(f.grid.dim)))
+    unshifted FFTs (see the module notes), over every axis of ``f``; a
+    real ``f`` takes the half-spectrum route, and its result's imaginary
+    parts are exactly +0.0."""
+    return SampledField(f.grid, _smooth_axes(_real_if_real(f.values),
+                                             f.grid, range(f.grid.dim)))
+
+
+def _real_if_real(vals: np.ndarray) -> np.ndarray:
+    """``vals.real`` (a view) when every imaginary part is exactly zero,
+    else ``vals``: the dtype selects the heat layer's transform route.
+    The middle line along axis 0, through x = 0 where a field's mass
+    lies, is read first, so a complex field rarely costs a whole scan."""
+    imag = vals.imag
+    return vals if imag[len(imag) // 2].any() or imag.any() else vals.real
 
 
 def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
@@ -115,8 +138,15 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     never written and the result is C-ordered; each later forward pass
     transforms the previous pass's band array in place.  Each inverse pass
     zeroes the out-of-band slab of its forward pass's buffer, copies the
-    band in and inverts there, so the result lands in the first pass's
-    buffer."""
+    band in and inverts there, so a complex result lands in the first
+    pass's buffer.
+
+    A real ``vals`` (float dtype) takes the half-spectrum route: the first
+    pass is ``rfft``, whose columns 0..N/2 hold xi >= 0 and then the
+    Nyquist column, so its band is one prefix, the in-band xi >= 0 plus
+    the Nyquist column when the band is the whole axis.  The matching last
+    inverse pass is ``irfft`` of that band to N points, which zero-pads it
+    itself, and the result is a new real array."""
     n, ndim = grid.npoints, vals.ndim
     xi = _unshifted_freqs(grid)
     gain = np.exp(-0.5 * math.pi * xi**2)
@@ -131,23 +161,34 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
     def on(axis, part):
         return (slice(None),) * axis + (part,)
 
+    def gains(part, axis):
+        return gain[part].reshape((-1,) + (1,) * (ndim - 1 - axis))
+
+    axes, real = list(axes), not np.iscomplexobj(vals)
+    if real:
+        last = axes.pop()
+        prefix = slice(0, pos + int(inband[n // 2]))
+        spec = np.fft.rfft(vals, axis=last, out=np.empty(
+            vals.shape[:last] + (n // 2 + 1,) + vals.shape[last + 1:],
+            dtype=complex))
+        vals = spec[on(last, prefix)] * gains(prefix, last)
+        del spec
     specs = []
     for axis in reversed(axes):
-        out = vals if specs else np.empty(vals.shape, dtype=complex)
+        out = vals if specs or real else np.empty(vals.shape, dtype=complex)
         spec = np.fft.fft(vals, axis=axis, out=out)
         specs.append(spec)
         vals = np.empty(spec.shape[:axis] + (pos + neg,)
                         + spec.shape[axis + 1:], dtype=complex)
         for full, band in spans:
-            np.multiply(spec[on(axis, full)],
-                        gain[full].reshape((-1,) + (1,) * (ndim - 1 - axis)),
+            np.multiply(spec[on(axis, full)], gains(full, axis),
                         out=vals[on(axis, band)])
     for axis, spec in zip(axes, reversed(specs)):
         spec[on(axis, slice(pos, n - neg))] = 0.0
         for full, band in spans:
             spec[on(axis, full)] = vals[on(axis, band)]
         vals = np.fft.ifft(spec, axis=axis, out=spec)
-    return vals
+    return np.fft.irfft(vals, n, axis=last) if real else vals
 
 
 def desmooth_fourier(u: SampledField,
@@ -162,16 +203,27 @@ def desmooth_fourier(u: SampledField,
     on the kept nodes alone.  The first inverse pass runs along axis 0,
     only on the lines that hold kept nodes; the passes along the other
     axes run in place in the forward transform's buffer, and the residual
-    is formed in the smoothed field's buffer.  No attempt is made to decide
-    well-posedness for the caller: the recomputed residual in the report
-    is the verdict.
+    is formed in the smoothed field's buffer.
+
+    A real ``u`` takes the half-spectrum route of the module notes:
+    ``rfftn`` forward, the mask, guard, lift and cutoff on its N/2 + 1
+    columns of the last axis, and ``irfft`` as the last inverse pass (the
+    only one in 1-d); its residual comes from the real ``smooth``.  No
+    attempt is made to decide well-posedness for the caller: the
+    recomputed residual in the report is the verdict.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     grid, n = u.grid, u.grid.npoints
+    vals = _real_if_real(u.values)
+    real = not np.iscomplexobj(vals)
     # last axis first; the first pass writes the C-ordered buffer, which the
     # later passes and the inverse passes reuse in place
-    spec = np.fft.fftn(u.values, out=np.empty(grid.shape, dtype=complex))
+    if real:
+        spec = np.fft.rfftn(vals, out=np.empty(
+            grid.shape[:-1] + (n // 2 + 1,), dtype=complex))
+    else:
+        spec = np.fft.fftn(vals, out=np.empty(grid.shape, dtype=complex))
     mag = np.abs(spec)
     # never empty: the largest node is always kept
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
@@ -192,28 +244,38 @@ def desmooth_fourier(u: SampledField,
     # on the other axes) that hold a kept node; the other lines stay exact
     # zeros.  Once spec[kept] is lifted, spec's buffer is free, and the
     # whole passes along the other axes run in place there
-    lines, col = np.unique(np.ravel_multi_index(kept[1:], grid.shape[1:]),
+    lines, col = np.unique(np.ravel_multi_index(kept[1:], spec.shape[1:]),
                            return_inverse=True)
-    lifted = np.zeros((len(lines), n), dtype=complex)
+    lifted = np.zeros((len(lines), len(spec)), dtype=complex)
     # two halves, as exp() alone overflows where the product need not
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
         lifted[col, kept[0]] = spec[kept] * half * half
-    np.fft.ifft(lifted, out=lifted)
-    vals = spec.reshape(n, -1)
-    vals.fill(0.0)
-    vals[:, lines] = lifted.T
-    np.fft.ifftn(spec, axes=range(1, grid.dim), out=spec)
-    phi = SampledField(grid, spec)
+    if real and grid.dim == 1:
+        spec = lifted[0]
+    else:
+        np.fft.ifft(lifted, out=lifted)
+        spec.reshape(n, -1).fill(0.0)
+        spec.reshape(n, -1)[:, lines] = lifted.T
+        spec = np.fft.ifftn(spec, axes=range(1, grid.dim - real), out=spec)
+    if real:
+        # the real result lands in the real parts of a zeroed complex array
+        phi = np.zeros(grid.shape, dtype=complex)
+        np.fft.irfft(spec, n, axis=-1, out=phi.real)
+    else:
+        phi = spec
+    del lifted, spec
+    result = SampledField(grid, phi)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     # sup |smooth(phi) - u|, recomputed from the returned field and formed
-    # in the smoothed field's buffer
-    diff = _smooth_axes(spec, grid, range(grid.dim))
-    np.subtract(diff, u.values, out=diff)
-    residual = float(np.max(np.abs(diff)))
+    # in the smoothed field's buffer; a real route's |.| runs in place too
+    diff = _smooth_axes(phi.real if real else phi, grid, range(grid.dim))
+    np.subtract(diff, vals, out=diff)
+    residual = float(np.max(np.abs(diff, out=diff) if real
+                            else np.abs(diff)))
     if not math.isfinite(residual):
         raise FloatingPointError("smoothed field contains NaN/Inf samples")
-    return DesmoothReport(phi, "fourier-regularized", residual,
+    return DesmoothReport(result, "fourier-regularized", residual,
                           cutoff_frequency=kept_cut,
                           rel_threshold=rel_threshold)
 

@@ -397,6 +397,42 @@ def test_manifest_digests_inputs_as_read(workdir, monkeypatch):
     assert {Path(k).name: v for k, v in manifest["inputs"].items()} == read
 
 
+@pytest.mark.parametrize("out", ["sub/x.json", "sub"])
+def test_unwritable_report_path_is_usage_error(workdir, out):
+    # a report path under a missing directory, or naming a directory, is
+    # refused before the pair runs: exit 2, no traceback, nothing written
+    (workdir / "out").mkdir()
+    if out == "sub":
+        (workdir / "out" / "sub").mkdir()
+    r = run_cli("--outdir", str(workdir / "out"), "pair",
+                "--operator", str(workdir / "op.json"),
+                "--test-function", str(workdir / "u.json"), "--out", out)
+    assert r.returncode == 2
+    assert "usage error" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not list((workdir / "out").glob("*.json"))
+
+
+def test_manifest_keys_do_not_depend_on_working_directory(workdir,
+                                                          monkeypatch):
+    # the same pair run from two directories, its paths typed relative to
+    # each and one absolute: every file is keyed relative to the manifest
+    inputs = []
+    for cwd, up in ((workdir, ""), (workdir / "elsewhere", "../")):
+        cwd.mkdir(exist_ok=True)
+        monkeypatch.chdir(cwd)
+        assert cli.main(["--outdir", f"{up}out", "pair",
+                         "--operator", f"{up}op.json",
+                         "--test-function", str(workdir / "u.json")]) == 0
+        manifest = json.loads(
+            (workdir / "out" / "pair-result.manifest.json").read_text())
+        assert list(manifest["outputs"]) == ["pair-result.json"]
+        inputs.append(manifest["inputs"])
+    assert inputs[0] == inputs[1]
+    assert sorted(inputs[0]) == ["../F.bin", "../F.json", "../op.json",
+                                 "../u.json"]
+
+
 def test_pair_runs_keep_their_own_manifests(workdir):
     out = workdir / "out"
     args = ["pair", "--operator", str(workdir / "op.json"),
