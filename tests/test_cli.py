@@ -433,6 +433,21 @@ def test_manifest_keys_do_not_depend_on_working_directory(workdir,
                                  "../u.json"]
 
 
+def test_pair_report_outside_outdir_is_keyed_relative(workdir):
+    # an absolute --out outside --outdir: the report is written there and
+    # the manifest keys it relative to itself (a ValueError traceback
+    # before keys were resolved)
+    report = workdir / "elsewhere.json"
+    r = run_cli("--outdir", str(workdir / "out"), "pair",
+                "--operator", str(workdir / "op.json"),
+                "--test-function", str(workdir / "u.json"),
+                "--out", str(report))
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads(
+        (workdir / "out" / "elsewhere.manifest.json").read_text())
+    assert manifest["outputs"] == {"../elsewhere.json": sha256_file(report)}
+
+
 def test_pair_runs_keep_their_own_manifests(workdir):
     out = workdir / "out"
     args = ["pair", "--operator", str(workdir / "op.json"),
