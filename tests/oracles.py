@@ -169,7 +169,7 @@ def _centered_real_ifft(spec):
 
 
 def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
-                              real_transforms=None):
+                              complex_transforms: bool = False):
     """(result values, cutoff frequency, residual) of the regularized
     spectral division, on centred weighted transforms over the whole grid.
 
@@ -178,11 +178,9 @@ def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
     with :func:`smooth_centered_multiplier`.  Past the overflow guard it
     raises the library's OverflowGuardError naming the same peak.
 
-    With ``real_transforms`` None, the default, both transforms are real
-    ones (:func:`_centered_real_fft`, :func:`_centered_real_ifft`) when
-    every imaginary part of u is zero, as in the library's real route,
-    and complex ones otherwise; True or False forces one or the other.
-    Where the division lifts round-off by up to e^26 (a Gaussian of width
+    When every imaginary part of u is zero, both transforms are real ones
+    (:func:`_centered_real_fft`, :func:`_centered_real_ifft`), as in the
+    library's real route, unless ``complex_transforms`` is set.  Where the division lifts round-off by up to e^26 (a Gaussian of width
     6 at 1024/16), the complex route's own imaginary parts reach 1e-7 of
     its peak, so only transforms with the same rounding agree to 1e-14.
     """
@@ -191,8 +189,7 @@ def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
     from awsym.core import SampledField, fourier, inverse_fourier
     from awsym.gaussians import _EXP_GUARD, OverflowGuardError
 
-    real = not u.values.imag.any() if real_transforms is None \
-        else real_transforms
+    real = not (complex_transforms or u.values.imag.any())
     if real:
         spec = SampledField(u.grid.freq, _centered_real_fft(u.values.real)
                             * u.grid.cell_volume)

@@ -222,9 +222,9 @@ class TestRealRoute:
         # e^12 (measured <= 5.1e-15).  At 4-d 16/0.5 the box leaves the
         # spectrum broad, the lift reaches e^25 and the two transforms'
         # roundings differ by 7.6e-10 there
-        for real_transforms in (None, False) if dim < 4 else (None,):
+        for complex_transforms in (False, True) if dim < 4 else (False,):
             values, cutoff, residual = desmooth_fourier_centered(
-                u, real_transforms=real_transforms)
+                u, complex_transforms=complex_transforms)
             assert np.max(np.abs(rep.result.values - values)) \
                 <= 1e-14 * np.max(np.abs(values))
             assert rep.cutoff_frequency == cutoff
@@ -236,9 +236,9 @@ class TestRealRoute:
         u = real_noise(make_grid(2, 64, 4.0), seed=3)
         rep = desmooth_fourier(u)
         assert rep.cutoff_frequency == 4.0
-        for real_transforms in (None, False):
+        for complex_transforms in (False, True):
             values, cutoff, _ = desmooth_fourier_centered(
-                u, real_transforms=real_transforms)
+                u, complex_transforms=complex_transforms)
             assert np.max(np.abs(rep.result.values - values)) \
                 <= 1e-14 * np.max(np.abs(values))
         assert rep.result.values.tobytes() \
