@@ -60,7 +60,8 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report_path, manifest_path = (outdir / name for name in _run_names(args))
     for path in (report_path, manifest_path):
-        if path.is_dir() or not os.access(path.parent, os.W_OK):
+        if path.is_dir() or not (path.parent.is_dir()
+                                 and os.access(path.parent, os.W_OK)):
             print(f"[awsym] usage error: cannot write {path}",
                   file=sys.stderr)
             return 2

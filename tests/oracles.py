@@ -147,29 +147,7 @@ def smooth_axes_out_of_place(vals, grid, axes):
     return np.ascontiguousarray(vals)
 
 
-def _centered_real_fft(vals):
-    """fftshift(fftn(ifftshift(vals))) of real ``vals``, formed from
-    rfftn's N/2 + 1 columns of the last axis and their Hermitian mirror
-    X[-k] = conj(X[k]) for the columns past N/2."""
-    n = vals.shape[-1]
-    half = np.fft.rfftn(np.fft.ifftshift(vals))
-    rest = np.conj(half[..., n // 2 - 1:0:-1])
-    for axis in range(vals.ndim - 1):
-        rest = np.roll(np.flip(rest, axis=axis), 1, axis=axis)
-    return np.fft.fftshift(np.concatenate([half, rest], axis=-1))
-
-
-def _centered_real_ifft(spec):
-    """fftshift(ifftn(ifftshift(spec))) for a spectrum taken as Hermitian:
-    irfftn of the columns 0..N/2 of the unshifted last axis, real."""
-    n = spec.shape[-1]
-    half = np.fft.ifftshift(spec)[..., :n // 2 + 1]
-    return np.fft.fftshift(np.fft.irfftn(half, s=spec.shape,
-                                         axes=range(spec.ndim)))
-
-
-def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
-                              complex_transforms: bool = False):
+def desmooth_fourier_centered(u, rel_threshold: float = 1e-12):
     """(result values, cutoff frequency, residual) of the regularized
     spectral division, on centred weighted transforms over the whole grid.
 
@@ -177,24 +155,13 @@ def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
     to unshifted FFTs and kept-node evaluation; its residual is recomputed
     with :func:`smooth_centered_multiplier`.  Past the overflow guard it
     raises the library's OverflowGuardError naming the same peak.
-
-    When every imaginary part of u is zero, both transforms are real ones
-    (:func:`_centered_real_fft`, :func:`_centered_real_ifft`), as in the
-    library's real route, unless ``complex_transforms`` is set.  Where the division lifts round-off by up to e^26 (a Gaussian of width
-    6 at 1024/16), the complex route's own imaginary parts reach 1e-7 of
-    its peak, so only transforms with the same rounding agree to 1e-14.
     """
     from functools import reduce
 
     from awsym.core import SampledField, fourier, inverse_fourier
     from awsym.gaussians import _EXP_GUARD, OverflowGuardError
 
-    real = not (complex_transforms or u.values.imag.any())
-    if real:
-        spec = SampledField(u.grid.freq, _centered_real_fft(u.values.real)
-                            * u.grid.cell_volume)
-    else:
-        spec = fourier(u)
+    spec = fourier(u)
     mag = np.abs(spec.values)
     mask = mag >= rel_threshold * float(mag.max())
     sq = _centered_sq_norm(spec.grid)
@@ -205,11 +172,7 @@ def desmooth_fourier_centered(u, rel_threshold: float = 1e-12,
         raise OverflowGuardError(f"max log magnitude {peak:.1f}")
     with np.errstate(over="ignore", invalid="ignore"):
         lifted = np.where(mask, spec.values * np.exp(0.5 * np.pi * sq), 0.0)
-    if real:
-        phi = SampledField(u.grid, _centered_real_ifft(lifted)
-                           * (2.0 * spec.grid.half_extent)**spec.grid.dim)
-    else:
-        phi = inverse_fourier(SampledField(spec.grid, lifted))
+    phi = inverse_fourier(SampledField(spec.grid, lifted))
     axis_abs = np.abs(spec.grid.axis_nodes())
     profile = reduce(np.maximum.outer, [axis_abs] * spec.grid.dim) \
         if spec.grid.dim > 1 else axis_abs
@@ -594,15 +557,10 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     spectrum written into a whole grid-sized array and inverted along
     axis 0 first, then by one ``ifftn`` over the other axes: the pass
     order of ``awsym.heat.desmooth_fourier``, without its first pass
-    running only on the lines holding kept nodes.  When every imaginary
-    part of u is zero, the spectrum is ``rfftn``'s, over the columns
-    0..N/2 of the last axis, and the last pass is ``irfft`` along that
-    axis (the only pass in 1-d); the real result is returned as
-    complex."""
+    running only on the lines holding kept nodes."""
     import math
 
-    real = not u.values.imag.any()
-    spec = np.fft.rfftn(u.values.real) if real else np.fft.fftn(u.values)
+    spec = np.fft.fftn(u.values)
     mag = np.abs(spec)
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
     xi = np.fft.ifftshift(u.grid.freq.axis_nodes())
@@ -611,13 +569,8 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
         lifted[kept] = spec[kept] * half * half
-    dim = lifted.ndim
-    if not real:
-        return np.fft.ifftn(np.fft.ifft(lifted, axis=0), axes=range(1, dim))
-    if dim > 1:
-        lifted = np.fft.ifftn(np.fft.ifft(lifted, axis=0),
-                              axes=range(1, dim - 1))
-    return np.fft.irfft(lifted, u.grid.npoints, axis=-1).astype(complex)
+    return np.fft.ifftn(np.fft.ifft(lifted, axis=0),
+                        axes=range(1, lifted.ndim))
 
 
 def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,

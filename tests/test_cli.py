@@ -397,13 +397,18 @@ def test_manifest_digests_inputs_as_read(workdir, monkeypatch):
     assert {Path(k).name: v for k, v in manifest["inputs"].items()} == read
 
 
-@pytest.mark.parametrize("out", ["sub/x.json", "sub"])
-def test_unwritable_report_path_is_usage_error(workdir, out):
-    # a report path under a missing directory, or naming a directory, is
-    # refused before the pair runs: exit 2, no traceback, nothing written
+@pytest.mark.parametrize("out, sub", [("sub/x.json", None),
+                                      ("sub", "directory"),
+                                      ("sub/x.json", "file")])
+def test_unwritable_report_path_is_usage_error(workdir, out, sub):
+    # a report path under a missing directory or under a file, or naming a
+    # directory, is refused before the pair runs: exit 2, no traceback,
+    # nothing written
     (workdir / "out").mkdir()
-    if out == "sub":
+    if sub == "directory":
         (workdir / "out" / "sub").mkdir()
+    elif sub == "file":
+        (workdir / "out" / "sub").write_text("")
     r = run_cli("--outdir", str(workdir / "out"), "pair",
                 "--operator", str(workdir / "op.json"),
                 "--test-function", str(workdir / "u.json"), "--out", out)
