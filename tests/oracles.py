@@ -125,7 +125,7 @@ def smooth_axes_out_of_place(vals, grid, axes):
         keep = inband[:n // 2 + 1]
         spec = np.fft.rfft(vals.real, axis=last)
         vals = np.compress(keep, spec, axis=last) \
-            * gain[:n // 2 + 1][keep].reshape((-1,) + (1,) * (ndim - 1 - last))
+            * gains(np.flatnonzero(keep), last)
     for axis in reversed(axes):
         spec = np.fft.fft(vals, axis=axis)
         vals = np.empty(spec.shape[:axis] + (pos + neg,)
