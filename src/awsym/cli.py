@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir or os.environ.get("AWSYM_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     report_path, manifest_path = (outdir / name for name in _run_names(args))
-    for path in (report_path, manifest_path):
+    for path in [report_path, manifest_path, *_saved_paths(args, outdir)]:
         if path.is_dir() or not (path.parent.is_dir()
                                  and os.access(path.parent, os.W_OK)):
             print(f"[awsym] usage error: cannot write {path}",
@@ -190,6 +190,19 @@ def _run_names(args) -> tuple[str, str]:
     return f"{args.command}-report.json", f"{args.command}.manifest.json"
 
 
+def _saved_paths(args, outdir: Path) -> list[Path]:
+    """The files a command saves besides its report and manifest: the
+    ``--out`` manifest and its binary for a field or kernel output, plus
+    the CSV of ``smooth --csv``; none for ``pair`` and ``check``."""
+    if args.command in ("pair", "check"):
+        return []
+    path = outdir / args.out
+    paths = [path, path.parent / (path.stem + ".bin")]
+    if getattr(args, "csv", False):
+        paths.append(outdir / (path.stem + ".csv"))
+    return paths
+
+
 def _write_manifest(args, path: Path, inputs: dict, outputs: list[Path],
                     started: float) -> None:
     """The run manifest at ``path``.  Every file read or written is keyed
@@ -214,11 +227,15 @@ def _write_manifest(args, path: Path, inputs: dict, outputs: list[Path],
     write_json(path, manifest)
 
 
-def _save_output(obj, outdir: Path, name: str, outputs: list[Path]) -> None:
-    """Save a field or kernel as manifest + binary and register both."""
-    path = outdir / name
-    (save_kernel if isinstance(obj, DenseKernel) else save_field)(obj, path)
-    outputs.extend([path, path.parent / (path.stem + ".bin")])
+def _save_output(obj, args, outdir: Path, outputs: list[Path]) -> None:
+    """Save a field or kernel as manifest + binary at ``--out``, register
+    both, and export the CSV that ``--csv`` asks for."""
+    manifest, binary, *csv = _saved_paths(args, outdir)
+    (save_kernel if isinstance(obj, DenseKernel) else save_field)(obj,
+                                                                  manifest)
+    for path in csv:
+        export_csv(obj, path)
+    outputs.extend([manifest, binary, *csv])
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +244,7 @@ def _save_output(obj, outdir: Path, name: str, outputs: list[Path]) -> None:
 
 def _cmd_smooth(args, outdir, inputs, outputs):
     out = smooth(load_field(args.input, inputs))
-    _save_output(out, outdir, args.out, outputs)
-    if args.csv:
-        csv_path = outdir / (Path(args.out).stem + ".csv")
-        export_csv(out, csv_path)
-        outputs.append(csv_path)
+    _save_output(out, args, outdir, outputs)
     report = {"command": "smooth", "input": args.input,
               "output": args.out,
               "boundary_magnitude": out.boundary_magnitude()}
@@ -250,7 +263,7 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
             grid = make_grid(u.dim, 256, 8.0)
         report_obj = desmooth_complex(u, grid, strip_halfwidth=args.strip,
                                       y_nodes=args.ynodes)
-    _save_output(report_obj.result, outdir, args.out, outputs)
+    _save_output(report_obj.result, args, outdir, outputs)
     report = {
         "command": "desmooth",
         "method": report_obj.method,
@@ -273,7 +286,7 @@ def _cmd_assemble(args, outdir, inputs, outputs):
     if args.refined:
         pos = pos.refined()
     kernel = assemble_antiwick(op, pos)
-    _save_output(kernel, outdir, args.out, outputs)
+    _save_output(kernel, args, outdir, outputs)
     report = {"command": "antiwick-assemble", "refined": args.refined,
               "kernel_grid": grid_to_obj(pos),
               "output": args.out}
@@ -282,7 +295,7 @@ def _cmd_assemble(args, outdir, inputs, outputs):
 
 def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
     sigma = weyl_from_kernel(load_kernel(args.kernel, inputs))
-    _save_output(sigma, outdir, args.out, outputs)
+    _save_output(sigma, args, outdir, outputs)
     report = {"command": "weyl-from-kernel", "output": args.out,
               "phase_grid": grid_to_obj(sigma.grid)}
     return 0, report
@@ -290,7 +303,7 @@ def _cmd_weyl_from_kernel(args, outdir, inputs, outputs):
 
 def _cmd_kernel_from_weyl(args, outdir, inputs, outputs):
     kernel = kernel_from_weyl(load_field(args.symbol, inputs))
-    _save_output(kernel, outdir, args.out, outputs)
+    _save_output(kernel, args, outdir, outputs)
     report = {"command": "kernel-from-weyl", "output": args.out,
               "kernel_grid": grid_to_obj(kernel.grid)}
     return 0, report

@@ -151,13 +151,19 @@ def make_grid(dim: int, npoints: int, half_extent: float) -> Grid:
 
 @dataclass
 class SampledField:
-    """Complex samples of a function on a :class:`Grid` (row-major)."""
+    """Samples of a function on a :class:`Grid` (row-major).
+
+    The dtype follows the array given, never its values: a complex array is
+    kept as complex128 and any other as float64, so a real field costs 8
+    bytes per sample.  A float64 or complex128 array is kept without a copy.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.asarray(self.values, dtype=complex
+                                 if np.iscomplexobj(self.values) else float)
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "

@@ -54,20 +54,20 @@ class OverflowGuardError(FloatingPointError):
     """Raised when a strip evaluation would overflow double precision."""
 
 
-def _outer_sum(terms, shape) -> np.ndarray:
+def _outer_sum(terms, shape, dtype=complex) -> np.ndarray:
     """sum_t (x)_a terms[t][a], the outer products of each term's 1-d
-    factors, as a new complex array of ``shape``.  The first term's outer
-    product is the output itself, so no zero-filled grid is written first
-    (its signed zeros stay as the products give them)."""
+    factors, as a new array of ``shape`` in the factors' dtype (zeros of
+    ``dtype`` when there are no terms).  The first term's outer product is
+    the output itself, so no zero-filled grid is written first (its signed
+    zeros stay as the products give them)."""
     total = None
     for factors in terms:
-        term = reduce(np.multiply.outer, factors[1:],
-                      np.array(factors[0], dtype=complex))
+        term = reduce(np.multiply.outer, factors[1:], np.array(factors[0]))
         if total is None:
             total = term
         else:
             total += term
-    return np.zeros(shape, dtype=complex) if total is None else total
+    return np.zeros(shape, dtype=dtype) if total is None else total
 
 
 @dataclass(frozen=True)
@@ -244,13 +244,22 @@ class AnalyticGaussianSum:
     def eval_axes(self, axes: Sequence[np.ndarray]):
         """Evaluate on a tensor grid given 1-d node arrays per axis.
 
-        Returns an ndarray of shape ``tuple(len(ax) for ax in axes)``.
+        Returns an ndarray of shape ``tuple(len(ax) for ax in axes)``: a
+        float64 one when every coefficient is real, else complex128.  Each
+        1-d factor is evaluated in complex arithmetic either way, and a
+        real sum keeps the factors' real parts before the outer products,
+        so its samples are the real parts of the complex evaluation, bit
+        for bit.
         """
         if len(axes) != self.dim:
             raise ValueError("axis count mismatch")
-        return _outer_sum([[f(ax) for f, ax in zip(term, axes)]
+        real = all(complex(f.coeff).imag == 0.0
+                   for term in self.terms for f in term)
+        return _outer_sum([[f(ax).real if real else f(ax)
+                            for f, ax in zip(term, axes)]
                            for term in self.terms],
-                          tuple(len(ax) for ax in axes))
+                          tuple(len(ax) for ax in axes),
+                          float if real else complex)
 
     # -- structure queries --------------------------------------------------
 

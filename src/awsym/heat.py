@@ -13,20 +13,23 @@ smooth(f) = ifftn(m * fftn(f)) with m in unshifted frequency order.  The
 multiplier is below 2^-60 for |xi| > T = ``core.BAND_HALFWIDTH`` (about
 5.1455, the cut anti-Wick assembly uses), so ``smooth`` carries only the
 frequencies |xi| <= T of each axis.  Neither writes its input: the first
-forward pass writes a new array, and every later pass runs in place
-(``out=``) in a buffer the call already holds, not in a new one per pass.
+forward pass of ``smooth`` writes a new array (``desmooth_fourier``
+copies its input into a complex buffer first), and every later pass runs
+in place (``out=``) in a buffer the call already holds, not in a new one
+per pass.
 
-A real field takes half-spectrum transforms in ``smooth``: the call
-checks once whether every sample's imaginary part is exactly zero, and
-that property of the input, not an option, selects the route.  Its first
+A real field takes half-spectrum transforms in ``smooth``.  A float64
+field is real by its dtype; a complex field is real when every sample's
+imaginary part is exactly zero, which the call checks in row blocks.
+That property of the input, not an option, selects the route.  Its first
 pass is ``rfft`` along the last axis and its last pass ``irfft``, so only
 the columns 0 <= j <= N/2 are transformed (a real field's spectrum is
-Hermitian, the other half its mirror), and the result's imaginary parts
-are exactly +0.0.  Any nonzero imaginary part selects the complex passes.
-``desmooth_fourier`` runs the complex passes on every input: its division
-lifts round-off by up to exp(pi |xi|^2 / 2) on the kept nodes, and a
-half-spectrum route's different rounding then moves the result away from
-the complex route's (by 3e-7 of the peak on a Gaussian of width 6 at
+Hermitian, the other half its mirror), and the ``irfft`` result is the
+returned float64 field.  Any nonzero imaginary part selects the complex
+passes.  ``desmooth_fourier`` runs the complex passes on every input: its
+division lifts round-off by up to exp(pi |xi|^2 / 2) on the kept nodes,
+and a half-spectrum route's different rounding then moves the result away
+from the complex route's (by 3e-7 of the peak on a Gaussian of width 6 at
 1024/16, by 7e-14 on a smoothed 4-d Gaussian at 16/2).
 
 Desmoothing is ill-posed in general, and both inverses make that visible
@@ -78,8 +81,9 @@ __all__ = [
     "desmooth_complex",
 ]
 
-# entries per block of the factored residual's difference (1 MiB complex)
-_RESIDUAL_BLOCK_ENTRIES = 2**16
+# entries per block of a residual's difference and of the realness scan
+# (1 MiB complex)
+_BLOCK_ENTRIES = 2**16
 
 
 class ESpaceDivergenceError(ValueError):
@@ -108,14 +112,24 @@ def _unshifted_freqs(grid: Grid) -> np.ndarray:
     return np.fft.ifftshift(grid.freq.axis_nodes())
 
 
+def _row_blocks(vals: np.ndarray):
+    """Slices along axis 0 of ``vals`` of about ``_BLOCK_ENTRIES`` entries
+    each, in order."""
+    rows = max(1, _BLOCK_ENTRIES * len(vals) // vals.size)
+    return (slice(start, start + rows) for start in range(0, len(vals), rows))
+
+
 def smooth(f: SampledField) -> SampledField:
     """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2), on
-    unshifted FFTs (see the module notes), over every axis of ``f``; a
-    real ``f`` takes the half-spectrum route, and its result's imaginary
-    parts are exactly +0.0."""
+    unshifted FFTs (see the module notes), over every axis of ``f``.  A
+    float ``f`` takes the half-spectrum route and gives a float result; so
+    does a complex ``f`` whose imaginary parts are all zero, scanned in
+    row blocks up to the first block holding a nonzero one."""
     vals = f.values
-    return SampledField(f.grid, _smooth_axes(
-        vals if vals.imag.any() else vals.real, f.grid, range(f.grid.dim)))
+    if np.iscomplexobj(vals) and not any(vals.imag[rows].any()
+                                         for rows in _row_blocks(vals)):
+        vals = vals.real
+    return SampledField(f.grid, _smooth_axes(vals, f.grid, range(f.grid.dim)))
 
 
 def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
@@ -203,12 +217,14 @@ def desmooth_fourier(u: SampledField,
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     grid, n = u.grid, u.grid.npoints
-    # last axis first; the first pass writes the C-ordered buffer, which the
-    # later passes and the inverse passes reuse in place
-    spec = np.fft.fftn(u.values, out=np.empty(grid.shape, dtype=complex))
+    # the input is copied into a C-ordered complex buffer, and every pass,
+    # last axis first, runs in place there, as do the inverse passes
+    spec = np.array(u.values, dtype=complex, order="C")
+    np.fft.fftn(spec, out=spec)
     mag = np.abs(spec)
-    # never empty: the largest node is always kept
-    kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
+    # never empty: the largest node is always kept; C order, as np.nonzero
+    kept = np.unravel_index(
+        np.flatnonzero(mag >= rel_threshold * float(mag.max())), grid.shape)
 
     xi = _unshifted_freqs(grid)
     sq = sum(xi[idx]**2 for idx in kept)
@@ -241,10 +257,15 @@ def desmooth_fourier(u: SampledField,
     phi = SampledField(grid, spec)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     # sup |smooth(phi) - u|, recomputed from the returned field and formed
-    # in the smoothed field's buffer
+    # in the smoothed field's buffer, a row block at a time; np.max keeps a
+    # block's NaN
     diff = _smooth_axes(spec, grid, range(grid.dim))
-    np.subtract(diff, u.values, out=diff)
-    residual = float(np.max(np.abs(diff)))
+    buf = np.empty(diff[next(_row_blocks(diff))].shape)
+    peaks = []
+    for rows in _row_blocks(diff):
+        block = np.subtract(diff[rows], u.values[rows], out=diff[rows])
+        peaks.append(np.abs(block, out=buf[:len(block)]).max())
+    residual = float(np.max(peaks))
     if not math.isfinite(residual):
         raise FloatingPointError("smoothed field contains NaN/Inf samples")
     return DesmoothReport(phi, "fourier-regularized", residual,
@@ -314,7 +335,7 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     head = np.ascontiguousarray(terms[:, 0].T)
     tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()
                      for t in terms], axis=1)
-    rows = max(1, _RESIDUAL_BLOCK_ENTRIES // len(tail))
+    rows = max(1, _BLOCK_ENTRIES // len(tail))
     return max(float(np.max(np.abs(head[start:start + rows] @ tail.T)))
                for start in range(0, g.npoints, rows))
 

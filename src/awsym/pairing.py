@@ -271,12 +271,23 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
 
 def _contract(field: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """sum_X field[X] prod_a terms[t, a, X_a] for every t, one axis at a
-    time: the last axis of the field against every term's factor in one
-    matrix product, then each remaining axis per term, so nothing larger
-    than the field divided by one axis is formed."""
+    time: one axis of the field against every term's factor in one matrix
+    product, then each remaining axis per term, last first, so nothing
+    larger than the field divided by one axis is formed.
+
+    A complex field's last axis goes first.  A real field is never cast to
+    complex: its first axis meets the factors' (re, im) rows in one real
+    product, (2 terms, N) @ (N, rest), the shape BLAS runs fastest for a
+    few terms."""
     cols = np.ascontiguousarray(terms.transpose(1, 2, 0))   # (axis, node, t)
-    part = field @ cols[-1]
-    for axis in reversed(range(field.ndim - 1)):
+    if np.iscomplexobj(field):
+        part, rest = field @ cols[-1], range(field.ndim - 1)
+    else:
+        flat = cols[0].view(float).T @ field.reshape(len(field), -1)
+        part = np.ascontiguousarray(flat.T).view(complex).reshape(
+            field.shape[1:] + (-1,))
+        rest = range(1, field.ndim)
+    for axis in reversed(rest):
         part = np.sum(part * cols[axis], axis=-2)
     return part
 

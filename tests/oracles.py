@@ -97,7 +97,7 @@ def smooth_axes_out_of_place(vals, grid, axes):
     the pass along the last of ``axes`` is ``rfft`` of the real parts,
     keeping the columns 0..N/2 whose |xi| <= T, and its inverse, the last
     pass, is ``irfft`` of those columns zero-padded to N/2 + 1; the result
-    is then real, returned as complex.  Kept only to pin that the in-place
+    is then real, returned as float64.  Kept only to pin that the in-place
     passes give the same bytes."""
     import math
 
@@ -143,7 +143,7 @@ def smooth_axes_out_of_place(vals, grid, axes):
         padded = np.zeros(vals.shape[:last] + (n // 2 + 1,)
                           + vals.shape[last + 1:], dtype=complex)
         padded[on(last, keep)] = vals
-        vals = np.fft.irfft(padded, n, axis=last).astype(complex)
+        vals = np.fft.irfft(padded, n, axis=last)
     return np.ascontiguousarray(vals)
 
 

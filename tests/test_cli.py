@@ -188,10 +188,10 @@ def test_desmooth_strip_overflow_prints_no_numpy_warning(tmp_path):
 
 def test_non_finite_residual_exits_with_numerical_flag(workdir, monkeypatch):
     from awsym import heat
-    from test_heat import poison_first_entry
+    from test_heat import poison_entry
 
     monkeypatch.setattr(heat, "_smooth_axes",
-                        poison_first_entry(heat._smooth_axes))
+                        poison_entry(heat._smooth_axes))
     assert cli.main(["--outdir", str(workdir), "desmooth",
                      "--method", "fourier-regularized",
                      "--input", str(workdir / "field.json")]) == 1
@@ -416,6 +416,33 @@ def test_unwritable_report_path_is_usage_error(workdir, out, sub):
     assert "usage error" in r.stderr
     assert "Traceback" not in r.stderr
     assert not list((workdir / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("command, work, args", [
+    ("smooth", "smooth", ["--input", "field.json", "--csv"]),
+    ("desmooth", "desmooth_fourier",
+     ["--input", "field.json", "--method", "fourier-regularized"]),
+    ("antiwick-assemble", "assemble_antiwick", ["--symbol", "F.json"]),
+    ("weyl-from-kernel", "weyl_from_kernel", ["--kernel", "k.json"]),
+    ("kernel-from-weyl", "kernel_from_weyl", ["--symbol", "F.json"]),
+])
+def test_unwritable_output_path_is_refused_before_work(workdir, monkeypatch,
+                                                       capsys, command, work,
+                                                       args):
+    # --out under a missing directory: exit 2 before the library call,
+    # with nothing written
+    save_kernel(identity_kernel(make_grid(1, 64, 4.0).refined()),
+                workdir / "k.json")
+
+    def must_not_run(*a, **kw):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    monkeypatch.chdir(workdir)
+    assert cli.main(["--outdir", "out", command, *args,
+                     "--out", "sub/x.json"]) == 2
+    assert "usage error: cannot write out/sub/x.json" in capsys.readouterr().err
+    assert not list((workdir / "out").rglob("*"))
 
 
 def test_manifest_keys_do_not_depend_on_working_directory(workdir,

@@ -190,6 +190,28 @@ class TestSampledField:
         with pytest.raises(ValueError):
             SampledField(grid64, np.zeros(65))
 
+    @pytest.mark.parametrize("dtype, kept", [
+        (np.float64, np.float64), (np.float32, np.float64),
+        (np.int64, np.float64), (np.complex128, np.complex128),
+        (np.complex64, np.complex128)])
+    def test_dtype_follows_the_array_not_its_values(self, grid64, dtype,
+                                                     kept):
+        # zero imaginary parts keep a complex array complex; a float64 or
+        # complex128 array is kept as it is, without a copy
+        vals = np.arange(64).astype(dtype)
+        f = SampledField(grid64, vals)
+        assert f.values.dtype == kept
+        assert (f.values is vals) == (dtype == kept)
+        assert np.array_equal(f.values, vals)
+
+    def test_sample_dtype_follows_the_coefficients(self, grid64):
+        assert sample(gaussian_1d(2.0, coeff=-0.5),
+                      grid64).values.dtype == np.float64
+        assert sample(gaussian_1d(2.0, coeff=0.5 + 0.0j),
+                      grid64).values.dtype == np.float64
+        assert sample(gaussian_1d(2.0, coeff=0.5j),
+                      grid64).values.dtype == np.complex128
+
     def test_boundary_magnitude(self, grid64):
         f = sample(gaussian_1d(0.05), grid64)   # wide: visible at the edge
         # rightmost node sits at L - h, so the shell max is there

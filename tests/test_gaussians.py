@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -43,6 +44,51 @@ def test_tensor_product_eval():
     x, y = 0.3, -0.8
     assert u(np.array(x), np.array(y)) == pytest.approx(
         math.exp(-x * x) * y * math.exp(-2 * y * y))
+
+
+def complex_eval_axes(u, axes):
+    """u on the tensor grid of ``axes`` in complex arithmetic throughout:
+    complex 1-d factors and complex outer products, summed term by term."""
+    total = 0.0
+    for term in u.terms:
+        total = total + reduce(np.multiply.outer,
+                               [f(ax) for f, ax in zip(term[1:], axes[1:])],
+                               np.asarray(term[0](axes[0]), dtype=complex))
+    return total
+
+
+REAL_SUMS = [
+    gaussian_1d(2.0, center=0.5) + gaussian_1d(1.0, power=2, coeff=-0.7),
+    tensor(gaussian_1d(40.0, power=1, coeff=-0.3), gaussian_1d(1.5, center=1))
+    + tensor(gaussian_1d(0.8, power=2), gaussian_1d(3.0, coeff=2.5)),
+    tensor(*[gaussian_1d(1.0 + k, center=0.1 * k, power=k % 2,
+                         coeff=(-1.0)**k) for k in range(4)]),
+]
+
+
+@pytest.mark.parametrize("u", REAL_SUMS, ids=["1d", "2d", "4d"])
+def test_eval_axes_real_coefficients_give_float64(u):
+    # the real parts of the complex evaluation, bit for bit, tails that
+    # underflow to signed zeros included
+    axes = [np.linspace(-8.0, 8.0, 16 if u.dim == 4 else 96, endpoint=False)
+            for _ in range(u.dim)]
+    vals = u.eval_axes(axes)
+    assert vals.dtype == np.float64
+    assert vals.tobytes() == complex_eval_axes(u, axes).real.tobytes()
+
+
+@pytest.mark.parametrize("u", REAL_SUMS, ids=["1d", "2d", "4d"])
+def test_eval_axes_complex_coefficient_gives_complex128(u):
+    # one complex coefficient anywhere makes the whole sum complex
+    head = u.terms[0]
+    f = head[-1]
+    u = AnalyticGaussianSum(u.dim, (head[:-1] + (GaussFactor(
+        f.coeff * (1.0 - 0.5j), f.power, f.width, f.center),),)
+        + u.terms[1:])
+    axes = [np.linspace(-8.0, 8.0, 16, endpoint=False)] * u.dim
+    vals = u.eval_axes(axes)
+    assert vals.dtype == np.complex128
+    assert vals.tobytes() == complex_eval_axes(u, axes).tobytes()
 
 
 def test_term_growth_stays_bounded_under_derivatives():

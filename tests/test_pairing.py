@@ -114,10 +114,22 @@ class TestReference:
         rng = np.random.default_rng(seed)
         symbol = SampledField(grid, rng.standard_normal(grid.shape)
                               + 1j * rng.standard_normal(grid.shape))
-        value, scale = antiwick_pair_reference_dense(symbol, u)
-        got = antiwick_pair_reference(symbol, u)
-        assert type(got) is complex
-        assert abs(got - value) <= 1e-13 * scale
+        # and its real part as a float symbol, which takes the real
+        # product on the factors' (re, im) view
+        for field in (symbol, SampledField(grid, symbol.values.real)):
+            value, scale = antiwick_pair_reference_dense(field, u)
+            got = antiwick_pair_reference(field, u)
+            assert type(got) is complex
+            assert abs(got - value) <= 1e-13 * scale
+
+    def test_real_symbol_is_not_cast_to_complex(self, phase256):
+        # a complex copy of the float symbol would be twice its size
+        symbol = gaussian_symbol(phase256).symbol
+        assert symbol.values.dtype == np.float64
+        u = tensor(gaussian_1d(2.0, center=0.3, power=1, coeff=0.8 - 0.6j),
+                   gaussian_1d(3.0, center=-0.2)) + radial_gaussian(2, 1.5)
+        assert traced_peak(lambda: antiwick_pair_reference(symbol, u)) \
+            < 0.25 * symbol.values.nbytes
 
     def test_zero_function(self, phase64):
         symbol = gaussian_symbol(phase64).symbol
