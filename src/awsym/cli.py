@@ -38,8 +38,8 @@ from . import __version__
 from .core import make_grid, sample
 from .fieldio import (export_csv, gaussian_from_obj, grid_from_obj,
                       grid_to_obj, load_field, load_kernel, operator_from_obj,
-                      read_json, save_field, save_kernel, sha256_file,
-                      write_json)
+                      read_json, require_csv_dim, save_field, save_kernel,
+                      sha256_file, write_json)
 from .gaussians import AnalyticGaussianSum, GaussFactor, gaussian_1d, \
     radial_gaussian, tensor
 from .gsnorm import (WeightParams, e_space_norm, gevrey_order_estimate,
@@ -243,7 +243,10 @@ def _save_output(obj, args, outdir: Path, outputs: list[Path]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_smooth(args, outdir, inputs, outputs):
-    out = smooth(load_field(args.input, inputs))
+    f = load_field(args.input, inputs)
+    if args.csv:
+        require_csv_dim(f.grid.dim)
+    out = smooth(f)
     _save_output(out, args, outdir, outputs)
     report = {"command": "smooth", "input": args.input,
               "output": args.out,

@@ -30,7 +30,7 @@ from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                        OperatorRep)
 
 __all__ = [
-    "save_field", "load_field", "export_csv",
+    "save_field", "load_field", "export_csv", "require_csv_dim",
     "save_kernel", "load_kernel",
     "combo_to_obj", "combo_from_obj",
     "gaussian_to_obj", "gaussian_from_obj",
@@ -196,12 +196,16 @@ def load_field(manifest_path, record=None) -> SampledField:
     return SampledField(grid, values.reshape(grid.shape))
 
 
+def require_csv_dim(dim: int) -> None:
+    """A ``ValueError`` unless ``dim <= 2``, the dimensions CSV exports."""
+    if dim > 2:
+        raise ValueError("CSV export is limited to dim <= 2")
+
+
 def export_csv(f: SampledField, path) -> None:
     """Node coordinates + re + im, one row per node in row-major order,
     for dim <= 2 only."""
-    dim = f.grid.dim
-    if dim > 2:
-        raise ValueError("CSV export is limited to dim <= 2")
+    require_csv_dim(dim := f.grid.dim)
     header = ["x"] if dim == 1 else ["x1", "x2"]
     columns = [c.ravel().tolist()
                for c in (*f.grid.meshgrid(), f.values.real, f.values.imag)]

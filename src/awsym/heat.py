@@ -18,19 +18,16 @@ copies its input into a complex buffer first), and every later pass runs
 in place (``out=``) in a buffer the call already holds, not in a new one
 per pass.
 
-A real field takes half-spectrum transforms in ``smooth``.  A float64
-field is real by its dtype; a complex field is real when every sample's
-imaginary part is exactly zero, which the call checks in row blocks.
-That property of the input, not an option, selects the route.  Its first
-pass is ``rfft`` along the last axis and its last pass ``irfft``, so only
-the columns 0 <= j <= N/2 are transformed (a real field's spectrum is
-Hermitian, the other half its mirror), and the ``irfft`` result is the
-returned float64 field.  Any nonzero imaginary part selects the complex
-passes.  ``desmooth_fourier`` runs the complex passes on every input: its
-division lifts round-off by up to exp(pi |xi|^2 / 2) on the kept nodes,
-and a half-spectrum route's different rounding then moves the result away
-from the complex route's (by 3e-7 of the peak on a Gaussian of width 6 at
-1024/16, by 7e-14 on a smoothed 4-d Gaussian at 16/2).
+A real field, float64 or complex with every imaginary part exactly zero
+(``_real_values``), takes half-spectrum transforms and gives a float64
+result; any nonzero imaginary part selects the complex passes.  ``smooth``
+runs ``rfft`` first and ``irfft`` last, on the columns 0 <= j <= N/2 of
+the last axis (a real field's spectrum is Hermitian).  ``desmooth_fourier``
+keeps the complex forward ``fftn``, since its division lifts round-off by
+up to exp(pi |xi|^2 / 2) and a half-spectrum forward pass moves even the
+result's real part (by 3e-7 of the peak at width 6, 1024/16); its inverse
+ends in ``irfft`` of the lifted spectrum's Hermitian part, which is the
+real part of the complex inverse.
 
 Desmoothing is ill-posed in general, and both inverses make that visible
 instead of hiding it:
@@ -122,14 +119,20 @@ def _row_blocks(vals: np.ndarray):
 def smooth(f: SampledField) -> SampledField:
     """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2), on
     unshifted FFTs (see the module notes), over every axis of ``f``.  A
-    float ``f`` takes the half-spectrum route and gives a float result; so
-    does a complex ``f`` whose imaginary parts are all zero, scanned in
-    row blocks up to the first block holding a nonzero one."""
-    vals = f.values
+    real ``f`` takes the half-spectrum route and gives a float result."""
+    return SampledField(f.grid, _smooth_axes(_real_values(f.values), f.grid,
+                                             range(f.grid.dim)))
+
+
+def _real_values(vals: np.ndarray) -> np.ndarray:
+    """The float values of a real ``vals``: a float array itself, or the
+    real parts of a complex one whose imaginary parts are all exactly zero,
+    scanned in row blocks up to the first block holding a nonzero one.  Any
+    other complex array comes back as it is."""
     if np.iscomplexobj(vals) and not any(vals.imag[rows].any()
                                          for rows in _row_blocks(vals)):
-        vals = vals.real
-    return SampledField(f.grid, _smooth_axes(vals, f.grid, range(f.grid.dim)))
+        return vals.real
+    return vals
 
 
 def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
@@ -208,18 +211,21 @@ def desmooth_fourier(u: SampledField,
     weights cancel, so it runs on unshifted FFTs; the weight h^d enters
     only the overflow guard, and the logarithm and the gain are evaluated
     on the kept nodes alone.  The first inverse pass runs along axis 0,
-    only on the lines that hold kept nodes; the passes along the other
-    axes run in place in the forward transform's buffer, and the residual
-    is formed in the smoothed field's buffer.  No attempt is made to decide
+    only on the lines that hold nonzeros; the passes along the other axes
+    run in place in the forward transform's buffer, and the residual is
+    formed in the smoothed field's buffer.  No attempt is made to decide
     well-posedness for the caller: the recomputed residual in the report
-    is the verdict.
+    is the verdict.  A real ``u`` gives the float64 real part of the
+    complex route's result (see the module notes).
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     grid, n = u.grid, u.grid.npoints
+    vals = _real_values(u.values)
+    real = not np.iscomplexobj(vals)
     # the input is copied into a C-ordered complex buffer, and every pass,
     # last axis first, runs in place there, as do the inverse passes
-    spec = np.array(u.values, dtype=complex, order="C")
+    spec = np.array(vals, dtype=complex, order="C")
     np.fft.fftn(spec, out=spec)
     mag = np.abs(spec)
     # never empty: the largest node is always kept; C order, as np.nonzero
@@ -238,32 +244,53 @@ def desmooth_fourier(u: SampledField,
             f"(max log magnitude {peak:.1f}); raise rel_threshold or "
             "shrink the frequency box")
 
-    # the first inverse pass runs along axis 0, only on the lines (indices
-    # on the other axes) that hold a kept node; the other lines stay exact
-    # zeros.  Once spec[kept] is lifted, spec's buffer is free, and the
-    # whole passes along the other axes run in place there
-    lines, col = np.unique(np.ravel_multi_index(kept[1:], grid.shape[1:]),
-                           return_inverse=True)
-    lifted = np.zeros((len(lines), n), dtype=complex)
     # two halves, as exp() alone overflows where the product need not
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted[col, kept[0]] = spec[kept] * half * half
-    np.fft.ifft(lifted, out=lifted)
-    vals = spec.reshape(n, -1)
-    vals.fill(0.0)
-    vals[:, lines] = lifted.T
-    np.fft.ifftn(spec, axes=range(1, grid.dim), out=spec)
-    phi = SampledField(grid, spec)
+        lifted = spec[kept] * half * half
+    # the inverse's input as scatters (indices, values) with unique indices:
+    # the lifted spectrum L on the kept nodes, or for a real input its
+    # Hermitian part (L[k] + conj L[-k]) / 2 on the columns 0..N/2 of the
+    # last axis, which ``irfft`` inverts to Re(ifftn(L))
+    shape, parts = grid.shape, [(kept, lifted)]
+    if real:
+        shape = shape[:-1] + (n // 2 + 1,)
+        lifted *= 0.5
+        parts = [(tuple(k[on] for k in idx), v[on]) for idx, v in (
+            (kept, lifted), (tuple(-k % n for k in kept), lifted.conj()))
+            for on in [idx[-1] < shape[-1]]]
+    # the first inverse pass runs along axis 0, only on the lines (indices
+    # on the other axes) that hold a nonzero; the other lines stay exact
+    # zeros.  A real 1-d input has one line, its half spectrum
+    flat = [np.ravel_multi_index(idx[1:], shape[1:]) for idx, _ in parts]
+    lines = np.flatnonzero(np.bincount(np.hstack(flat)))
+    on_lines = np.zeros((len(lines), shape[0]), dtype=complex)
+    for j, ((idx, v), line) in enumerate(zip(parts, flat)):
+        at = (np.searchsorted(lines, line), idx[0])
+        on_lines[at] = v if j == 0 else on_lines[at] + v
+    if real and grid.dim == 1:
+        phi_vals = np.fft.irfft(on_lines[0], n)
+    else:
+        # spec's buffer is free once spec[kept] is lifted; the passes along
+        # the other axes run in place there
+        np.fft.ifft(on_lines, out=on_lines)
+        spec = spec.reshape(-1)[:math.prod(shape)].reshape(shape)
+        spec.fill(0.0)
+        spec.reshape(n, -1)[:, lines] = on_lines.T
+        del on_lines
+        np.fft.ifftn(spec, axes=range(1, grid.dim - real), out=spec)
+        phi_vals = np.fft.irfft(spec, n) if real else spec
+    del spec
+    phi = SampledField(grid, phi_vals)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     # sup |smooth(phi) - u|, recomputed from the returned field and formed
     # in the smoothed field's buffer, a row block at a time; np.max keeps a
     # block's NaN
-    diff = _smooth_axes(spec, grid, range(grid.dim))
+    diff = _smooth_axes(phi_vals, grid, range(grid.dim))
     buf = np.empty(diff[next(_row_blocks(diff))].shape)
     peaks = []
     for rows in _row_blocks(diff):
-        block = np.subtract(diff[rows], u.values[rows], out=diff[rows])
+        block = np.subtract(diff[rows], vals[rows], out=diff[rows])
         peaks.append(np.abs(block, out=buf[:len(block)]).max())
     residual = float(np.max(peaks))
     if not math.isfinite(residual):
@@ -324,7 +351,7 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     head @ tail.T (head: the axis-0 factors, tail: the flattened products
     over the other axes) is formed in blocks of axis-0 rows, and no
     grid-sized array is ever held.  The zero function (no terms) has
-    residual 0.
+    residual 0; a non-finite residual raises ``FloatingPointError``.
     """
     if not u.terms:
         return 0.0
@@ -336,8 +363,12 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()
                      for t in terms], axis=1)
     rows = max(1, _BLOCK_ENTRIES // len(tail))
-    return max(float(np.max(np.abs(head[start:start + rows] @ tail.T)))
-               for start in range(0, g.npoints, rows))
+    # np.max keeps a block's NaN, which Python's max would drop
+    residual = float(np.max([np.abs(head[start:start + rows] @ tail.T).max()
+                             for start in range(0, g.npoints, rows)]))
+    if not math.isfinite(residual):
+        raise FloatingPointError("smoothed factors contain NaN/Inf entries")
+    return residual
 
 
 def desmooth_complex(u: AnalyticGaussianSum, g: Grid,

@@ -557,10 +557,17 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     spectrum written into a whole grid-sized array and inverted along
     axis 0 first, then by one ``ifftn`` over the other axes: the pass
     order of ``awsym.heat.desmooth_fourier``, without its first pass
-    running only on the lines holding kept nodes."""
+    running only on the lines holding kept nodes.
+
+    For a real input (every imaginary part zero) the Hermitian part
+    (L[k] + conj L[-k]) / 2 of the whole lifted grid L is formed densely,
+    its columns 0..N/2 of the last axis are kept, and they are inverted in
+    the library's real pass order: along axis 0 (when it is not the last
+    axis), the middle axes, then ``irfft`` to N points along the last."""
     import math
 
-    spec = np.fft.fftn(u.values)
+    real = not u.values.imag.any()
+    spec = np.fft.fftn(u.values.real if real else u.values)
     mag = np.abs(spec)
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
     xi = np.fft.ifftshift(u.grid.freq.axis_nodes())
@@ -569,8 +576,18 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
         lifted[kept] = spec[kept] * half * half
-    return np.fft.ifftn(np.fft.ifft(lifted, axis=0),
-                        axes=range(1, lifted.ndim))
+    if not real:
+        return np.fft.ifftn(np.fft.ifft(lifted, axis=0),
+                            axes=range(1, lifted.ndim))
+    n, ndim = u.grid.npoints, lifted.ndim
+    halved = 0.5 * lifted
+    # halved[(-k) mod N] on every axis
+    mirrored = np.roll(np.flip(halved), 1, axis=range(ndim))
+    herm = (halved + np.conj(mirrored))[..., :n // 2 + 1]
+    if ndim > 1:
+        herm = np.fft.ifftn(np.fft.ifft(herm, axis=0),
+                            axes=range(1, ndim - 1))
+    return np.fft.irfft(herm, n)
 
 
 def antiwick_pair_dense(op, u, phase_grid=None, strip_halfwidth: float = 3.0,

@@ -122,6 +122,19 @@ def test_smooth_csv_export_2d(workdir, tmp_path):
     assert len(lines) == 64 * 64 + 1
 
 
+def test_smooth_csv_of_4d_field_refused_before_the_work(tmp_path, capsys):
+    # the dimension is known once the input is read: exit 2 before the
+    # smoothing, with nothing written to --outdir
+    save_field(sample(radial_gaussian(4, math.pi), make_grid(4, 16, 2.0)),
+               tmp_path / "F4.json")
+    out = tmp_path / "out"
+    assert cli.main(["--outdir", str(out), "smooth",
+                     "--input", str(tmp_path / "F4.json"),
+                     "--out", "s.json", "--csv"]) == 2
+    assert "CSV export is limited to dim <= 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_pair_ill_posed_exits_with_numerical_flag(workdir):
     r = run_cli("--outdir", str(workdir), "pair",
                 "--operator", str(workdir / "op.json"),

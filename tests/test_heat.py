@@ -10,7 +10,7 @@ from awsym import (AntiWickFromSymbol, SampledField, antiwick_pair,
                    desmooth_complex, desmooth_fourier, gaussian_1d,
                    identity_kernel, make_grid, radial_gaussian, sample,
                    smooth, tensor)
-from awsym import heat
+from awsym import heat, pairing
 from awsym.gaussians import AnalyticGaussianSum, OverflowGuardError
 from awsym.heat import ESpaceDivergenceError
 from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
@@ -196,10 +196,10 @@ def with_tiny_imaginary_part(f: SampledField, at: int = 5) -> SampledField:
 class TestRealRoute:
     """Float fields, and complex ones whose imaginary parts are all exactly
     zero, take the half-spectrum passes in ``smooth`` (rfft first, irfft
-    last): the float64 result against the complex-transform oracle, with
-    the input unwritten; one imaginary part of 1e-300 sends a field down
-    the complex passes.  ``desmooth_fourier`` keeps the complex passes on
-    a real input."""
+    last) and the Hermitian half-spectrum inverse in ``desmooth_fourier``:
+    the float64 result against the complex-transform oracle's real part,
+    with the input unwritten; one imaginary part of 1e-300 sends a field
+    down the complex passes."""
 
     @pytest.mark.parametrize("dim, npts, ell", REAL_GRIDS)
     def test_smooth_matches_centered_multiplier(self, dim, npts, ell):
@@ -221,8 +221,7 @@ class TestRealRoute:
         rep = desmooth_fourier(u)
         assert u.values.tobytes() == before
         values, cutoff, residual = desmooth_fourier_centered(u)
-        assert np.max(np.abs(rep.result.values - values)) \
-            <= 1e-14 * np.max(np.abs(values))
+        assert_matches_centered(u, rep.result.values, values)
         assert rep.cutoff_frequency == cutoff
         assert (rep.residual > RESIDUAL_FLAG_THRESHOLD) \
             == (residual > RESIDUAL_FLAG_THRESHOLD)
@@ -281,6 +280,36 @@ class TestRealRoute:
             v.values, v.grid, range(2)).tobytes()
         assert smooth(v).values.imag.any()
 
+    @pytest.mark.parametrize("dim, npts, ell, at", [
+        (1, 1024, 16.0, 5), (2, 1024, 16.0, 0), (2, 1024, 16.0, -1)])
+    def test_desmooth_fourier_zero_imaginary_parts_take_real_route(
+            self, dim, npts, ell, at):
+        # a complex copy with zero imaginary parts (a field loaded from
+        # disk) gives the float route's bytes; one 1e-300j gives the
+        # complex passes' bytes
+        u = smoothed_real_sum(dim, npts, ell)
+        rep = desmooth_fourier(u)
+        copy = desmooth_fourier(SampledField(u.grid,
+                                             u.values.astype(complex)))
+        assert copy.result.values.dtype == np.float64
+        assert copy.result.values.tobytes() == rep.result.values.tobytes()
+        assert copy.residual == rep.residual
+        v = with_tiny_imaginary_part(u, at)
+        got = desmooth_fourier(v).result.values
+        assert got.dtype == complex
+        assert got.tobytes() == desmooth_fourier_dense_lift(v).tobytes()
+
+
+def assert_matches_centered(u, got, values):
+    """``desmooth_fourier``'s values ``got`` against the centred complex
+    oracle's ``values`` to 1e-14 of their peak.  For a real input the
+    result is float64 and C-ordered, and it is held to the oracle's real
+    part, the real part of the inverse the oracle approximates."""
+    if not u.values.imag.any():
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        values = values.real
+    assert np.max(np.abs(got - values)) <= 1e-14 * np.max(np.abs(values))
+
 
 def a4_input(width, npts, ell):
     return sample(gaussian_1d(width), make_grid(1, npts, ell))
@@ -292,7 +321,8 @@ def heat_roundtrip_input():
 
 class TestDesmoothFourierAgainstCentered:
     """The unshifted kept-node division against the centred whole-grid
-    route: results to 1e-14 relative, the same cutoff and the same flag."""
+    route: results to 1e-14 relative (a real input's float result against
+    the oracle's real part), the same cutoff and the same flag."""
 
     @pytest.mark.parametrize("make_input", [
         lambda: a4_input(2.0, 256, 8.0),
@@ -310,8 +340,7 @@ class TestDesmoothFourierAgainstCentered:
         u = make_input()
         rep = desmooth_fourier(u)
         values, cutoff, residual = desmooth_fourier_centered(u)
-        assert np.max(np.abs(rep.result.values - values)) \
-            <= 1e-14 * np.max(np.abs(values))
+        assert_matches_centered(u, rep.result.values, values)
         assert rep.cutoff_frequency == cutoff
         assert (rep.residual > RESIDUAL_FLAG_THRESHOLD) \
             == (residual > RESIDUAL_FLAG_THRESHOLD)
@@ -351,8 +380,22 @@ class TestDesmoothFourierAgainstCentered:
         assert smoothed.tobytes() == smooth(u).values.tobytes()
         values, _, _ = desmooth_fourier_centered(permuted)
         got = desmooth_fourier(permuted).result.values
-        assert np.max(np.abs(got - values)) <= 1e-14 * np.max(np.abs(values))
+        assert_matches_centered(permuted, got, values)
         assert got.tobytes() == desmooth_fourier(u).result.values.tobytes()
+
+    @pytest.mark.parametrize("width, npts, ell", [
+        (2.0, 256, 8.0), (math.pi, 256, 8.0), (4.0, 256, 8.0),
+        (6.0, 1024, 16.0)])
+    def test_real_result_no_farther_from_exact_inverse(self, width, npts,
+                                                       ell):
+        # the exact inverse is real, and |Re z - e| <= |z - e|: the float
+        # result is no farther from it than the complex oracle's values
+        u = a4_input(width, npts, ell)
+        exact = sample(desmoothed(gaussian_1d(width)), u.grid).values
+        values, _, _ = desmooth_fourier_centered(u)
+        got = desmooth_fourier(u).result.values
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - exact)) <= np.max(np.abs(values - exact))
 
     def test_overflow_guard_matches_centered_route(self):
         # a narrow Gaussian keeps |xi| up to 32, whose lift is e^1608
@@ -700,6 +743,29 @@ class TestFactors:
         assert ref > 1e-9
         assert residual_matches(got, ref)
 
+    @pytest.mark.parametrize("module", [heat, pairing], ids=[
+        "desmooth_complex", "antiwick_pair"])
+    def test_nan_in_late_head_row_raises(self, module, monkeypatch):
+        # the residual is reduced over blocks of head rows (16 here): a NaN
+        # in head row 1000 must reach the verdict, not compare False against
+        # the flag threshold
+        g = make_grid(2, 1024, 16.0)
+        u = tensor(gaussian_1d(2.0), gaussian_1d(3.0, center=0.2))
+        smooth_factors_ = module.smooth_factors
+
+        def poisoned(factors, grid):
+            out = smooth_factors_(factors, grid)
+            out[0, 0, 1000] = np.nan
+            return out
+
+        monkeypatch.setattr(module, "smooth_factors", poisoned)
+        with pytest.raises(FloatingPointError):
+            if module is heat:
+                desmooth_complex(u, g)
+            else:
+                antiwick_pair(AntiWickFromSymbol(sample(
+                    radial_gaussian(2, math.pi), g)), u)
+
     @pytest.mark.parametrize("npts, ell", [(256, 8.0), (1024, 16.0)])
     def test_batched_smooth_is_smooth_per_factor(self, npts, ell):
         # the fine and stride-two factors of a pair, smoothed in one call
@@ -786,11 +852,14 @@ def peak_grids(call) -> float:
 
 class TestMemoryBudget:
     """Peak traced memory of one heat call at 2-d 1024/16, in grid-sized
-    complex arrays.  Measured 1.43, 2.61 and 1.11; with every pass writing
+    complex arrays.  Measured 1.43, 2.48 and 1.11 for ``smooth``,
+    ``desmooth_fourier`` and ``desmooth_complex``; with every pass writing
     a new array and a zero-filled Phi they were 2.64, 5.30 and 2.02.  On
-    the real route, ``smooth`` measured 0.69 on a float field (its float
+    the real route, ``smooth`` measured 0.68 on a float field (its float
     result is the field's array; 1.56 when it was copied into a complex
-    one)."""
+    one), and ``desmooth_fourier`` 1.58 (2.61 on the complex passes): the
+    forward spectrum and its magnitudes, while the Hermitian half spectrum
+    is inverted in the spectrum's buffer."""
 
     U = tensor(gaussian_1d(1.5, center=-0.4),
                gaussian_1d(2.5, coeff=0.3 + 0.2j))
@@ -808,6 +877,11 @@ class TestMemoryBudget:
         f = sample(self.U_REAL, make_grid(2, 1024, 16.0))
         assert f.values.dtype == np.float64
         assert peak_grids(lambda: smooth(f)) <= 0.75
+
+    def test_desmooth_fourier_real(self):
+        f = smooth(sample(self.U_REAL, make_grid(2, 1024, 16.0)))
+        assert f.values.dtype == np.float64
+        assert peak_grids(lambda: desmooth_fourier(f)) <= 1.7
 
     def test_desmooth_complex(self):
         g = make_grid(2, 1024, 16.0)
