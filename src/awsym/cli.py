@@ -272,6 +272,8 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
         "method": report_obj.method,
         "residual": report_obj.residual,
         "cutoff_frequency": report_obj.cutoff_frequency,
+        "kept_fraction": report_obj.kept_fraction,
+        "peak_log_gain": report_obj.peak_log_gain,
         "strip_halfwidth": report_obj.strip_halfwidth,
         "y_nodes": report_obj.y_nodes,
         "output": args.out,

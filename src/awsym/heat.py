@@ -16,14 +16,15 @@ frequencies |xi| <= T of each axis.  Neither writes its input: the first
 forward pass of ``smooth`` writes a new array (``desmooth_fourier``
 copies its input into a complex buffer first), and every later pass runs
 in place (``out=``) in a buffer the call already holds, not in a new one
-per pass.
+per pass, except ``desmooth_fourier``'s two passes along axis 0, which
+run on arrays gathered from the few lines that can hold a kept node.
 
 A real field, float64 or complex with every imaginary part exactly zero
 (``_real_values``), takes half-spectrum transforms and gives a float64
 result; any nonzero imaginary part selects the complex passes.  ``smooth``
 runs ``rfft`` first and ``irfft`` last, on the columns 0 <= j <= N/2 of
 the last axis (a real field's spectrum is Hermitian).  ``desmooth_fourier``
-keeps the complex forward ``fftn``, since its division lifts round-off by
+keeps the complex forward transform, since its division lifts round-off by
 up to exp(pi |xi|^2 / 2) and a half-spectrum forward pass moves even the
 result's real part (by 3e-7 of the peak at width 6, 1024/16); its inverse
 ends in ``irfft`` of the lifted spectrum's Hermitian part, which is the
@@ -101,6 +102,8 @@ class DesmoothReport:
     rel_threshold: Optional[float] = None
     strip_halfwidth: Optional[float] = None
     y_nodes: Optional[int] = None
+    kept_fraction: Optional[float] = None
+    peak_log_gain: Optional[float] = None
 
 
 def _unshifted_freqs(grid: Grid) -> np.ndarray:
@@ -175,30 +178,32 @@ def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
         return gain[part].reshape((-1,) + (1,) * (ndim - 1 - axis))
 
     axes, real = list(axes), not np.iscomplexobj(vals)
-    if real:
-        last = axes.pop()
-        prefix = slice(0, pos + int(inband[n // 2]))
-        spec = np.fft.rfft(vals, axis=last, out=np.empty(
-            vals.shape[:last] + (n // 2 + 1,) + vals.shape[last + 1:],
-            dtype=complex))
-        vals = spec[on(last, prefix)] * gains(prefix, last)
-        del spec
-    specs = []
-    for axis in reversed(axes):
-        out = vals if specs or real else np.empty(vals.shape, dtype=complex)
-        spec = np.fft.fft(vals, axis=axis, out=out)
-        specs.append(spec)
-        vals = np.empty(spec.shape[:axis] + (pos + neg,)
-                        + spec.shape[axis + 1:], dtype=complex)
-        for full, band in spans:
-            np.multiply(spec[on(axis, full)], gains(full, axis),
-                        out=vals[on(axis, band)])
-    for axis, spec in zip(axes, reversed(specs)):
-        spec[on(axis, slice(pos, n - neg))] = 0.0
-        for full, band in spans:
-            spec[on(axis, full)] = vals[on(axis, band)]
-        vals = np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(vals, n, axis=last) if real else vals
+    # overflow shows as NaN/Inf in the result, which the callers check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if real:
+            last = axes.pop()
+            prefix = slice(0, pos + int(inband[n // 2]))
+            spec = np.fft.rfft(vals, axis=last, out=np.empty(
+                vals.shape[:last] + (n // 2 + 1,) + vals.shape[last + 1:],
+                dtype=complex))
+            vals = spec[on(last, prefix)] * gains(prefix, last)
+            del spec
+        specs = []
+        for axis in reversed(axes):
+            out = vals if specs or real else np.empty(vals.shape, complex)
+            spec = np.fft.fft(vals, axis=axis, out=out)
+            specs.append(spec)
+            vals = np.empty(spec.shape[:axis] + (pos + neg,)
+                            + spec.shape[axis + 1:], dtype=complex)
+            for full, band in spans:
+                np.multiply(spec[on(axis, full)], gains(full, axis),
+                            out=vals[on(axis, band)])
+        for axis, spec in zip(axes, reversed(specs)):
+            spec[on(axis, slice(pos, n - neg))] = 0.0
+            for full, band in spans:
+                spec[on(axis, full)] = vals[on(axis, band)]
+            vals = np.fft.ifft(spec, axis=axis, out=spec)
+        return np.fft.irfft(vals, n, axis=last) if real else vals
 
 
 def desmooth_fourier(u: SampledField,
@@ -217,25 +222,52 @@ def desmooth_fourier(u: SampledField,
     well-posedness for the caller: the recomputed residual in the report
     is the verdict.  A real ``u`` gives the float64 real part of the
     complex route's result (see the module notes).
+
+    The forward ``fftn`` is pruned along axis 0, bit for bit.  Its passes
+    along axes d-1 .. 1 run over the whole buffer, in ``fftn``'s order; the
+    pass along axis 0 runs only on the lines (indices on the other axes)
+    whose 1-norm nu = sum_r |x_r| can reach the threshold.  nu bounds every
+    entry of the line's transform, and the peak m0 of the transformed line
+    of largest nu bounds the spectrum's peak from below, so a line with
+    2 nu < rel_threshold * m0 (the 2 covers round-off, O(eps log N)
+    relative) holds neither a kept node nor the peak.  A line's transform
+    does not depend on its batch, so Phi, the residual and the cutoff are
+    those of the whole ``fftn``, byte for byte.  A NaN or Inf in a 1-norm
+    or a transformed line raises ``FloatingPointError``; a NaN 1-norm
+    keeps its line.  ``kept_fraction`` is the share of grid nodes kept,
+    and ``peak_log_gain`` the largest pi |xi|^2 / 2 of a kept node.
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     grid, n = u.grid, u.grid.npoints
     vals = _real_values(u.values)
     real = not np.iscomplexobj(vals)
-    # the input is copied into a C-ordered complex buffer, and every pass,
-    # last axis first, runs in place there, as do the inverse passes
+    # a C-ordered complex copy, where the passes along axes d-1 .. 1 run in
+    # place, as do the inverse passes; by_line's columns are the lines
     spec = np.array(vals, dtype=complex, order="C")
-    np.fft.fftn(spec, out=spec)
-    mag = np.abs(spec)
-    # never empty: the largest node is always kept; C order, as np.nonzero
-    kept = np.unravel_index(
-        np.flatnonzero(mag >= rel_threshold * float(mag.max())), grid.shape)
+    by_line = spec.reshape(n, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in reversed(range(1, grid.dim)):
+            np.fft.fft(spec, axis=axis, out=spec)
+        nu = sum(np.abs(by_line[rows]).sum(axis=0)
+                 for rows in _row_blocks(by_line))
+        m0 = np.abs(np.fft.fft(by_line[:, np.argmax(nu)])).max()
+        cand = np.flatnonzero(~(2.0 * nu < rel_threshold * m0))
+        spec_cand = np.fft.fft(by_line[:, cand], axis=0)
+        mag = np.abs(spec_cand)
+    spec_peak = float(mag.max())
+    if not (math.isfinite(spec_peak) and np.isfinite(nu).all()):
+        raise FloatingPointError("spectrum overflows to NaN/Inf")
+    # never empty: the largest node is always kept; (row, cand[column]) in
+    # C order, as np.nonzero on the whole grid, since cand ascends
+    hit = np.nonzero(mag >= rel_threshold * spec_peak)
+    kept = np.unravel_index(hit[0] * by_line.shape[1] + cand[hit[1]],
+                            grid.shape)
 
     xi = _unshifted_freqs(grid)
     sq = sum(xi[idx]**2 for idx in kept)
     with np.errstate(divide="ignore"):
-        log_gain = np.log(mag[kept]) + 0.5 * math.pi * sq
+        log_gain = np.log(mag[hit]) + 0.5 * math.pi * sq
     del mag
     peak = float(np.max(log_gain)) + grid.dim * math.log(grid.spacing)
     if peak > _EXP_GUARD:
@@ -247,7 +279,8 @@ def desmooth_fourier(u: SampledField,
     # two halves, as exp() alone overflows where the product need not
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        lifted = spec[kept] * half * half
+        lifted = spec_cand[hit] * half * half
+    del spec_cand, by_line
     # the inverse's input as scatters (indices, values) with unique indices:
     # the lifted spectrum L on the kept nodes, or for a real input its
     # Hermitian part (L[k] + conj L[-k]) / 2 on the columns 0..N/2 of the
@@ -271,8 +304,8 @@ def desmooth_fourier(u: SampledField,
     if real and grid.dim == 1:
         phi_vals = np.fft.irfft(on_lines[0], n)
     else:
-        # spec's buffer is free once spec[kept] is lifted; the passes along
-        # the other axes run in place there
+        # spec's buffer is free once the kept nodes are lifted; the passes
+        # along the other axes run in place there
         np.fft.ifft(on_lines, out=on_lines)
         spec = spec.reshape(-1)[:math.prod(shape)].reshape(shape)
         spec.fill(0.0)
@@ -297,7 +330,9 @@ def desmooth_fourier(u: SampledField,
         raise FloatingPointError("smoothed field contains NaN/Inf samples")
     return DesmoothReport(phi, "fourier-regularized", residual,
                           cutoff_frequency=kept_cut,
-                          rel_threshold=rel_threshold)
+                          rel_threshold=rel_threshold,
+                          kept_fraction=len(kept[0]) / math.prod(grid.shape),
+                          peak_log_gain=0.5 * math.pi * float(np.max(sq)))
 
 
 def strip_factors(u: AnalyticGaussianSum, g: Grid,

@@ -553,11 +553,14 @@ def e_space_norm_per_node(u, moment: int, strip_halfwidth: float) -> float:
 
 
 def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
-    """Result values of the regularized spectral division with the lifted
-    spectrum written into a whole grid-sized array and inverted along
-    axis 0 first, then by one ``ifftn`` over the other axes: the pass
-    order of ``awsym.heat.desmooth_fourier``, without its first pass
-    running only on the lines holding kept nodes.
+    """Result values of the regularized spectral division, unpruned in
+    both directions: the spectrum is the whole grid's ``fftn``, and the
+    lifted spectrum is written into a whole grid-sized array and inverted
+    along axis 0 first, then by one ``ifftn`` over the other axes.  That
+    is the pass order of ``awsym.heat.desmooth_fourier``, without its
+    forward pass along axis 0 running only on the lines whose 1-norm can
+    reach the threshold, and without its first inverse pass running only
+    on the lines holding kept nodes.
 
     For a real input (every imaginary part zero) the Hermitian part
     (L[k] + conj L[-k]) / 2 of the whole lifted grid L is formed densely,

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from awsym import (AnalyticGaussianSum, AntiWickFromSymbol, CoherentCombo,
-                   SampledField, assemble_antiwick, cli, gaussian_1d,
-                   identity_kernel, kernel_from_coherent, kernel_from_weyl,
-                   make_grid, position_grid_of, radial_gaussian, sample,
-                   tensor)
+                   SampledField, assemble_antiwick, cli, desmooth_fourier,
+                   gaussian_1d, identity_kernel, kernel_from_coherent,
+                   kernel_from_weyl, make_grid, position_grid_of,
+                   radial_gaussian, sample, tensor)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -197,6 +197,48 @@ def test_desmooth_strip_overflow_prints_no_numpy_warning(tmp_path):
     assert "[awsym] numerical flag" in r.stderr
     report = json.loads((tmp_path / "desmooth-report.json").read_text())
     assert report["flags"] == ["floating-point"]
+
+
+@pytest.mark.parametrize("command", ["smooth", "desmooth"])
+def test_overflowing_spectrum_exits_with_numerical_flag(tmp_path, command):
+    # every sample is finite, but the spectrum of the constant 1.7e308
+    # overflows: a flagged run with a report and a manifest, and no numpy
+    # warning on stderr
+    g = make_grid(2, 64, 4.0)
+    save_field(SampledField(g, np.full(g.shape, 1.7e308)),
+               tmp_path / "big.json")
+    method = ["--method", "fourier-regularized"] * (command == "desmooth")
+    r = run_cli("--outdir", str(tmp_path), command,
+                "--input", str(tmp_path / "big.json"), *method)
+    assert r.returncode == 1, r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert "[awsym] numerical flag" in r.stderr
+    report = json.loads((tmp_path / f"{command}-report.json").read_text())
+    assert report["flags"] == ["floating-point"]
+    assert (tmp_path / f"{command}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("method, width", [
+    ("fourier-regularized", 2.0), ("fourier-regularized", 0.25),
+    ("complex-shift", 2.0)])
+def test_desmooth_report_kept_fraction_and_peak_log_gain(tmp_path, method,
+                                                         width):
+    # the library report's values; complex-shift writes null for both
+    g = make_grid(1, 256, 8.0)
+    if method == "complex-shift":
+        write_json(tmp_path / "u.json", gaussian_to_obj(gaussian_1d(width)))
+        expect = {"kept_fraction": None, "peak_log_gain": None}
+    else:
+        f = sample(gaussian_1d(width), g)
+        save_field(f, tmp_path / "u.json")
+        rep = desmooth_fourier(f)
+        expect = {"kept_fraction": rep.kept_fraction,
+                  "peak_log_gain": rep.peak_log_gain}
+    r = run_cli("--outdir", str(tmp_path), "desmooth", "--method", method,
+                "--input", str(tmp_path / "u.json"))
+    assert r.returncode == (width < 1.0), r.stderr
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    assert {k: report[k] for k in expect} == expect
 
 
 def test_non_finite_residual_exits_with_numerical_flag(workdir, monkeypatch):

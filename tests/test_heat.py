@@ -319,6 +319,38 @@ def heat_roundtrip_input():
     return smooth(sample(gaussian_1d(2.0, center=0.5), make_grid(1, 256, 8.0)))
 
 
+def two_term_symbol_1024() -> SampledField:
+    """smooth of a real two-term symbol at 1024/16, drawn as the heat-1024
+    benchmark draws them: widths in (0.8, 1.2), centres in (-0.5, 0.5),
+    one linear factor per term."""
+    u = (tensor(gaussian_1d(0.9, center=0.3, power=1, coeff=0.8),
+                gaussian_1d(1.1, center=-0.2, coeff=0.6))
+         + tensor(gaussian_1d(1.0, center=-0.4, coeff=0.7),
+                  gaussian_1d(1.2, center=0.1, power=1, coeff=0.9)))
+    return smooth(sample(u, make_grid(2, 1024, 16.0)))
+
+
+def plane_wave_line_input() -> SampledField:
+    """The inverse transform of a spectrum with its peak at xi = 0 and one
+    node of a thousandth of it at unshifted index (5, 32): after the
+    last-axis pass, line 32 is a plane wave along axis 0, whose 1-norm is
+    N times its largest entry.  Its computed 1-norm falls an ulp below
+    the node's computed magnitude, which the bound's factor 2 covers."""
+    spec = np.zeros((64, 64), dtype=complex)
+    spec[0, 0], spec[5, 32] = 64.0**2, 1e-3 * 64.0**2
+    return SampledField(make_grid(2, 64, 4.0), np.fft.ifft2(spec))
+
+
+def threshold_on_second_node(u: SampledField) -> float:
+    """The largest threshold that keeps the second largest node of u's
+    spectrum: that node then lies on the threshold."""
+    peak, node = np.sort(np.abs(np.fft.fftn(u.values)), axis=None)[:-3:-1]
+    tau = node / peak
+    while tau * peak > node:
+        tau = np.nextafter(tau, 0.0)
+    return float(tau)
+
+
 class TestDesmoothFourierAgainstCentered:
     """The unshifted kept-node division against the centred whole-grid
     route: results to 1e-14 relative (a real input's float result against
@@ -345,25 +377,90 @@ class TestDesmoothFourierAgainstCentered:
         assert (rep.residual > RESIDUAL_FLAG_THRESHOLD) \
             == (residual > RESIDUAL_FLAG_THRESHOLD)
 
-    @pytest.mark.parametrize("make_input", [
-        lambda: a4_input(4.0, 256, 8.0),
-        lambda: a4_input(6.0, 1024, 16.0),
-        lambda: sample(tensor(gaussian_1d(2.0, center=0.3),
-                              gaussian_1d(3.0, power=1, coeff=0.5j)),
-                       make_grid(2, 256, 8.0)),
-        lambda: smooth(sample(tensor(gaussian_1d(1.5, center=-0.4),
-                                     gaussian_1d(2.5, coeff=0.3 + 0.2j)),
-                              make_grid(2, 1024, 16.0))),
-        lambda: complex_noise(make_grid(4, 16, 2.0), seed=7),
-        lambda: a4_input(0.25, 256, 8.0),
-    ], ids=["1d", "1d-1024", "2d", "2d-1024", "4d-noise", "wide-flagged"])
-    def test_kept_lines_pass_is_bit_identical(self, make_input):
-        # the first inverse pass on the kept lines alone equals ifftn of the
-        # whole lifted grid bit for bit, signed zeros included
+    @pytest.mark.parametrize("make_input, tau", [
+        (lambda: a4_input(4.0, 256, 8.0), 1e-12),
+        (lambda: a4_input(6.0, 1024, 16.0), 1e-12),
+        (lambda: sample(tensor(gaussian_1d(2.0, center=0.3),
+                               gaussian_1d(3.0, power=1, coeff=0.5j)),
+                        make_grid(2, 256, 8.0)), 1e-12),
+        (lambda: smooth(sample(tensor(gaussian_1d(1.5, center=-0.4),
+                                      gaussian_1d(2.5, coeff=0.3 + 0.2j)),
+                               make_grid(2, 1024, 16.0))), 1e-12),
+        (lambda: complex_noise(make_grid(4, 16, 2.0), seed=7), 1e-12),
+        (lambda: a4_input(0.25, 256, 8.0), 1e-12),
+        (two_term_symbol_1024, 1e-12),
+        (lambda: smoothed_real_sum(4, 16, 2.0), 1e-12),
+        (lambda: SampledField(make_grid(2, 64, 4.0), np.zeros((64, 64))),
+         1e-12),
+        (lambda: sample(tensor(gaussian_1d(2.0, center=0.3),
+                               gaussian_1d(3.0, power=1, coeff=0.5j)),
+                        make_grid(2, 256, 8.0)), 1e-3),
+        (two_term_symbol_1024, 0.5),
+        (plane_wave_line_input, threshold_on_second_node),
+    ], ids=["1d", "1d-1024", "2d", "2d-1024", "4d-noise", "wide-flagged",
+            "2d-1024-real", "4d-real", "zeros", "2d-tau-1e-3",
+            "2d-1024-real-tau-0.5", "plane-wave-line"])
+    def test_kept_lines_pass_is_bit_identical(self, make_input, tau):
+        # the forward pass along axis 0 on the candidate lines alone, and
+        # the first inverse pass on the kept lines alone, equal fftn and
+        # ifftn of the whole grid bit for bit, signed zeros included
         u = make_input()
-        got = desmooth_fourier(u).result.values
-        ref = desmooth_fourier_dense_lift(u)
-        assert got.tobytes() == ref.tobytes()
+        tau = tau(u) if callable(tau) else tau
+        rep = desmooth_fourier(u, tau)
+        ref = desmooth_fourier_dense_lift(u, tau)
+        assert rep.result.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("width", [2.0, 0.25],
+                             ids=["a4-2", "wide-flagged"])
+    def test_kept_fraction_and_peak_log_gain(self, width):
+        # the nodes the whole spectrum keeps, and in 1-d the gain at the
+        # cutoff: the wide input keeps far more nodes, at a far larger gain
+        u = a4_input(width, 256, 8.0)
+        rep = desmooth_fourier(u)
+        mag = np.abs(np.fft.fft(u.values))
+        assert rep.kept_fraction \
+            == np.count_nonzero(mag >= 1e-12 * mag.max()) / 256
+        assert rep.peak_log_gain \
+            == pytest.approx(0.5 * math.pi * rep.cutoff_frequency**2)
+        assert (rep.kept_fraction < 0.5 and rep.peak_log_gain < 20.0) \
+            == (width == 2.0)
+
+    def test_node_on_the_threshold_keeps_its_line(self):
+        # the second node sits exactly on the threshold, on a line whose
+        # 1-norm is N times its largest entry: both nodes are kept
+        u = plane_wave_line_input()
+        rep = desmooth_fourier(u, threshold_on_second_node(u))
+        assert rep.kept_fraction * u.values.size == 2
+
+    def test_axis0_forward_pass_runs_on_few_lines(self, monkeypatch):
+        # the heat-like input keeps its nodes in about 10 % of the lines;
+        # the forward calls are those before the first inverse pass
+        calls = []
+
+        def spy(name):
+            fn = getattr(np.fft, name)
+
+            def wrapped(a, *args, axis=-1, **kwargs):
+                calls.append((name, axis, np.shape(a)))
+                return fn(a, *args, axis=axis, **kwargs)
+            return wrapped
+
+        u = two_term_symbol_1024()
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, spy(name))
+        desmooth_fourier(u)
+        forward = calls[:[name for name, _, _ in calls].index("ifft")]
+        lines = sum(shape[1] for _, axis, shape in forward if axis == 0)
+        assert 0 < lines <= 0.15 * 1024
+
+    @pytest.mark.parametrize("dim, npts, ell", [(1, 256, 8.0), (2, 64, 4.0),
+                                                (4, 16, 2.0)])
+    def test_overflowing_spectrum_raises(self, dim, npts, ell):
+        # finite samples whose spectrum overflows: a FloatingPointError,
+        # not numpy's warnings or an empty reduction
+        g = make_grid(dim, npts, ell)
+        with pytest.raises(FloatingPointError):
+            desmooth_fourier(SampledField(g, np.full(g.shape, 1.7e308)))
 
     @pytest.mark.parametrize("dim, npts, ell", [(2, 64, 4.0),
                                                 (4, 16, 2.0)])
@@ -852,14 +949,18 @@ def peak_grids(call) -> float:
 
 class TestMemoryBudget:
     """Peak traced memory of one heat call at 2-d 1024/16, in grid-sized
-    complex arrays.  Measured 1.43, 2.48 and 1.11 for ``smooth``,
+    complex arrays.  Measured 1.43, 2.50 and 1.11 for ``smooth``,
     ``desmooth_fourier`` and ``desmooth_complex``; with every pass writing
     a new array and a zero-filled Phi they were 2.64, 5.30 and 2.02.  On
     the real route, ``smooth`` measured 0.68 on a float field (its float
     result is the field's array; 1.56 when it was copied into a complex
-    one), and ``desmooth_fourier`` 1.58 (2.61 on the complex passes): the
-    forward spectrum and its magnitudes, while the Hermitian half spectrum
-    is inverted in the spectrum's buffer."""
+    one), and ``desmooth_fourier`` 1.59.  Its forward pass holds no
+    grid-sized magnitudes since the axis-0 pass runs on the candidate
+    lines alone; the peak is the last inverse pass, the ``irfft`` of the
+    Hermitian half spectrum in the spectrum's buffer (1.0) into the float
+    result (0.5), beside the kept nodes' index and value arrays.  On the
+    complex passes (2.50) it is the residual's ``smooth``: Phi and the
+    smoothed field."""
 
     U = tensor(gaussian_1d(1.5, center=-0.4),
                gaussian_1d(2.5, coeff=0.3 + 0.2j))
