@@ -183,7 +183,7 @@ class SampledField:
         return SampledField(self.grid, self.values - other.values)
 
     def __mul__(self, scalar) -> "SampledField":
-        return SampledField(self.grid, self.values * complex(scalar))
+        return SampledField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 

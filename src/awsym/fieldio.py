@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, SampledField, make_grid
+from .core import Grid, SampledField, make_grid, sample
 from .gaussians import AnalyticGaussianSum, GaussFactor
 from .quantize import (AntiWickFromSymbol, CoherentCombo, DenseKernel,
                        OperatorRep)
@@ -192,8 +192,13 @@ def save_field(f: SampledField, manifest_path) -> dict:
 
 
 def load_field(manifest_path, record=None) -> SampledField:
+    """The field of a manifest: float64 and C-ordered when every stored
+    imaginary part is zero (-0.0 included), else complex128."""
     grid, values = _read_manifest(manifest_path, record=record)
-    return SampledField(grid, values.reshape(grid.shape))
+    values = values.reshape(grid.shape)
+    if not values.imag.any():
+        values = values.real.copy()
+    return SampledField(grid, values)
 
 
 def require_csv_dim(dim: int) -> None:
@@ -288,8 +293,6 @@ def operator_from_obj(obj: dict, base_dir: Path,
     Files a spec points to are recorded as they are read (see
     :func:`_read_manifest`).
     """
-    from .core import sample  # local import to avoid cycle at module load
-
     kind = obj.get("type")
     if kind == "antiwick-symbol":
         if "field" in obj:

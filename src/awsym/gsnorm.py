@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class GSEstimate:
     max_alpha: int
     max_beta: int
     a_by_total_order: tuple[float, ...] = field(default_factory=tuple)
-    k_est: Optional[float] = None
     unbounded: bool = False
 
 

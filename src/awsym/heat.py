@@ -15,20 +15,20 @@ multiplier is below 2^-60 for |xi| > T = ``core.BAND_HALFWIDTH`` (about
 frequencies |xi| <= T of each axis.  Neither writes its input: the first
 forward pass of ``smooth`` writes a new array (``desmooth_fourier``
 copies its input into a complex buffer first), and every later pass runs
-in place (``out=``) in a buffer the call already holds, not in a new one
-per pass, except ``desmooth_fourier``'s two passes along axis 0, which
-run on arrays gathered from the few lines that can hold a kept node.
+in place (``out=``), not in a new array per pass, except
+``desmooth_fourier``'s two passes along axis 0, which run on arrays
+gathered from the few lines that can hold a kept node.
 
-A real field, float64 or complex with every imaginary part exactly zero
-(``_real_values``), takes half-spectrum transforms and gives a float64
-result; any nonzero imaginary part selects the complex passes.  ``smooth``
-runs ``rfft`` first and ``irfft`` last, on the columns 0 <= j <= N/2 of
-the last axis (a real field's spectrum is Hermitian).  ``desmooth_fourier``
-keeps the complex forward transform, since its division lifts round-off by
-up to exp(pi |xi|^2 / 2) and a half-spectrum forward pass moves even the
-result's real part (by 3e-7 of the peak at width 6, 1024/16); its inverse
-ends in ``irfft`` of the lifted spectrum's Hermitian part, which is the
-real part of the complex inverse.
+The route follows the dtype alone: a float64 field takes half-spectrum
+transforms and gives a float64 result, a complex128 one the complex
+passes, even with all-zero imaginary parts (``fieldio.load_field`` loads
+real files as float64).  ``smooth`` runs ``rfft`` first and ``irfft``
+last, on the columns 0 <= j <= N/2 of the last axis (a real field's
+spectrum is Hermitian).  ``desmooth_fourier`` keeps the complex forward
+transform, since its division lifts round-off by up to exp(pi |xi|^2 / 2)
+and a half-spectrum forward pass moves even the result's real part (by
+3e-7 of the peak at width 6, 1024/16); its inverse ends in ``irfft`` of
+the lifted spectrum's Hermitian part, the real part of the complex one.
 
 Desmoothing is ill-posed in general, and both inverses make that visible
 instead of hiding it:
@@ -79,8 +79,8 @@ __all__ = [
     "desmooth_complex",
 ]
 
-# entries per block of a residual's difference and of the realness scan
-# (1 MiB complex)
+# entries per block of a residual's difference and of the 1-norms of
+# ``desmooth_fourier``'s lines (1 MiB complex)
 _BLOCK_ENTRIES = 2**16
 
 
@@ -122,20 +122,9 @@ def _row_blocks(vals: np.ndarray):
 def smooth(f: SampledField) -> SampledField:
     """Heat smoothing as the frequency multiplier exp(-pi |xi|^2 / 2), on
     unshifted FFTs (see the module notes), over every axis of ``f``.  A
-    real ``f`` takes the half-spectrum route and gives a float result."""
-    return SampledField(f.grid, _smooth_axes(_real_values(f.values), f.grid,
+    float64 ``f`` takes the half-spectrum route and gives a float result."""
+    return SampledField(f.grid, _smooth_axes(f.values, f.grid,
                                              range(f.grid.dim)))
-
-
-def _real_values(vals: np.ndarray) -> np.ndarray:
-    """The float values of a real ``vals``: a float array itself, or the
-    real parts of a complex one whose imaginary parts are all exactly zero,
-    scanned in row blocks up to the first block holding a nonzero one.  Any
-    other complex array comes back as it is."""
-    if np.iscomplexobj(vals) and not any(vals.imag[rows].any()
-                                         for rows in _row_blocks(vals)):
-        return vals.real
-    return vals
 
 
 def _smooth_axes(vals: np.ndarray, grid: Grid, axes) -> np.ndarray:
@@ -217,11 +206,12 @@ def desmooth_fourier(u: SampledField,
     only the overflow guard, and the logarithm and the gain are evaluated
     on the kept nodes alone.  The first inverse pass runs along axis 0,
     only on the lines that hold nonzeros; the passes along the other axes
-    run in place in the forward transform's buffer, and the residual is
-    formed in the smoothed field's buffer.  No attempt is made to decide
-    well-posedness for the caller: the recomputed residual in the report
-    is the verdict.  A real ``u`` gives the float64 real part of the
-    complex route's result (see the module notes).
+    run in place in one new buffer, and the residual is formed in the
+    smoothed field's buffer.  No attempt is made to decide well-posedness
+    for the caller: the recomputed residual in the report is the verdict.
+    A float64 ``u`` gives the float64 real part of the complex route's
+    result (see the module notes).  The zero field keeps no node: its
+    cutoff, ``kept_fraction`` and ``peak_log_gain`` are 0.
 
     The forward ``fftn`` is pruned along axis 0, bit for bit.  Its passes
     along axes d-1 .. 1 run over the whole buffer, in ``fftn``'s order; the
@@ -239,8 +229,7 @@ def desmooth_fourier(u: SampledField,
     """
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
-    grid, n = u.grid, u.grid.npoints
-    vals = _real_values(u.values)
+    grid, n, vals = u.grid, u.grid.npoints, u.values
     real = not np.iscomplexobj(vals)
     # a C-ordered complex copy, where the passes along axes d-1 .. 1 run in
     # place, as do the inverse passes; by_line's columns are the lines
@@ -251,6 +240,12 @@ def desmooth_fourier(u: SampledField,
             np.fft.fft(spec, axis=axis, out=spec)
         nu = sum(np.abs(by_line[rows]).sum(axis=0)
                  for rows in _row_blocks(by_line))
+        if not nu.any():
+            # every line is zero: Phi = 0, and its residual is sup |u|
+            return DesmoothReport(
+                SampledField(grid, np.zeros(grid.shape, vals.dtype)),
+                "fourier-regularized", u.sup_norm(), 0.0, rel_threshold,
+                kept_fraction=0.0, peak_log_gain=0.0)
         m0 = np.abs(np.fft.fft(by_line[:, np.argmax(nu)])).max()
         cand = np.flatnonzero(~(2.0 * nu < rel_threshold * m0))
         spec_cand = np.fft.fft(by_line[:, cand], axis=0)
@@ -304,11 +299,11 @@ def desmooth_fourier(u: SampledField,
     if real and grid.dim == 1:
         phi_vals = np.fft.irfft(on_lines[0], n)
     else:
-        # spec's buffer is free once the kept nodes are lifted; the passes
-        # along the other axes run in place there
+        # the passes along the other axes run in place in a new buffer of
+        # the inverse's shape, half the grid's for a real input
         np.fft.ifft(on_lines, out=on_lines)
-        spec = spec.reshape(-1)[:math.prod(shape)].reshape(shape)
-        spec.fill(0.0)
+        del spec
+        spec = np.zeros(shape, dtype=complex)
         spec.reshape(n, -1)[:, lines] = on_lines.T
         del on_lines
         np.fft.ifftn(spec, axes=range(1, grid.dim - real), out=spec)

@@ -93,11 +93,11 @@ def smooth_centered_multiplier(f):
 def smooth_axes_out_of_place(vals, grid, axes):
     """``awsym.heat._smooth_axes`` as it was before its passes ran in place:
     every forward pass returns a new array, and every inverse pass inverts a
-    new zero-padded array.  When every imaginary part of ``vals`` is zero,
-    the pass along the last of ``axes`` is ``rfft`` of the real parts,
-    keeping the columns 0..N/2 whose |xi| <= T, and its inverse, the last
-    pass, is ``irfft`` of those columns zero-padded to N/2 + 1; the result
-    is then real, returned as float64.  Kept only to pin that the in-place
+    new zero-padded array.  When ``vals`` is real (float dtype, whatever
+    its values), the pass along the last of ``axes`` is ``rfft``, keeping
+    the columns 0..N/2 whose |xi| <= T, and its inverse, the last pass, is
+    ``irfft`` of those columns zero-padded to N/2 + 1; the result is then
+    real, returned as float64.  Kept only to pin that the in-place
     passes give the same bytes."""
     import math
 
@@ -119,11 +119,11 @@ def smooth_axes_out_of_place(vals, grid, axes):
         return gain[part].reshape((-1,) + (1,) * (ndim - 1 - axis))
 
     axes = list(axes)
-    real = not vals.imag.any()
+    real = not np.iscomplexobj(vals)
     if real:
         last = axes.pop()
         keep = inband[:n // 2 + 1]
-        spec = np.fft.rfft(vals.real, axis=last)
+        spec = np.fft.rfft(vals, axis=last)
         vals = np.compress(keep, spec, axis=last) \
             * gains(np.flatnonzero(keep), last)
     for axis in reversed(axes):
@@ -562,15 +562,15 @@ def desmooth_fourier_dense_lift(u, rel_threshold: float = 1e-12):
     reach the threshold, and without its first inverse pass running only
     on the lines holding kept nodes.
 
-    For a real input (every imaginary part zero) the Hermitian part
+    For a real input (float dtype, whatever its values) the Hermitian part
     (L[k] + conj L[-k]) / 2 of the whole lifted grid L is formed densely,
     its columns 0..N/2 of the last axis are kept, and they are inverted in
     the library's real pass order: along axis 0 (when it is not the last
     axis), the middle axes, then ``irfft`` to N points along the last."""
     import math
 
-    real = not u.values.imag.any()
-    spec = np.fft.fftn(u.values.real if real else u.values)
+    real = not np.iscomplexobj(u.values)
+    spec = np.fft.fftn(u.values)
     mag = np.abs(spec)
     kept = np.nonzero(mag >= rel_threshold * float(mag.max()))
     xi = np.fft.ifftshift(u.grid.freq.axis_nodes())

@@ -11,7 +11,7 @@ from awsym import (AnalyticGaussianSum, AntiWickFromSymbol, CoherentCombo,
                    SampledField, assemble_antiwick, cli, desmooth_fourier,
                    gaussian_1d, identity_kernel, kernel_from_coherent,
                    kernel_from_weyl, make_grid, position_grid_of,
-                   radial_gaussian, sample, tensor)
+                   radial_gaussian, sample, smooth, tensor)
 from awsym.fieldio import (gaussian_to_obj, load_field, load_kernel,
                            save_field, save_kernel, sha256_file, write_json)
 from test_fieldio import poison_sample
@@ -239,6 +239,41 @@ def test_desmooth_report_kept_fraction_and_peak_log_gain(tmp_path, method,
     assert r.returncode == (width < 1.0), r.stderr
     report = json.loads((tmp_path / "desmooth-report.json").read_text())
     assert {k: report[k] for k in expect} == expect
+
+
+def test_real_field_file_takes_the_float_route(tmp_path):
+    # a file of real samples loads as float64, so the commands write the
+    # bytes of the in-process float route, and the same residual
+    g = make_grid(2, 256, 8.0)
+    f = smooth(sample(tensor(gaussian_1d(1.5, center=-0.4),
+                             gaussian_1d(2.5, coeff=0.3)), g))
+    assert f.values.dtype == np.float64
+    save_field(f, tmp_path / "u.json")
+    rep = desmooth_fourier(f)
+    save_field(smooth(f), tmp_path / "ref-smoothed.json")
+    save_field(rep.result, tmp_path / "ref-desmoothed.json")
+    for command, extra in (("smooth", []),
+                           ("desmooth", ["--method", "fourier-regularized"])):
+        r = run_cli("--outdir", str(tmp_path), command, *extra,
+                    "--input", str(tmp_path / "u.json"))
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / f"{command}ed.bin").read_bytes() \
+            == (tmp_path / f"ref-{command}ed.bin").read_bytes()
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    assert report["residual"] == rep.residual
+
+
+def test_zero_field_desmooth_report_keeps_no_node(tmp_path):
+    g = make_grid(2, 64, 4.0)
+    save_field(SampledField(g, np.zeros(g.shape)), tmp_path / "z.json")
+    r = run_cli("--outdir", str(tmp_path), "desmooth",
+                "--method", "fourier-regularized",
+                "--input", str(tmp_path / "z.json"))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    keys = ("residual", "cutoff_frequency", "kept_fraction", "peak_log_gain")
+    assert [report[k] for k in keys] == [0.0] * len(keys)
+    assert not load_field(tmp_path / "desmoothed.json").values.any()
 
 
 def test_non_finite_residual_exits_with_numerical_flag(workdir, monkeypatch):

@@ -204,6 +204,16 @@ class TestSampledField:
         assert (f.values is vals) == (dtype == kept)
         assert np.array_equal(f.values, vals)
 
+    def test_real_scalar_keeps_a_float_field_float(self, grid64):
+        f = SampledField(grid64, np.linspace(-1.0, 1.0, 64))
+        for scalar in (2.0, 3, np.float64(-0.5)):
+            for g in (f * scalar, scalar * f):
+                assert g.values.dtype == np.float64
+                assert g.values.tobytes() == (f.values * scalar).tobytes()
+        g = f * 1j
+        assert g.values.dtype == np.complex128
+        assert np.array_equal(g.values, 1j * f.values)
+
     def test_sample_dtype_follows_the_coefficients(self, grid64):
         assert sample(gaussian_1d(2.0, coeff=-0.5),
                       grid64).values.dtype == np.float64

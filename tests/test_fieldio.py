@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from awsym import (CoherentCombo, gaussian_1d, identity_kernel, make_grid,
-                   radial_gaussian, sample, tensor)
+from awsym import (CoherentCombo, SampledField, gaussian_1d, identity_kernel,
+                   make_grid, radial_gaussian, sample, tensor)
 from awsym.fieldio import (combo_from_obj, combo_to_obj, export_csv,
                            gaussian_from_obj, gaussian_to_obj, load_field,
                            load_kernel, operator_from_obj, read_json,
@@ -28,6 +28,32 @@ def test_field_round_trip_2d(tmp_path, phase64):
     save_field(f, tmp_path / "f2.json")
     g = load_field(tmp_path / "f2.json")
     assert np.array_equal(g.values, f.values)
+
+
+def test_zero_imaginary_parts_load_as_float64(tmp_path, phase64):
+    # the stored file is complex; -0.0 counts as zero, and the field holds
+    # the real parts' bytes in a C-contiguous float64 array
+    re = np.random.default_rng(5).standard_normal(phase64.shape)
+    vals = re.astype(complex)
+    vals.imag[::3, 1::2] = -0.0
+    save_field(SampledField(phase64, vals), tmp_path / "f.json")
+    assert np.signbit(np.frombuffer((tmp_path / "f.bin").read_bytes(),
+                                    dtype="<f8")[1::2]).any()
+    g = load_field(tmp_path / "f.json")
+    assert g.values.dtype == np.float64 and g.values.flags.c_contiguous
+    assert g.values.tobytes() == re.tobytes()
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_one_nonzero_imaginary_part_loads_as_complex(tmp_path, phase64, at):
+    re = np.random.default_rng(6).standard_normal(phase64.shape)
+    save_field(SampledField(phase64, re), tmp_path / "f.json")
+    poison_sample(tmp_path / "f.bin", at, complex(re.flat[at], 1e-300))
+    g = load_field(tmp_path / "f.json")
+    assert g.values.dtype == np.complex128
+    assert g.values.real.tobytes() == re.tobytes()
+    assert np.count_nonzero(g.values.imag) == 1
+    assert g.values.flat[at].imag == 1e-300
 
 
 def test_binary_layout_is_interleaved_little_endian(tmp_path, grid64):
