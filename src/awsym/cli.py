@@ -59,7 +59,13 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir or os.environ.get("AWSYM_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     report_path, manifest_path = (outdir / name for name in _run_names(args))
+    written = set()
     for path in [report_path, manifest_path, *_saved_paths(args, outdir)]:
+        if path.resolve() in written:
+            print(f"[awsym] usage error: this run would write {path} twice",
+                  file=sys.stderr)
+            return 2
+        written.add(path.resolve())
         if path.is_dir() or not (path.parent.is_dir()
                                  and os.access(path.parent, os.W_OK)):
             print(f"[awsym] usage error: cannot write {path}",

@@ -171,13 +171,6 @@ class SampledField:
         if not np.isfinite(self.values).all():
             raise FloatingPointError("field contains NaN/Inf samples")
 
-    def conj(self) -> "SampledField":
-        return SampledField(self.grid, np.conj(self.values))
-
-    def __add__(self, other: "SampledField") -> "SampledField":
-        require_same_grid(self, other)
-        return SampledField(self.grid, self.values + other.values)
-
     def __sub__(self, other: "SampledField") -> "SampledField":
         require_same_grid(self, other)
         return SampledField(self.grid, self.values - other.values)

@@ -119,13 +119,15 @@ def grid_from_obj(obj: dict) -> Grid:
 
 
 def _read_binary(path: Path, count: int, record) -> np.ndarray:
+    """The ``count`` finite samples of ``path``, a read-only ``<c16`` view
+    of its bytes; ``record`` as in :func:`_read`."""
     raw = np.frombuffer(_read(path, record), dtype="<c16")
     if raw.size != count:
         raise ValueError(
             f"{path}: expected {count} complex samples, found {raw.size}")
     if not np.isfinite(raw).all():
         raise ValueError(f"{path}: samples must be finite (found NaN or Inf)")
-    return raw.astype(complex)
+    return raw
 
 
 def _inside(base_dir, rel, what: str) -> Path:
@@ -181,7 +183,7 @@ def _write_manifest(manifest_path, header: dict, values: np.ndarray) -> dict:
     manifest = {**header, "layout": "row-major", "dtype": _FIELD_DTYPE,
                 "data": manifest_path.stem + ".bin"}
     (manifest_path.parent / manifest["data"]).write_bytes(
-        np.ascontiguousarray(values, dtype="<c16").tobytes())
+        np.ascontiguousarray(values, dtype="<c16"))
     write_json(manifest_path, manifest)
     return manifest
 
@@ -192,12 +194,12 @@ def save_field(f: SampledField, manifest_path) -> dict:
 
 
 def load_field(manifest_path, record=None) -> SampledField:
-    """The field of a manifest: float64 and C-ordered when every stored
-    imaginary part is zero (-0.0 included), else complex128."""
+    """The field of a manifest, a writable C-ordered copy of the samples:
+    float64 when every stored imaginary part is zero (-0.0 included), else
+    complex128."""
     grid, values = _read_manifest(manifest_path, record=record)
     values = values.reshape(grid.shape)
-    if not values.imag.any():
-        values = values.real.copy()
+    values = (values if values.imag.any() else values.real).copy()
     return SampledField(grid, values)
 
 
@@ -228,7 +230,7 @@ def save_kernel(k: DenseKernel, manifest_path) -> dict:
 def load_kernel(manifest_path, record=None) -> DenseKernel:
     grid, values = _read_manifest(manifest_path, kind="dense-kernel",
                                   record=record)
-    return DenseKernel(grid, values.reshape(grid.size, grid.size))
+    return DenseKernel(grid, values.reshape(grid.size, grid.size).copy())
 
 
 # -- analytic objects --------------------------------------------------------

@@ -16,7 +16,7 @@ frequencies |xi| <= T of each axis.  Neither writes its input: the first
 forward pass of ``smooth`` writes a new array (``desmooth_fourier``
 copies its input into a complex buffer first), and every later pass runs
 in place (``out=``), not in a new array per pass, except
-``desmooth_fourier``'s two passes along axis 0, which run on arrays
+``desmooth_fourier``'s two passes along axis 0, which run on copies
 gathered from the few lines that can hold a kept node.
 
 The route follows the dtype alone: a float64 field takes half-spectrum
@@ -204,11 +204,11 @@ def desmooth_fourier(u: SampledField,
     the division commutes with the centring shifts and the transform
     weights cancel, so it runs on unshifted FFTs; the weight h^d enters
     only the overflow guard, and the logarithm and the gain are evaluated
-    on the kept nodes alone.  The first inverse pass runs along axis 0,
-    only on the lines that hold nonzeros; the passes along the other axes
-    run in place in one new buffer, and the residual is formed in the
-    smoothed field's buffer.  No attempt is made to decide well-posedness
-    for the caller: the recomputed residual in the report is the verdict.
+    on the kept nodes alone.  Once the forward buffer is freed the lifted
+    values go straight into the inverse's zero buffer (half the grid for a
+    float ``u``), whose pass along axis 0 runs only on the lines holding
+    nonzeros.  No attempt is made to decide well-posedness for the caller:
+    the recomputed residual in the report is the verdict.
     A float64 ``u`` gives the float64 real part of the complex route's
     result (see the module notes).  The zero field keeps no node: its
     cutoff, ``kept_fraction`` and ``peak_log_gain`` are 0.
@@ -275,11 +275,11 @@ def desmooth_fourier(u: SampledField,
     half = np.exp(0.25 * math.pi * sq)
     with np.errstate(over="ignore", invalid="ignore"):
         lifted = spec_cand[hit] * half * half
-    del spec_cand, by_line
-    # the inverse's input as scatters (indices, values) with unique indices:
-    # the lifted spectrum L on the kept nodes, or for a real input its
-    # Hermitian part (L[k] + conj L[-k]) / 2 on the columns 0..N/2 of the
-    # last axis, which ``irfft`` inverts to Re(ifftn(L))
+    del spec, spec_cand, by_line
+    # the inverse's input, scattered into its zero buffer part by part
+    # (each part's indices unique): the lifted spectrum L on the kept nodes,
+    # or for a real input its Hermitian part (L[k] + conj L[-k]) / 2 on the
+    # columns 0..N/2 of the last axis, which ``irfft`` inverts to Re(ifftn(L))
     shape, parts = grid.shape, [(kept, lifted)]
     if real:
         shape = shape[:-1] + (n // 2 + 1,)
@@ -287,40 +287,31 @@ def desmooth_fourier(u: SampledField,
         parts = [(tuple(k[on] for k in idx), v[on]) for idx, v in (
             (kept, lifted), (tuple(-k % n for k in kept), lifted.conj()))
             for on in [idx[-1] < shape[-1]]]
-    # the first inverse pass runs along axis 0, only on the lines (indices
-    # on the other axes) that hold a nonzero; the other lines stay exact
-    # zeros.  A real 1-d input has one line, its half spectrum
-    flat = [np.ravel_multi_index(idx[1:], shape[1:]) for idx, _ in parts]
-    lines = np.flatnonzero(np.bincount(np.hstack(flat)))
-    on_lines = np.zeros((len(lines), shape[0]), dtype=complex)
-    for j, ((idx, v), line) in enumerate(zip(parts, flat)):
-        at = (np.searchsorted(lines, line), idx[0])
-        on_lines[at] = v if j == 0 else on_lines[at] + v
-    if real and grid.dim == 1:
-        phi_vals = np.fft.irfft(on_lines[0], n)
-    else:
-        # the passes along the other axes run in place in a new buffer of
-        # the inverse's shape, half the grid's for a real input
-        np.fft.ifft(on_lines, out=on_lines)
-        del spec
-        spec = np.zeros(shape, dtype=complex)
-        spec.reshape(n, -1)[:, lines] = on_lines.T
-        del on_lines
+    spec = np.zeros(shape, dtype=complex)
+    for j, (idx, v) in enumerate(parts):
+        spec[idx] = v if j == 0 else spec[idx] + v
+    if grid.dim > real:
+        # the complex passes (a real input's last axis is irfft's): along
+        # axis 0 on a gathered copy of the lines (indices on the other axes)
+        # that hold a nonzero, the others stay exact zeros; then in place
+        by_line = spec.reshape(n, -1)
+        lines = np.unique(np.hstack([np.ravel_multi_index(idx[1:], shape[1:])
+                                     for idx, _ in parts]))
+        on_lines = by_line[:, lines]
+        by_line[:, lines] = np.fft.ifft(on_lines, axis=0, out=on_lines)
+        del by_line, on_lines
         np.fft.ifftn(spec, axes=range(1, grid.dim - real), out=spec)
-        phi_vals = np.fft.irfft(spec, n) if real else spec
+    phi_vals = np.fft.irfft(spec, n) if real else spec
     del spec
     phi = SampledField(grid, phi_vals)
     kept_cut = max(float(np.max(np.abs(xi[idx]))) for idx in kept)
     # sup |smooth(phi) - u|, recomputed from the returned field and formed
-    # in the smoothed field's buffer, a row block at a time; np.max keeps a
-    # block's NaN
+    # in the smoothed field's buffer; the magnitudes a row block at a time,
+    # and np.max keeps a block's NaN
     diff = _smooth_axes(phi_vals, grid, range(grid.dim))
-    buf = np.empty(diff[next(_row_blocks(diff))].shape)
-    peaks = []
-    for rows in _row_blocks(diff):
-        block = np.subtract(diff[rows], vals[rows], out=diff[rows])
-        peaks.append(np.abs(block, out=buf[:len(block)]).max())
-    residual = float(np.max(peaks))
+    np.subtract(diff, vals, out=diff)
+    residual = float(np.max([np.abs(diff[rows]).max()
+                             for rows in _row_blocks(diff)]))
     if not math.isfinite(residual):
         raise FloatingPointError("smoothed field contains NaN/Inf samples")
     return DesmoothReport(phi, "fourier-regularized", residual,

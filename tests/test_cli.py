@@ -508,6 +508,26 @@ def test_unwritable_report_path_is_usage_error(workdir, out, sub):
     assert not list((workdir / "out").glob("*.json"))
 
 
+@pytest.mark.parametrize("command, out", [
+    ("smooth", "smooth-report.json"),
+    ("desmooth", "desmooth.manifest.json"),
+    ("smooth", "x.bin"),
+], ids=["out-is-report", "out-is-manifest", "out-is-its-binary"])
+def test_output_path_written_twice_is_usage_error(workdir, command, out):
+    # an --out naming the run's report or manifest, or the binary of its
+    # own field manifest, would overwrite one output with another: exit 2
+    # before the work, no traceback, nothing written
+    (workdir / "out").mkdir()
+    method = ["--method", "fourier-regularized"] if command == "desmooth" \
+        else []
+    r = run_cli("--outdir", str(workdir / "out"), command, *method,
+                "--input", str(workdir / "field.json"), "--out", out)
+    assert r.returncode == 2
+    assert "usage error: this run would write" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not list((workdir / "out").iterdir())
+
+
 @pytest.mark.parametrize("command, work, args", [
     ("smooth", "smooth", ["--input", "field.json", "--csv"]),
     ("desmooth", "desmooth_fourier",

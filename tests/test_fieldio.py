@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,45 @@ def test_kernel_round_trip(tmp_path, grid64):
     assert np.array_equal(k2.matrix, k.matrix)
     manifest = json.loads((tmp_path / "k.json").read_text())
     assert manifest["shape"] == [64, 64]
+
+
+def traced_peak(call):
+    """(result, peak traced bytes) of a second ``call()``: the first one
+    runs untraced, so lazy imports do not count."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, save_peak, load_peak", [
+    ("real", 1.1, 1.6), ("complex", 0.1, 2.1), ("kernel", 0.1, 2.1)])
+def test_save_and_load_copy_once(tmp_path, kind, save_peak, load_peak):
+    # peaks in complex 512^2 grids: a save writes the binary from the <c16
+    # array itself (a float field's complex copy, 1.0, else no copy); a
+    # load holds the file's bytes (1.0) and copies them once, into the real
+    # parts (0.5) or the complex samples (1.0), so the result is writable
+    grid = make_grid(2, 512, 8.0)
+    if kind == "kernel":
+        obj, save, load = identity_kernel(make_grid(1, 512, 8.0)), \
+            save_kernel, load_kernel
+        values = obj.matrix
+    else:
+        obj = sample(tensor(gaussian_1d(1.5, center=-0.4), gaussian_1d(
+            2.5, coeff=0.3 if kind == "real" else 0.3 + 0.2j)), grid)
+        save, load, values = save_field, load_field, obj.values
+    grids = 16 * 512**2
+    _, peak = traced_peak(lambda: save(obj, tmp_path / "f.json"))
+    assert peak / grids <= save_peak
+    assert (tmp_path / "f.bin").read_bytes() \
+        == values.astype("<c16").tobytes()
+    out, peak = traced_peak(lambda: load(tmp_path / "f.json"))
+    assert peak / grids <= load_peak
+    loaded = out.matrix if kind == "kernel" else out.values
+    assert loaded.dtype == values.dtype and loaded.flags.writeable
+    assert np.array_equal(loaded, values)
 
 
 def test_loaders_record_what_they_read(tmp_path, grid64):

@@ -320,6 +320,18 @@ def two_term_symbol_1024() -> SampledField:
     return smooth(sample(u, make_grid(2, 1024, 16.0)))
 
 
+COMPLEX_1D_INPUTS = {
+    "1d-complex": lambda: smooth(sample(
+        gaussian_1d(2.0, center=0.3, coeff=0.4 + 0.7j),
+        make_grid(1, 256, 8.0))),
+    "1d-complex-1024": lambda: smooth(sample(
+        gaussian_1d(0.9, center=0.3, power=1, coeff=0.8)
+        + gaussian_1d(1.2, center=-0.2, coeff=0.6j),
+        make_grid(1, 1024, 16.0))),
+    "1d-noise": lambda: complex_noise(make_grid(1, 256, 8.0), seed=11),
+}
+
+
 def plane_wave_line_input() -> SampledField:
     """The inverse transform of a spectrum with its peak at xi = 0 and one
     node of a thousandth of it at unshifted index (5, 32): after the
@@ -387,9 +399,13 @@ class TestDesmoothFourierAgainstCentered:
                         make_grid(2, 256, 8.0)), 1e-3),
         (two_term_symbol_1024, 0.5),
         (plane_wave_line_input, threshold_on_second_node),
+        *[(make, tau) for make in COMPLEX_1D_INPUTS.values()
+          for tau in (1e-12, 1e-3)],
     ], ids=["1d", "1d-1024", "2d", "2d-1024", "4d-noise", "wide-flagged",
             "2d-1024-real", "4d-real", "zeros", "2d-tau-1e-3",
-            "2d-1024-real-tau-0.5", "plane-wave-line"])
+            "2d-1024-real-tau-0.5", "plane-wave-line",
+            *[f"{name}{tag}" for name in COMPLEX_1D_INPUTS
+              for tag in ("", "-tau-1e-3")]])
     def test_kept_lines_pass_is_bit_identical(self, make_input, tau):
         # the forward pass along axis 0 on the candidate lines alone, and
         # the first inverse pass on the kept lines alone, equal fftn and
@@ -968,17 +984,18 @@ def peak_grids(call) -> float:
 
 class TestMemoryBudget:
     """Peak traced memory of one heat call at 2-d 1024/16, in grid-sized
-    complex arrays.  Measured 1.43, 2.50 and 1.11 for ``smooth``,
+    complex arrays.  Measured 1.43, 2.49 and 1.11 for ``smooth``,
     ``desmooth_fourier`` and ``desmooth_complex``; with every pass writing
     a new array and a zero-filled Phi they were 2.64, 5.30 and 2.02.  On
     the real route, ``smooth`` measured 0.68 on a float field (its float
     result is the field's array; 1.56 when it was copied into a complex
     one), and ``desmooth_fourier`` 1.28.  Its forward pass holds no
     grid-sized magnitudes since the axis-0 pass runs on the candidate
-    lines alone, and its inverse passes run in a new half-spectrum buffer
+    lines alone, and the lifted values go into a new half-spectrum buffer
     (0.5) once the spectrum's buffer (1.0) is freed; it measured 1.59 when
-    they ran in a view of that buffer.  On the complex passes (2.50) the
-    peak is the residual's ``smooth``: Phi and the smoothed field."""
+    its inverse passes ran in a view of that buffer.  On the complex passes
+    (2.49; 2.50 while the lifted values were staged in a separate array)
+    the peak is the residual's ``smooth``: Phi and the smoothed field."""
 
     U = tensor(gaussian_1d(1.5, center=-0.4),
                gaussian_1d(2.5, coeff=0.3 + 0.2j))

@@ -5,8 +5,9 @@ source trees, and compare what they write, file by file.
 
 SRC_A and SRC_B are repository roots (or their ``src`` directories).  The
 inputs are built once, into OUTDIR/inputs, with the awsym beside this
-script: a real and a complex 2-d 256/8 symbol, a zero field, Gaussian-sum
-test functions and operator specs.  Each run then executes in
+script: a real and a complex 2-d 256/8 symbol, a zero field, real and
+complex smoothed 1-d 256/8 fields, Gaussian-sum test functions and
+operator specs.  Each run then executes in
 OUTDIR/<a|b>/<run>, with ``--outdir .`` and relative paths, so equal
 programs write equal bytes.  Every output file is printed as ``equal`` or
 ``DIFFERS`` beside the two exit codes; manifests are compared without
@@ -38,6 +39,8 @@ RUNS = {
                      "--input", IN + "S.json"],
     "desmooth-complex": ["desmooth", *FOURIER, "--input", IN + "Fc.json"],
     "desmooth-zero": ["desmooth", *FOURIER, "--input", IN + "Z.json"],
+    "desmooth-1d": ["desmooth", *FOURIER, "--input", IN + "S1.json"],
+    "desmooth-1d-complex": ["desmooth", *FOURIER, "--input", IN + "S1c.json"],
     "desmooth-complex-shift": ["desmooth", "--input", IN + "ucs.json"],
     "antiwick-assemble": ["antiwick-assemble", "--symbol", IN + "F.json"],
     "weyl-from-kernel": ["weyl-from-kernel",
@@ -63,6 +66,10 @@ def build_inputs(inputs: Path) -> None:
                              gaussian_1d(2.5, coeff=0.3 + 0.2j)), g),
                inputs / "Fc.json")
     save_field(0.0 * sample(radial_gaussian(2, 1.0), g), inputs / "Z.json")
+    g1 = make_grid(1, 256, 8.0)
+    for name, coeff in (("S1.json", 0.8), ("S1c.json", 0.4 + 0.7j)):
+        save_field(smooth(sample(gaussian_1d(2.0, center=0.3, coeff=coeff),
+                                 g1)), inputs / name)
     write_json(inputs / "u.json", gaussian_to_obj(radial_gaussian(2, 3.0)))
     write_json(inputs / "ucs.json", gaussian_to_obj(
         tensor(gaussian_1d(4.0), gaussian_1d(2.0, center=0.3))))
