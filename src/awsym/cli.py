@@ -57,8 +57,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     outdir = Path(args.outdir or os.environ.get("AWSYM_OUTDIR", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     report_path, manifest_path = (outdir / name for name in _run_names(args))
+    # the checks run before a missing outdir is made: its nearest existing
+    # ancestor must be a writable directory
+    home = ancestor = outdir.resolve()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
     written = set()
     for path in [report_path, manifest_path, *_saved_paths(args, outdir)]:
         if path.resolve() in written:
@@ -66,11 +70,15 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         written.add(path.resolve())
-        if path.is_dir() or not (path.parent.is_dir()
-                                 and os.access(path.parent, os.W_OK)):
+        parent = path.parent.resolve()
+        if parent == home:
+            parent = ancestor
+        if path.is_dir() or not (parent.is_dir()
+                                 and os.access(parent, os.W_OK)):
             print(f"[awsym] usage error: cannot write {path}",
                   file=sys.stderr)
             return 2
+    outdir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     inputs: dict[str, str] = {}     # every file read -> SHA-256 (fieldio)

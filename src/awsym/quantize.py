@@ -50,6 +50,34 @@ weyl_from_kernel reads its whole midpoint-slice table in one flat gather,
 since each axis pair adds its own term to the flat kernel index, and then
 transforms the offset axes.
 
+Real symbols
+------------
+A real symbol (anti-Wick or Weyl) belongs to a self-adjoint operator,
+whose kernel is Hermitian: K(v, u) = conj K(u, v), that is
+T[s, 2B - d] = conj T[s, d].  As in the heat layer, the dtype alone picks
+the route: for a float64 F or sigma, assembly and kernel_from_weyl form
+only the differences t >= 0 of the first axis pair and fill the t < 0 half
+of each parity class as its conjugate (:func:`_mirror`) before the pair
+read; a complex128 symbol takes the full table, byte for byte as before.
+For n = 1 the kernel is then exactly Hermitian.  For n > 1 only the first
+axis pair is halved; in assembly its xi sums already ran over every axis,
+so its mirror reverses the other difference axes as well.
+weyl_from_kernel returns float64 when its midpoint-slice table equals the
+conjugate of its own flip o -> -o (mod N) over the offsets, which makes
+the transform real; it keeps the complex transform and its real part, so
+an assembled real symbol's kernel maps back to a float64 symbol.
+
+The half routes compute the t >= 0 entries as the complex route does.
+Assembly's quadrature is a sum of Hermitian terms F(X) |Psi_X><Psi_X|, so
+its two routes agree to round-off.  A real sigma's complex-route kernel
+is Hermitian except for the terms at the Nyquist frequency L of the
+self-dual grid: the unpaired x frequency -L of the midpoint interpolation
+reaches the midpoints off the phase nodes, and the offsets t = +-L are
+formed on both sides.  So the half route of kernel_from_weyl equals the
+complex route's Hermitian part except for those (+-L) terms, which vanish
+for a symbol band-limited inside the box and at the midpoints on phase
+nodes, the ones weyl_from_kernel reads back.
+
 Operator action
 ---------------
 An anti-Wick operator is a localization operator (a Gabor multiplier), so
@@ -252,6 +280,15 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     (``core.phase_table``) from the phase grid's start and step.  Each axis
     writes its midpoint x difference table T[s, d] and :func:`_read_pairs`
     reads the node pairs from it.
+
+    A float64 F takes the half route (module notes, "Real symbols"): the
+    first xi axis is contracted with the t >= 0 columns of the xi table
+    in one real product, the first axis pair's window products run on
+    that half, and the other half is mirrored, T[s, 2B - d] = conj
+    T[s, d] with d_2..d_n reversed too.  For n = 1 the t = 0 column is
+    real (its xi sum is a real product with zero imaginary part), so
+    K == K^H exactly.  It matches the complex route on F as complex128 to
+    round-off; a complex128 F keeps the complex route.
     """
     phase = op.symbol.grid
     n = op.position_dim
@@ -260,25 +297,40 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     npos = pos_grid.npoints
     band = min(npos - 1, math.floor(BAND_HALFWIDTH / pos_grid.spacing))
 
-    # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - B) h_pos
-    diffs = np.arange(-band, band + 1) * pos_grid.spacing
+    # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - B) h_pos.  A real
+    # F forms only d_1 >= B, the first xi axis in one real product, so at
+    # n = 1 the phase table needs no column t < 0
+    tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
+    real = not np.iscomplexobj(tab)
+    first = band if real and n == 1 else 0
+    diffs = np.arange(first - band, band + 1) * pos_grid.spacing
     phase_mat = phase_table(diffs, 2.0 * PI, -phase.half_extent,
                             phase.spacing, phase.npoints) \
         * (phase.spacing * np.exp(-0.5 * PI * diffs * diffs))
-    tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
-    for _ in range(n):
+    if real:
+        shape = tab.shape[:n] + tab.shape[n + 1:] + (band + 1,)
+        tab = _real_left_matmul(np.moveaxis(tab, n, -1).reshape(
+            -1, phase.npoints), phase_mat[:, band - first:]).reshape(shape)
+    for _ in range(n - real):
         # contract the leading xi axis (axis n of the remaining block)
         tab = np.tensordot(tab, phase_mat, axes=([n], [0]))
 
     mids = _midpoints(pos_grid)
     for j in range(n):
         tab = np.moveaxis(tab, (j, n + j), (0, 1))
-        # cells whose s and d - B differ in parity are never read
-        table = np.zeros((2 * npos - 1,) + tab.shape[1:], dtype=complex)
+        half = real and j == 0      # tab's column c holds d = B + c
+        table = np.zeros((2 * npos - 1, 2 * band + 1) + tab.shape[2:],
+                         dtype=complex)
         for parity in (0, 1):
+            # cells whose s and d - B differ in parity are never read
             cols = (band + parity) % 2
-            _window_product(table[parity::2, cols::2], mids[parity::2],
-                            phase, np.ascontiguousarray(tab[:, cols::2]))
+            lo = band + parity if half else cols
+            _window_product(table[parity::2, lo::2], mids[parity::2],
+                            phase, np.ascontiguousarray(
+                                tab[:, lo - band * half::2]))
+            if half:
+                # d_2..d_n reverse with d_1
+                _mirror(table[parity::2], band, cols, n - 1)
         tab = np.moveaxis(_read_pairs(table, npos), (0, 1), (j, n + j))
     # tab axes: (u_1..u_n, v_1..v_n)
     mat = tab.reshape(pos_grid.size, pos_grid.size)
@@ -350,6 +402,17 @@ def _read_pairs(table: np.ndarray, npts: int) -> np.ndarray:
     return out
 
 
+def _mirror(rows: np.ndarray, band: int, cols: int, flips: int = 0) -> None:
+    """rows[:, d] = conj rows[:, 2B - d] for d = cols, cols + 2, .. < B,
+    with the last ``flips`` axes reversed too: the t < 0 half of one
+    parity class of a midpoint x difference table T[s, d] of a Hermitian
+    kernel, from its t > 0 half."""
+    rev = (slice(None),) * (rows.ndim - 2 - flips) \
+        + (slice(None, None, -1),) * flips
+    np.conjugate(rows[(slice(None), slice(2 * band - cols, band, -2)) + rev],
+                 out=rows[:, cols:band:2])
+
+
 # ---------------------------------------------------------------------------
 # Weyl transforms
 # ---------------------------------------------------------------------------
@@ -398,9 +461,25 @@ def _midpoint_slices(kernel: DenseKernel) -> np.ndarray:
 def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
     """Weyl symbol of a kernel: the centred transform over the offsets of
     its midpoint-slice table (:func:`_midpoint_slices`, which states the
-    grid requirements), at the phase spacing h per axis."""
+    grid requirements), at the phase spacing h per axis.
+
+    The symbol is float64 when the table S equals the conjugate of its
+    flip S[x, -o] over the offsets, o taken mod N, so that the transform
+    is real: a Hermitian kernel passes when its entries at the offsets
+    t_j = -L, which have no mirror in the table, pass the flip too (they
+    are zero in a kernel assembled with L > T).  The check reads the
+    N^n x N^n table once, not the kernel.
+    The complex transform still runs and its real part is kept, so the
+    float64 symbol equals the complex128 one's real part bit for bit;
+    any other kernel gives complex128, as before."""
     n = kernel.grid.dim
-    tab = centered_fft(_midpoint_slices(kernel), axes=tuple(range(n, 2 * n)))
+    offsets = tuple(range(n, 2 * n))
+    slices = _midpoint_slices(kernel)
+    tab = centered_fft(slices, axes=offsets)
+    # S[x, -o] = conj S[x, o], o taken mod N, makes the transform real
+    if np.array_equal(slices, np.roll(np.flip(slices, offsets), 1,
+                                      offsets).conj()):
+        tab = tab.real
     phase = Grid(2 * n, kernel.grid.npoints // 2, kernel.grid.half_extent)
     return SampledField(phase, tab * phase.spacing**n)
 
@@ -431,6 +510,15 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     exact, with no transcendental call per entry.  A grid that passes the
     self-dual check within its 1e-12 tolerance is taken as exactly
     self-dual.
+
+    A float64 sigma takes the half route (module notes, "Real symbols"):
+    the first axis pair builds e_t and both products for delta >= 0 only,
+    column delta = 0 is made real and the delta < 0 half is mirrored, so
+    for n = 1 the kernel is exactly Hermitian.  It equals the complex
+    route's Hermitian part except for the Nyquist (+-L) terms, and so
+    matches the complex route on sigma as complex128 to round-off for a
+    symbol band-limited inside the box; a complex128 sigma keeps the
+    complex route.
     """
     phase = symbol.grid
     kgrid = position_grid_of(phase).refined()
@@ -448,6 +536,8 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     ks = np.arange(np_axis, dtype=np.int32)
     tab = symbol.values
     for j in range(n):
+        # a real tab (sigma's own axes, j == 0) forms only delta >= 0
+        half = not np.iscomplexobj(tab)
         tab = np.moveaxis(tab, (j, n + j), (0, -1))
         # sigma(x_j, .., xi_k) = sum_r C[r, .., k] e^{2 i pi x_j eta_r}
         coeff = centered_fft(tab, axes=(0,)) / np_axis
@@ -456,15 +546,20 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
         for parity in (0, 1):
             # rows s and columns d = delta + N of this parity class
             cols = (np_axis + parity) % 2
-            deltas = np.arange(cols - np_axis, np_axis + 1, 2, dtype=np.int32)
+            lo = np_axis + parity if half else cols
+            deltas = np.arange(lo - np_axis, np_axis + 1, 2, dtype=np.int32)
             e_t = roots[np.multiply.outer(2 * ks - np_axis, deltas) % mod]
             r_tab = np.moveaxis(coeff @ (e_t * phase.spacing), -1, 1)
             mids = np.arange(parity, 2 * nk - 1, 2,
                              dtype=np.int32) - 2 * np_axis
             p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
             # P[s, eta] R[eta, delta, ..]
-            table[parity::2, cols::2] = (p_tab @ r_tab.reshape(
+            table[parity::2, lo::2] = (p_tab @ r_tab.reshape(
                 np_axis, -1)).reshape((-1,) + r_tab.shape[1:])
+            if half:
+                _mirror(table[parity::2], np_axis, cols)
+        if half:
+            table[::2, np_axis].imag = 0.0      # delta = 0
         del coeff, e_t, r_tab, p_tab    # the pair read sets the peak memory
         tab = np.moveaxis(_read_pairs(table, nk), (0, 1), (j, n + j))
     # tab axes: (u_1..u_n, v_1..v_n)

@@ -528,6 +528,25 @@ def test_output_path_written_twice_is_usage_error(workdir, command, out):
     assert not list((workdir / "out").iterdir())
 
 
+@pytest.mark.parametrize("outdir, out", [
+    ("new", "x.bin"), ("new/deeper", "smooth-report.json"),
+    ("new", "sub/x.json")], ids=["twice", "twice-nested", "missing-sub"])
+def test_usage_error_creates_no_outdir(workdir, outdir, out):
+    # the output checks run before --outdir is made, so a refused run
+    # leaves no empty directory behind; a missing outdir whose nearest
+    # existing ancestor is writable passes them
+    r = run_cli("--outdir", str(workdir / outdir), "smooth",
+                "--input", str(workdir / "field.json"), "--out", out)
+    assert r.returncode == 2
+    assert "usage error" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (workdir / "new").exists()
+    r = run_cli("--outdir", str(workdir / outdir), "smooth",
+                "--input", str(workdir / "field.json"))
+    assert r.returncode == 0, r.stderr
+    assert (workdir / outdir / "smoothed.json").is_file()
+
+
 @pytest.mark.parametrize("command, work, args", [
     ("smooth", "smooth", ["--input", "field.json", "--csv"]),
     ("desmooth", "desmooth_fourier",

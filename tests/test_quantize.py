@@ -623,3 +623,144 @@ class TestMutualInversion:
         sigma2 = weyl_from_kernel(k2)
         assert np.max(np.abs(sigma2.values - sigma.values)) < 1e-10
         assert np.max(np.abs(k2.matrix - k.matrix)) < 1e-10
+
+
+def route_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def complex_route_sigma(kernel):
+    """weyl_from_kernel's complex transform, whatever the kernel."""
+    n = kernel.grid.dim
+    tab = quantize.centered_fft(quantize._midpoint_slices(kernel),
+                                axes=tuple(range(n, 2 * n)))
+    return tab * (kernel.grid.spacing * 2) ** n
+
+
+def without_x1_nyquist(values):
+    """A real symbol with the Nyquist frequency of its first position axis
+    removed, so its trigonometric interpolation is real between nodes."""
+    coeff = np.fft.fft(values, axis=0)
+    coeff[len(coeff) // 2] = 0.0
+    return np.fft.ifft(coeff, axis=0).real
+
+
+REAL_SYMBOL_2D = tensor(gaussian_1d(1.5, center=-0.4),
+                        gaussian_1d(2.5, power=1, coeff=0.7))
+REAL_SYMBOL_4D = tensor(gaussian_1d(1.5, center=0.5),
+                        gaussian_1d(2.0, center=-0.75, power=1),
+                        gaussian_1d(2.5, center=-0.25, power=1),
+                        gaussian_1d(1.2, center=1.0))
+
+
+class TestHermitianRoutes:
+    """A float64 F or sigma takes the half route: the t >= 0 half of the
+    first axis pair's midpoint x difference table, mirrored.  It matches
+    the complex route on the same values as complex128 to round-off, and
+    for n = 1 its kernel is exactly Hermitian."""
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["256", "512"])
+    def test_assembly_is_exactly_hermitian(self, phase256, grid256, refined):
+        g = grid256.refined() if refined else grid256
+        symbol = sample(REAL_SYMBOL_2D, phase256)
+        assert symbol.values.dtype == np.float64
+        k = assemble_antiwick(AntiWickFromSymbol(symbol), g).matrix
+        assert np.array_equal(k, k.conj().T)
+        ref = assemble_antiwick(AntiWickFromSymbol(SampledField(
+            phase256, symbol.values.astype(complex))), g).matrix
+        assert route_rel_err(k, ref) <= 1e-14
+
+    def test_kernel_from_weyl_is_exactly_hermitian(self, phase256):
+        sigma = sample(REAL_SYMBOL_2D, phase256)
+        k = kernel_from_weyl(sigma).matrix
+        assert np.array_equal(k, k.conj().T)
+        ref = kernel_from_weyl(SampledField(
+            phase256, sigma.values.astype(complex))).matrix
+        assert ref.dtype == np.complex128
+        assert route_rel_err(k, ref) <= 1e-14
+
+    def test_weyl_of_assembled_kernel_is_float(self, phase256, grid256):
+        kernel = assemble_antiwick(
+            AntiWickFromSymbol(sample(REAL_SYMBOL_2D, phase256)),
+            grid256.refined())
+        sigma = weyl_from_kernel(kernel).values
+        ref = complex_route_sigma(kernel)
+        assert sigma.dtype == np.float64
+        assert sigma.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+        # one entry off the Hermitian pattern, on a pair the table reads
+        # (u + v = 4j), keeps the complex route
+        kernel.matrix[300, 304] += 1e-3
+        sigma = weyl_from_kernel(kernel).values
+        assert sigma.dtype == np.complex128
+        assert sigma.tobytes() == complex_route_sigma(kernel).tobytes()
+
+    def test_four_dimensional_phase_space(self, pos2, phase4):
+        # only the first axis pair is halved; F's routes agree to
+        # round-off at any values, sigma's once the first position axis
+        # carries no Nyquist frequency (see the next test)
+        symbol = sample(REAL_SYMBOL_4D, phase4)
+        cast = SampledField(phase4, symbol.values.astype(complex))
+        for g in (pos2, pos2.refined()):
+            got = assemble_antiwick(AntiWickFromSymbol(symbol), g).matrix
+            ref = assemble_antiwick(AntiWickFromSymbol(cast), g).matrix
+            assert route_rel_err(got, ref) <= 1e-14
+        limited = without_x1_nyquist(symbol.values)
+        got = kernel_from_weyl(SampledField(phase4, limited)).matrix
+        ref = kernel_from_weyl(SampledField(phase4, limited.astype(complex)))
+        assert route_rel_err(got, ref.matrix) <= 1e-14
+        # L = 2 < T: the assembled kernel's slabs t_a = -L have no mirror
+        # in the midpoint-slice table, so its symbol stays complex; a
+        # Hermitian kernel that is zero there gives a float64 symbol
+        kernel = assemble_antiwick(AntiWickFromSymbol(symbol), pos2.refined())
+        assert weyl_from_kernel(kernel).values.dtype == np.complex128
+        point = (0.3, -0.2, 0.5, -0.25)
+        k = kernel_from_coherent(CoherentCombo(((1.0, point, point),)),
+                                 pos2.refined()).matrix
+        m = pos2.refined().npoints
+        t = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) >= m // 2
+        far = (t[:, None, :, None] | t[None, :, None, :]).reshape(k.shape)
+        kernel = DenseKernel(pos2.refined(),
+                             np.where(far, 0.0, k + k.conj().T))
+        sigma = weyl_from_kernel(kernel).values
+        assert sigma.dtype == np.float64
+        assert sigma.tobytes() == np.ascontiguousarray(
+            complex_route_sigma(kernel).real).tobytes()
+
+    def test_right_inverse_of_real_noise(self, phase64):
+        # the Nyquist terms of the half route (next test) vanish at the
+        # midpoints on phase nodes, which weyl_from_kernel reads: rows
+        # 16..47 of real noise at 64/4 come back as complex noise's do
+        rng = np.random.default_rng(64)
+        for _ in range(3):
+            sigma = SampledField(phase64, rng.standard_normal(phase64.shape))
+            back = weyl_from_kernel(kernel_from_weyl(sigma)).values
+            err = np.abs(back - sigma.values)
+            peak = np.max(np.abs(sigma.values))
+            assert np.max(err[16:48]) <= 1e-15 * peak
+            assert np.max(err[[0, 63]]) > 0.1 * peak
+
+    @pytest.mark.parametrize("phase_dim, npoints, half_extent",
+                             [(2, 64, 4.0), (4, 16, 2.0)], ids=["2d", "4d"])
+    def test_nyquist_terms_of_real_noise(self, phase_dim, npoints,
+                                         half_extent):
+        # noise fills the Nyquist frequencies, where the complex route's
+        # kernel of a real sigma is not Hermitian.  The half route keeps
+        # the complex route's entries with t_1 > 0 and, for n = 1, the
+        # real part of those with t = 0, and mirrors
+        phase = make_grid(phase_dim, npoints, half_extent)
+        values = np.random.default_rng(npoints).standard_normal(phase.shape)
+        got = kernel_from_weyl(SampledField(phase, values)).matrix
+        ref = kernel_from_weyl(SampledField(phase, values.astype(complex)))
+        m = 2 * npoints
+        shape = (m, m ** (phase_dim // 2 - 1)) * 2
+        got, ref = got.reshape(shape), ref.matrix.reshape(shape)
+        peak = np.max(np.abs(ref))
+        lower = np.tril(np.ones((m, m), dtype=bool), -1)[:, None, :, None]
+        lower = np.broadcast_to(lower, shape)
+        assert route_rel_err(got, ref) > 1e-3
+        assert np.max(np.abs(got - ref)[lower]) <= 1e-14 * peak
+        if phase_dim == 2:
+            k, ref = got.reshape(m, m), ref.reshape(m, m)
+            assert np.array_equal(k, k.conj().T)
+            assert np.max(np.abs(np.diag(k) - np.diag(ref).real)) \
+                <= 1e-14 * peak

@@ -45,7 +45,13 @@ RUNS = {
     "antiwick-assemble": ["antiwick-assemble", "--symbol", IN + "F.json"],
     "weyl-from-kernel": ["weyl-from-kernel",
                          "--kernel", "../antiwick-assemble/kernel.json"],
+    "antiwick-assemble-complex": ["antiwick-assemble",
+                                  "--symbol", IN + "Fc.json"],
     "kernel-from-weyl": ["kernel-from-weyl", "--symbol", IN + "F.json"],
+    "kernel-from-weyl-complex": ["kernel-from-weyl",
+                                 "--symbol", IN + "Fc.json"],
+    "kernel-from-weyl-chain": ["kernel-from-weyl", "--symbol",
+                               "../weyl-from-kernel/weyl-symbol.json"],
     "pair-fourier": ["pair", "--operator", IN + "op.json", *U, *FOURIER],
     "pair-complex-shift": ["pair", "--operator", IN + "op.json", *U],
     "pair-complex-symbol": ["pair", "--operator", IN + "opc.json", *U],
