@@ -52,31 +52,30 @@ transforms the offset axes.
 
 Real symbols
 ------------
-A real symbol (anti-Wick or Weyl) belongs to a self-adjoint operator,
-whose kernel is Hermitian: K(v, u) = conj K(u, v), that is
-T[s, 2B - d] = conj T[s, d].  As in the heat layer, the dtype alone picks
-the route: for a float64 F or sigma, assembly and kernel_from_weyl form
-only the differences t >= 0 of the first axis pair and fill the t < 0 half
-of each parity class as its conjugate (:func:`_mirror`) before the pair
-read; a complex128 symbol takes the full table, byte for byte as before.
-For n = 1 the kernel is then exactly Hermitian.  For n > 1 only the first
+A real anti-Wick symbol belongs to a self-adjoint operator, whose kernel
+is Hermitian: K(v, u) = conj K(u, v), that is T[s, 2B - d] = conj T[s, d].
+As in the heat layer, the dtype alone picks the route: for a float64 F or
+sigma, assembly and kernel_from_weyl form only the differences t >= 0 of
+the first axis pair and fill the t < 0 half of each parity class as its
+conjugate (:func:`_mirror`) before the pair read; a complex128 symbol
+takes the full table, byte for byte as before.  For n > 1 only the first
 axis pair is halved; in assembly its xi sums already ran over every axis,
-so its mirror reverses the other difference axes as well.
+so its mirror reverses the other difference axes as well.  Both routes
+compute the same kernel, to round-off, whatever the values.
+
+Assembly's quadrature is a sum of Hermitian terms F(X) |Psi_X><Psi_X|, so
+for n = 1 the half route's kernel is exactly Hermitian.  A real sigma's
+kernel is Hermitian except for one term: the x frequency -L of the
+trigonometric interpolation (the Nyquist row of its coefficients) has no
+conjugate partner, and between the phase nodes it is complex.  So
+kernel_from_weyl mirrors a copy of the t >= 0 half in which that row's
+term P[s, -L] R[-L, delta] reads conj P[s, -L] instead, which is what
+the t < 0 half needs; the kernel is exactly Hermitian for n = 1 when
+that row is zero.
 weyl_from_kernel returns float64 when its midpoint-slice table equals the
 conjugate of its own flip o -> -o (mod N) over the offsets, which makes
 the transform real; it keeps the complex transform and its real part, so
 an assembled real symbol's kernel maps back to a float64 symbol.
-
-The half routes compute the t >= 0 entries as the complex route does.
-Assembly's quadrature is a sum of Hermitian terms F(X) |Psi_X><Psi_X|, so
-its two routes agree to round-off.  A real sigma's complex-route kernel
-is Hermitian except for the terms at the Nyquist frequency L of the
-self-dual grid: the unpaired x frequency -L of the midpoint interpolation
-reaches the midpoints off the phase nodes, and the offsets t = +-L are
-formed on both sides.  So the half route of kernel_from_weyl equals the
-complex route's Hermitian part except for those (+-L) terms, which vanish
-for a symbol band-limited inside the box and at the midpoints on phase
-nodes, the ones weyl_from_kernel reads back.
 
 Operator action
 ---------------
@@ -92,6 +91,7 @@ and stays the independent check of the action.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -298,19 +298,17 @@ def assemble_antiwick(op: AntiWickFromSymbol, pos_grid: Grid) -> DenseKernel:
     band = min(npos - 1, math.floor(BAND_HALFWIDTH / pos_grid.spacing))
 
     # xi sums: table axes (x_1..x_n, d_1..d_n), t = (d - B) h_pos.  A real
-    # F forms only d_1 >= B, the first xi axis in one real product, so at
-    # n = 1 the phase table needs no column t < 0
-    tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
-    real = not np.iscomplexobj(tab)
-    first = band if real and n == 1 else 0
-    diffs = np.arange(first - band, band + 1) * pos_grid.spacing
+    # F forms only d_1 >= B, the first xi axis in one real product
+    diffs = np.arange(-band, band + 1) * pos_grid.spacing
     phase_mat = phase_table(diffs, 2.0 * PI, -phase.half_extent,
                             phase.spacing, phase.npoints) \
         * (phase.spacing * np.exp(-0.5 * PI * diffs * diffs))
+    tab = op.symbol.values.reshape((phase.npoints,) * (2 * n))
+    real = not np.iscomplexobj(tab)
     if real:
         shape = tab.shape[:n] + tab.shape[n + 1:] + (band + 1,)
         tab = _real_left_matmul(np.moveaxis(tab, n, -1).reshape(
-            -1, phase.npoints), phase_mat[:, band - first:]).reshape(shape)
+            -1, phase.npoints), phase_mat[:, band:]).reshape(shape)
     for _ in range(n - real):
         # contract the leading xi axis (axis n of the remaining block)
         tab = np.tensordot(tab, phase_mat, axes=([n], [0]))
@@ -402,7 +400,7 @@ def _read_pairs(table: np.ndarray, npts: int) -> np.ndarray:
     return out
 
 
-def _mirror(rows: np.ndarray, band: int, cols: int, flips: int = 0) -> None:
+def _mirror(rows: np.ndarray, band: int, cols: int, flips: int) -> None:
     """rows[:, d] = conj rows[:, 2B - d] for d = cols, cols + 2, .. < B,
     with the last ``flips`` axes reversed too: the t < 0 half of one
     parity class of a midpoint x difference table T[s, d] of a Hermitian
@@ -467,21 +465,36 @@ def weyl_from_kernel(kernel: DenseKernel) -> SampledField:
     flip S[x, -o] over the offsets, o taken mod N, so that the transform
     is real: a Hermitian kernel passes when its entries at the offsets
     t_j = -L, which have no mirror in the table, pass the flip too (they
-    are zero in a kernel assembled with L > T).  The check reads the
-    N^n x N^n table once, not the kernel.
+    are zero in a kernel assembled with L > T).  The check
+    (:func:`_flip_conjugate`) compares reversed views of the table and
+    stops at the first block that differs.
     The complex transform still runs and its real part is kept, so the
     float64 symbol equals the complex128 one's real part bit for bit;
     any other kernel gives complex128, as before."""
     n = kernel.grid.dim
-    offsets = tuple(range(n, 2 * n))
     slices = _midpoint_slices(kernel)
-    tab = centered_fft(slices, axes=offsets)
-    # S[x, -o] = conj S[x, o], o taken mod N, makes the transform real
-    if np.array_equal(slices, np.roll(np.flip(slices, offsets), 1,
-                                      offsets).conj()):
+    tab = centered_fft(slices, axes=tuple(range(n, 2 * n)))
+    if _flip_conjugate(slices, n):
         tab = tab.real
     phase = Grid(2 * n, kernel.grid.npoints // 2, kernel.grid.half_extent)
     return SampledField(phase, tab * phase.spacing**n)
+
+
+def _flip_conjugate(tab: np.ndarray, n: int) -> bool:
+    """Whether tab[.., o] == conj tab[.., -o] over the last ``n`` axes,
+    o taken mod N: index 0 maps to itself and 1..N-1 to N-1..1, so each
+    of the 2^n blocks is compared with a reversed view of its mirror,
+    real parts first, stopping at the first block that differs."""
+    lead = (slice(None),) * (tab.ndim - n)
+    for pick in itertools.product((False, True), repeat=n):
+        a = tab[lead + tuple(slice(1, None) if p else slice(0, 1)
+                             for p in pick)]
+        b = tab[lead + tuple(slice(None, 0, -1) if p else slice(0, 1)
+                             for p in pick)]
+        if not (np.array_equal(a.real, b.real)
+                and np.array_equal(a.imag, -b.imag)):
+            return False
+    return True
 
 
 def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
@@ -512,13 +525,14 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     self-dual.
 
     A float64 sigma takes the half route (module notes, "Real symbols"):
-    the first axis pair builds e_t and both products for delta >= 0 only,
-    column delta = 0 is made real and the delta < 0 half is mirrored, so
-    for n = 1 the kernel is exactly Hermitian.  It equals the complex
-    route's Hermitian part except for the Nyquist (+-L) terms, and so
-    matches the complex route on sigma as complex128 to round-off for a
-    symbol band-limited inside the box; a complex128 sigma keeps the
-    complex route.
+    the first axis pair builds e_t and both products for delta >= 0 only
+    and mirrors them into delta < 0, with the term of the x coefficients'
+    Nyquist row (eta = -L), which has no conjugate row, corrected before
+    the mirror; column delta = 0 keeps only that term's imaginary part.
+    The kernel equals the complex route's on sigma as complex128 to
+    round-off, whatever the values, and for n = 1 it is exactly Hermitian
+    when the Nyquist row is zero.  A complex128 sigma keeps the complex
+    route.
     """
     phase = symbol.grid
     kgrid = position_grid_of(phase).refined()
@@ -554,12 +568,23 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
                              dtype=np.int32) - 2 * np_axis
             p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
             # P[s, eta] R[eta, delta, ..]
-            table[parity::2, lo::2] = (p_tab @ r_tab.reshape(
-                np_axis, -1)).reshape((-1,) + r_tab.shape[1:])
+            prod = (p_tab @ r_tab.reshape(np_axis, -1)).reshape(
+                (-1,) + r_tab.shape[1:])
+            table[parity::2, lo::2] = prod
             if half:
-                _mirror(table[parity::2], np_axis, cols)
-        if half:
-            table[::2, np_axis].imag = 0.0      # delta = 0
+                # T[s, -delta] = conj T[s, delta] but for the term of the
+                # x Nyquist row eta = -L, which has no conjugate row: before
+                # the mirror, conj P[s, -L] stands in for P[s, -L] there.
+                # P[s, -L] repeats every 4 rows of a parity class
+                for i in range(4):
+                    prod[i::4] -= 2j * p_tab[i, 0].imag * r_tab[0]
+                np.conjugate(np.flip(prod[:, 1 - parity:], 1),
+                             out=table[parity::2, cols:np_axis:2])
+                if parity == 0:
+                    # delta = 0: only the Nyquist row's term is complex
+                    table[::2, np_axis].imag = np.multiply.outer(
+                        p_tab[:, 0], r_tab[0, 0]).imag
+            del prod
         del coeff, e_t, r_tab, p_tab    # the pair read sets the peak memory
         tab = np.moveaxis(_read_pairs(table, nk), (0, 1), (j, n + j))
     # tab axes: (u_1..u_n, v_1..v_n)

@@ -364,6 +364,18 @@ class TestKernelFromWeyl:
         ref = kernel_from_weyl_literal(sigma)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("npoints, half_extent",
+                             [(16, 2.0), (36, 3.0), (64, 4.0), (100, 5.0)])
+    def test_real_noise_matches_literal_sums(self, npoints, half_extent):
+        # a float64 sigma takes the half route; real noise fills the x
+        # Nyquist row, the one term that route does not mirror
+        phase = make_grid(2, npoints, half_extent)
+        rng = np.random.default_rng(npoints)
+        sigma = SampledField(phase, rng.standard_normal(phase.shape))
+        got = kernel_from_weyl(sigma).matrix
+        ref = kernel_from_weyl_literal(sigma)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_odd_phase_dimension_is_rejected(self):
         g = make_grid(1, 16, 2.0)
         sigma = SampledField(g, np.zeros(g.shape))
@@ -637,14 +649,6 @@ def complex_route_sigma(kernel):
     return tab * (kernel.grid.spacing * 2) ** n
 
 
-def without_x1_nyquist(values):
-    """A real symbol with the Nyquist frequency of its first position axis
-    removed, so its trigonometric interpolation is real between nodes."""
-    coeff = np.fft.fft(values, axis=0)
-    coeff[len(coeff) // 2] = 0.0
-    return np.fft.ifft(coeff, axis=0).real
-
-
 REAL_SYMBOL_2D = tensor(gaussian_1d(1.5, center=-0.4),
                         gaussian_1d(2.5, power=1, coeff=0.7))
 REAL_SYMBOL_4D = tensor(gaussian_1d(1.5, center=0.5),
@@ -656,8 +660,9 @@ REAL_SYMBOL_4D = tensor(gaussian_1d(1.5, center=0.5),
 class TestHermitianRoutes:
     """A float64 F or sigma takes the half route: the t >= 0 half of the
     first axis pair's midpoint x difference table, mirrored.  It matches
-    the complex route on the same values as complex128 to round-off, and
-    for n = 1 its kernel is exactly Hermitian."""
+    the complex route on the same values as complex128 to round-off.  For
+    n = 1 an assembled kernel is exactly Hermitian, and so is a Weyl
+    symbol's kernel once its x Nyquist row is zero."""
 
     @pytest.mark.parametrize("refined", [False, True], ids=["256", "512"])
     def test_assembly_is_exactly_hermitian(self, phase256, grid256, refined):
@@ -670,14 +675,31 @@ class TestHermitianRoutes:
             phase256, symbol.values.astype(complex))), g).matrix
         assert route_rel_err(k, ref) <= 1e-14
 
-    def test_kernel_from_weyl_is_exactly_hermitian(self, phase256):
+    def test_kernel_from_weyl_matches_complex_route(self, phase256):
         sigma = sample(REAL_SYMBOL_2D, phase256)
         k = kernel_from_weyl(sigma).matrix
-        assert np.array_equal(k, k.conj().T)
         ref = kernel_from_weyl(SampledField(
             phase256, sigma.values.astype(complex))).matrix
         assert ref.dtype == np.complex128
         assert route_rel_err(k, ref) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["multiplier", "paired"])
+    def test_kernel_from_weyl_is_exactly_hermitian(self, phase256, kind):
+        # the x Nyquist coefficient, sum_j (-1)^j sigma(x_j, xi), is the
+        # one term of a real sigma's kernel that is not Hermitian; it is
+        # zero for a Fourier multiplier g(xi) and for samples repeated in
+        # pairs along x, whose kernels are then exactly Hermitian
+        x, xi = phase256.meshgrid()
+        values = np.exp(-2.0 * (xi - 0.3) ** 2) * xi
+        if kind == "paired":
+            values = values * np.exp(-(x[1::2] - 0.4) ** 2).repeat(2, axis=0)
+        else:
+            values = values + 0.0 * x
+        assert not np.any(quantize.centered_fft(values, axes=(0,))[0])
+        k = kernel_from_weyl(SampledField(phase256, values)).matrix
+        assert np.array_equal(k, k.conj().T)
+        ref = kernel_from_weyl(SampledField(phase256, values.astype(complex)))
+        assert route_rel_err(k, ref.matrix) <= 1e-14
 
     def test_weyl_of_assembled_kernel_is_float(self, phase256, grid256):
         kernel = assemble_antiwick(
@@ -688,26 +710,27 @@ class TestHermitianRoutes:
         assert sigma.dtype == np.float64
         assert sigma.tobytes() == np.ascontiguousarray(ref.real).tobytes()
         # one entry off the Hermitian pattern, on a pair the table reads
-        # (u + v = 4j), keeps the complex route
-        kernel.matrix[300, 304] += 1e-3
-        sigma = weyl_from_kernel(kernel).values
-        assert sigma.dtype == np.complex128
-        assert sigma.tobytes() == complex_route_sigma(kernel).tobytes()
+        # (u + v = 4j), keeps the complex route, in its real part or its
+        # imaginary part
+        for step in (1e-3, 1e-3j):
+            matrix = kernel.matrix.copy()
+            matrix[300, 304] += step
+            off = DenseKernel(kernel.grid, matrix)
+            sigma = weyl_from_kernel(off).values
+            assert sigma.dtype == np.complex128
+            assert sigma.tobytes() == complex_route_sigma(off).tobytes()
 
     def test_four_dimensional_phase_space(self, pos2, phase4):
-        # only the first axis pair is halved; F's routes agree to
-        # round-off at any values, sigma's once the first position axis
-        # carries no Nyquist frequency (see the next test)
+        # only the first axis pair is halved; both routes agree to
+        # round-off
         symbol = sample(REAL_SYMBOL_4D, phase4)
         cast = SampledField(phase4, symbol.values.astype(complex))
         for g in (pos2, pos2.refined()):
             got = assemble_antiwick(AntiWickFromSymbol(symbol), g).matrix
             ref = assemble_antiwick(AntiWickFromSymbol(cast), g).matrix
             assert route_rel_err(got, ref) <= 1e-14
-        limited = without_x1_nyquist(symbol.values)
-        got = kernel_from_weyl(SampledField(phase4, limited)).matrix
-        ref = kernel_from_weyl(SampledField(phase4, limited.astype(complex)))
-        assert route_rel_err(got, ref.matrix) <= 1e-14
+        got = kernel_from_weyl(symbol).matrix
+        assert route_rel_err(got, kernel_from_weyl(cast).matrix) <= 1e-14
         # L = 2 < T: the assembled kernel's slabs t_a = -L have no mirror
         # in the midpoint-slice table, so its symbol stays complex; a
         # Hermitian kernel that is zero there gives a float64 symbol
@@ -727,9 +750,7 @@ class TestHermitianRoutes:
             complex_route_sigma(kernel).real).tobytes()
 
     def test_right_inverse_of_real_noise(self, phase64):
-        # the Nyquist terms of the half route (next test) vanish at the
-        # midpoints on phase nodes, which weyl_from_kernel reads: rows
-        # 16..47 of real noise at 64/4 come back as complex noise's do
+        # rows 16..47 of real noise at 64/4 come back as complex noise's do
         rng = np.random.default_rng(64)
         for _ in range(3):
             sigma = SampledField(phase64, rng.standard_normal(phase64.shape))
@@ -741,26 +762,14 @@ class TestHermitianRoutes:
 
     @pytest.mark.parametrize("phase_dim, npoints, half_extent",
                              [(2, 64, 4.0), (4, 16, 2.0)], ids=["2d", "4d"])
-    def test_nyquist_terms_of_real_noise(self, phase_dim, npoints,
-                                         half_extent):
-        # noise fills the Nyquist frequencies, where the complex route's
-        # kernel of a real sigma is not Hermitian.  The half route keeps
-        # the complex route's entries with t_1 > 0 and, for n = 1, the
-        # real part of those with t = 0, and mirrors
+    def test_real_noise_matches_complex_route(self, phase_dim, npoints,
+                                              half_extent):
+        # noise fills the x Nyquist row, whose term keeps a real sigma's
+        # kernel from being Hermitian; the half route adds it as the
+        # complex route does, so the kernel does not depend on the dtype
         phase = make_grid(phase_dim, npoints, half_extent)
         values = np.random.default_rng(npoints).standard_normal(phase.shape)
         got = kernel_from_weyl(SampledField(phase, values)).matrix
         ref = kernel_from_weyl(SampledField(phase, values.astype(complex)))
-        m = 2 * npoints
-        shape = (m, m ** (phase_dim // 2 - 1)) * 2
-        got, ref = got.reshape(shape), ref.matrix.reshape(shape)
-        peak = np.max(np.abs(ref))
-        lower = np.tril(np.ones((m, m), dtype=bool), -1)[:, None, :, None]
-        lower = np.broadcast_to(lower, shape)
-        assert route_rel_err(got, ref) > 1e-3
-        assert np.max(np.abs(got - ref)[lower]) <= 1e-14 * peak
-        if phase_dim == 2:
-            k, ref = got.reshape(m, m), ref.reshape(m, m)
-            assert np.array_equal(k, k.conj().T)
-            assert np.max(np.abs(np.diag(k) - np.diag(ref).real)) \
-                <= 1e-14 * peak
+        assert route_rel_err(got, ref.matrix) <= 1e-14
+        assert route_rel_err(got, got.conj().T) > 1e-3
