@@ -288,6 +288,7 @@ def _cmd_desmooth(args, outdir, inputs, outputs):
         "cutoff_frequency": report_obj.cutoff_frequency,
         "kept_fraction": report_obj.kept_fraction,
         "peak_log_gain": report_obj.peak_log_gain,
+        "boundary_magnitude": report_obj.result.boundary_magnitude(),
         "strip_halfwidth": report_obj.strip_halfwidth,
         "y_nodes": report_obj.y_nodes,
         "output": args.out,

@@ -253,8 +253,7 @@ class AnalyticGaussianSum:
         """
         if len(axes) != self.dim:
             raise ValueError("axis count mismatch")
-        real = all(complex(f.coeff).imag == 0.0
-                   for term in self.terms for f in term)
+        real = self.has_real_coefficients()
         return _outer_sum([[f(ax).real if real else f(ax)
                             for f, ax in zip(term, axes)]
                            for term in self.terms],
@@ -262,6 +261,13 @@ class AnalyticGaussianSum:
                           float if real else complex)
 
     # -- structure queries --------------------------------------------------
+
+    def has_real_coefficients(self) -> bool:
+        """True when every factor's coefficient is real (the zero sum too):
+        u is then real on the real axes, u(x - iy) = conj u(x + iy), and
+        the computing layers keep its values in float64."""
+        return all(complex(f.coeff).imag == 0.0
+                   for term in self.terms for f in term)
 
     def has_gaussian_decay(self) -> bool:
         return all(f.width > 0.0 for t in self.terms for f in t)

@@ -315,6 +315,22 @@ def strip_rule(strip_halfwidth: float,
     return -strip_halfwidth, step, wy
 
 
+def _half_rule(strip_halfwidth: float,
+               nodes: int) -> tuple[float, float, np.ndarray]:
+    """The nodes y >= 0 of ``strip_rule``, for an integrand whose values at
+    -y and y are conjugate (or of equal modulus): first node, step and
+    weights in ``strip_rule``'s form.  Node j is y0 + j step with y0 = 0
+    for an odd count and step/2 for an even one, so the mirror of every
+    node is exact (the full rule's rounded -Y + k step need not be); each
+    weight counts its node and its mirror, except the y = 0 node of an
+    odd rule, which counts once."""
+    _, step, wy = strip_rule(strip_halfwidth, nodes)
+    weights = 2.0 * wy[nodes // 2:]
+    if nodes % 2:
+        weights[0] = wy[nodes // 2]
+    return (0.0 if nodes % 2 else 0.5 * step), step, weights
+
+
 def strip_sum(factors, xs, start, step, weights, rows=lambda slab: slab):
     """sum_k weights[k] rows(S)[k] for S[k] = sum_f f(xs + i y_k)
     e^{-2 pi y_k^2} over the strip nodes y_k = start + k step.
@@ -376,7 +392,9 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
 
     Trapezoid rules with 129 y nodes over the strip, summed by
     ``strip_sum`` in blocks of 12 nodes, and 2049 x nodes per axis over the
-    tail-safe ``_axis_extent``.
+    tail-safe ``_axis_extent``.  A sum with real coefficients has
+    |u(x - iy)| = |u(x + iy)|, so it sums the 65 nodes y >= 0 of
+    ``_half_rule`` (y = 0 once).
 
     The y integrand of a width-a factor scales like e^{(a - 2 pi) y^2}, so
     widths a >= 2 pi (or a <= 0, which already breaks the x integral) are
@@ -389,7 +407,8 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if not 0 <= moment <= 16:
         raise ValueError(f"moment must lie in [0, 16], got {moment}")
-    start, step, wy = strip_rule(strip_halfwidth, 129)
+    start, step, wy = (_half_rule if u.has_real_coefficients()
+                       else strip_rule)(strip_halfwidth, 129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
     if u.is_zero():     # ``strip_sum`` needs at least one factor

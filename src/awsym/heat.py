@@ -55,6 +55,16 @@ instead of hiding it:
   ``smooth`` is separable, so smooth(Phi) is the sum of the outer products
   of the factors' 1-d smooths, one band pass along the node axis, compared
   with u's samples, also taken per axis, without a dense transform.
+
+  A sum whose coefficients are all real (centres and widths always are)
+  has u(x - iy) = conj u(x + iy), so each pair of nodes +-y of the
+  symmetric trapezoid rule adds up to 2 Re of one, and every factor is
+  real.  Such a sum runs in float64 from end to end: the strip sums
+  evaluate the nodes y >= 0 alone (``gsnorm._half_rule``, whose nodes
+  mirror exactly; the y = 0 node of an odd rule counts once) and keep
+  the real part, so Phi is float64, its factors take ``_smooth_axes``'
+  real route and the residual's block products are real.  A complex
+  coefficient keeps the complex factors of the whole rule.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ import numpy as np
 from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField
 from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, OverflowGuardError,
                         _outer_sum)
-from .gsnorm import e_space_divergent, strip_rule, strip_sum
+from .gsnorm import _half_rule, e_space_divergent, strip_rule, strip_sum
 
 __all__ = [
     "DesmoothReport",
@@ -336,10 +346,17 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     zeroed, so tails hold exact zeros, not subnormals.  An overflow raises
     ``FloatingPointError``; the zero function (no terms) gives an empty
     array.
+
+    The array is float64 when every coefficient of u is real: the sum then
+    runs over the nodes y >= 0 of the rule, each weighted for itself and
+    its mirror -y, and keeps the real part (see the module notes).  Any
+    complex coefficient gives complex128 from every node of the rule.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
-    start, step, wy = strip_rule(strip_halfwidth, y_nodes)
+    real = u.has_real_coefficients()
+    start, step, wy = (_half_rule if real else strip_rule)(strip_halfwidth,
+                                                           y_nodes)
     u.require_gaussian_decay("complex-shift desmoothing")
     if e_space_divergent(u):
         raise ESpaceDivergenceError(
@@ -351,6 +368,8 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     factors = np.array([[strip_sum([f], xs, start, step, weights)
                          for f in term] for term in u.terms],
                        dtype=complex).reshape(len(u.terms), g.dim, g.npoints)
+    if real:    # each weight counts a node and its mirror: 2 Re
+        factors = factors.real.copy()
     if not np.isfinite(factors).all():
         raise FloatingPointError("strip factors overflow to NaN/Inf")
     mag = np.abs(factors)
@@ -371,7 +390,9 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     tensor products, with u's terms negated: its rank-K matrix
     head @ tail.T (head: the axis-0 factors, tail: the flattened products
     over the other axes) is formed in blocks of axis-0 rows, and no
-    grid-sized array is ever held.  The zero function (no terms) has
+    grid-sized array is ever held.  u's samples are the real parts of the
+    complex evaluation when every coefficient is real, so real smoothed
+    factors give real products.  The zero function (no terms) has
     residual 0; a non-finite residual raises ``FloatingPointError``.
     """
     if not u.terms:
@@ -379,13 +400,22 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     xs = g.axis_nodes()
     samples = np.array([[-term[0](xs)] + [f(xs) for f in term[1:]]
                         for term in u.terms])
+    if u.has_real_coefficients():
+        samples = samples.real
     terms = np.concatenate([smoothed, samples])
     head = np.ascontiguousarray(terms[:, 0].T)
     tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()
                      for t in terms], axis=1)
     rows = max(1, _BLOCK_ENTRIES // len(tail))
+
+    def sup(block):
+        # a real block's magnitudes overwrite it: a new array per block
+        # faults its pages in again, which cost more than the product
+        real = not np.iscomplexobj(block)
+        return np.abs(block, out=block if real else None).max()
+
     # np.max keeps a block's NaN, which Python's max would drop
-    residual = float(np.max([np.abs(head[start:start + rows] @ tail.T).max()
+    residual = float(np.max([sup(head[start:start + rows] @ tail.T)
                              for start in range(0, g.npoints, rows)]))
     if not math.isfinite(residual):
         raise FloatingPointError("smoothed factors contain NaN/Inf entries")
@@ -398,12 +428,14 @@ def desmooth_complex(u: AnalyticGaussianSum, g: Grid,
     """Constructive heat inverse as a y-quadrature over the complex strip.
 
     Phi is the sum over u's tensor-product terms of the outer products of
-    the factors of :func:`strip_factors`; the residual is recomputed from
-    those same factors through 1-d smooths (:func:`factored_residual`), so
-    it checks the field that is returned without a dense transform.
+    the factors of :func:`strip_factors`, in their dtype: float64 when
+    every coefficient of u is real, else complex128.  The residual is
+    recomputed from those same factors through 1-d smooths
+    (:func:`factored_residual`), so it checks the field that is returned
+    without a dense transform.
     """
     factors = strip_factors(u, g, strip_halfwidth, y_nodes)
-    phi_vals = _outer_sum(factors, g.shape)
+    phi_vals = _outer_sum(factors, g.shape, factors.dtype)
     residual = factored_residual(smooth_factors(factors, g), u, g)
     return DesmoothReport(SampledField(g, phi_vals), "complex-shift",
                           residual, strip_halfwidth=strip_halfwidth,

@@ -29,7 +29,9 @@ even in xi), so for an anti-Wick symbol F
     <smooth F, Phi> = <F, smooth Phi>,   smooth Phi = sum_t (x)_a smooth(phi_ta),
 
 and F itself is contracted with the factors' 1-d smooths, one batched band
-pass: the pairing runs no 2-d transform.  A dense kernel's Weyl symbol is
+pass: the pairing runs no 2-d transform.  A test function whose
+coefficients are all real has float64 factors, so a float F meets them
+in one real product.  A dense kernel's Weyl symbol is
 sigma = h^n DFT_o S of its midpoint-slice table S[x, o] = K(x + t/2,
 x - t/2) over the offsets o, and the centred DFT matrix is symmetric, so
 
@@ -258,6 +260,8 @@ def _factored_pair(op: OperatorRep, u: AnalyticGaussianSum, grid: Grid,
         field = _midpoint_slices(op)
         smoothed = smooth_factors(factors, grid)
         n = grid.dim // 2
+        # the xi factors' transforms are complex, whatever the factors
+        terms = terms.astype(complex, copy=False)
         terms[:, n:] = centered_fft(terms[:, n:], axes=(-1,)) * grid.spacing
     else:
         raise TypeError(f"not an operator representation: {type(op)!r}")
@@ -276,15 +280,18 @@ def _contract(field: np.ndarray, terms: np.ndarray) -> np.ndarray:
     larger than the field divided by one axis is formed.
 
     A complex field's last axis goes first.  A real field is never cast to
-    complex: its first axis meets the factors' (re, im) rows in one real
-    product, (2 terms, N) @ (N, rest), the shape BLAS runs fastest for a
-    few terms."""
+    complex: its first axis meets real factors, or complex factors' (re, im)
+    rows, in one real product, (terms, N) @ (N, rest) or (2 terms, N) @
+    (N, rest), the shape BLAS runs fastest for a few terms."""
     cols = np.ascontiguousarray(terms.transpose(1, 2, 0))   # (axis, node, t)
     if np.iscomplexobj(field):
         part, rest = field @ cols[-1], range(field.ndim - 1)
     else:
-        flat = cols[0].view(float).T @ field.reshape(len(field), -1)
-        part = np.ascontiguousarray(flat.T).view(complex).reshape(
+        pairs = np.iscomplexobj(cols)
+        rows = cols[0].view(float) if pairs else cols[0]
+        part = np.ascontiguousarray(
+            (rows.T @ field.reshape(len(field), -1)).T)
+        part = (part.view(complex) if pairs else part).reshape(
             field.shape[1:] + (-1,))
         rest = range(1, field.ndim)
     for axis in reversed(rest):
@@ -300,17 +307,22 @@ def antiwick_pair_reference(symbol: SampledField,
     assembled from F; it never touches the heat semigroup, which is what
     makes it an independent oracle.  u is not sampled on the grid: each
     term's 1-d factors are evaluated on the axis nodes and F is contracted
-    with them by :func:`_contract`, so nothing grid-sized is formed.
+    with them by :func:`_contract`, so nothing grid-sized is formed.  The
+    factors are float64 (their real parts) when every coefficient of u is
+    real, so a float F meets them in one real product.
     """
     if u.dim != symbol.grid.dim:
         raise GridMismatchError(
             f"test function dimension {u.dim} != symbol dimension "
             f"{symbol.grid.dim}")
     nodes = symbol.grid.axis_nodes()
+    real = u.has_real_coefficients()
     # filled as (axis, node, term), the layout _contract reads: no copy
-    cols = np.empty((u.dim, len(nodes), len(u.terms)), dtype=complex)
+    cols = np.empty((u.dim, len(nodes), len(u.terms)),
+                    dtype=float if real else complex)
     for t, term in enumerate(u.terms):
         for a, f in enumerate(term):
-            cols[a, :, t] = f(nodes)
+            vals = f(nodes)
+            cols[a, :, t] = vals.real if real else vals
     return complex(np.sum(_contract(symbol.values, cols.transpose(2, 0, 1)))
                    * symbol.grid.cell_volume)

@@ -241,6 +241,26 @@ def test_desmooth_report_kept_fraction_and_peak_log_gain(tmp_path, method,
     assert {k: report[k] for k in expect} == expect
 
 
+@pytest.mark.parametrize("method", ["fourier-regularized", "complex-shift"])
+def test_desmooth_report_boundary_magnitude(tmp_path, method):
+    # max |Phi| on the box's outer faces, read from the saved result; at
+    # 64/3 Phi still touches the edge, above 1e-6
+    g = make_grid(2, 64, 3.0)
+    u = tensor(gaussian_1d(1.5, center=0.3), gaussian_1d(2.0))
+    if method == "complex-shift":
+        write_json(tmp_path / "u.json", gaussian_to_obj(u))
+        grid = ["--grid", json.dumps({"dim": 2, "N": 64, "L": 3.0})]
+    else:
+        save_field(smooth(sample(u, g)), tmp_path / "u.json")
+        grid = []
+    r = run_cli("--outdir", str(tmp_path), "desmooth", "--method", method,
+                "--input", str(tmp_path / "u.json"), *grid)
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "desmooth-report.json").read_text())
+    phi = load_field(tmp_path / "desmoothed.json")
+    assert report["boundary_magnitude"] == phi.boundary_magnitude() > 1e-6
+
+
 def test_real_field_file_takes_the_float_route(tmp_path):
     # a file of real samples loads as float64, so the commands write the
     # bytes of the in-process float route, and the same residual

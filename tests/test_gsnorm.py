@@ -201,6 +201,21 @@ class TestESpace:
         ref = e_space_norm_per_node(u, moment, strip)
         assert abs(value - ref) <= 2e-15 * ref
 
+    @pytest.mark.parametrize("width", [1.0, math.pi, 5.0, 6.0])
+    @pytest.mark.parametrize("moment", [0, 2])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_real_sum_half_rule_equals_per_node_loop(self, dim, moment,
+                                                     width):
+        # real coefficients: the 65 nodes y >= 0, against all 129
+        u = gaussian_1d(width, center=0.3, power=1, coeff=0.8) \
+            + gaussian_1d(2.0, coeff=-0.5)
+        if dim == 2:
+            u = tensor(u, gaussian_1d(width, center=-0.2, power=2))
+        assert u.has_real_coefficients()
+        value = e_space_norm(u, moment, 3.0).value
+        ref = e_space_norm_per_node(u, moment, 3.0)
+        assert abs(value - ref) <= 2e-15 * ref
+
     @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan, math.inf])
     def test_strip_halfwidth_validation(self, strip):
         with pytest.raises(ValueError, match="strip half-width"):

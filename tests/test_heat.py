@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -12,6 +13,7 @@ from awsym import (AntiWickFromSymbol, SampledField, antiwick_pair,
                    smooth, tensor)
 from awsym import heat, pairing
 from awsym.gaussians import AnalyticGaussianSum, OverflowGuardError
+from awsym.gsnorm import _half_rule, strip_rule, strip_sum
 from awsym.heat import ESpaceDivergenceError
 from awsym.pairing import RESIDUAL_FLAG_THRESHOLD
 
@@ -989,7 +991,8 @@ class TestMemoryBudget:
     a new array and a zero-filled Phi they were 2.64, 5.30 and 2.02.  On
     the real route, ``smooth`` measured 0.68 on a float field (its float
     result is the field's array; 1.56 when it was copied into a complex
-    one), and ``desmooth_fourier`` 1.28.  Its forward pass holds no
+    one), ``desmooth_fourier`` 1.28 and ``desmooth_complex`` of a real sum
+    0.58 (its float64 Phi is half a grid).  Its forward pass holds no
     grid-sized magnitudes since the axis-0 pass runs on the candidate
     lines alone, and the lifted values go into a new half-spectrum buffer
     (0.5) once the spectrum's buffer (1.0) is freed; it measured 1.59 when
@@ -1022,3 +1025,120 @@ class TestMemoryBudget:
     def test_desmooth_complex(self):
         g = make_grid(2, 1024, 16.0)
         assert peak_grids(lambda: desmooth_complex(self.U, g)) <= 1.3
+
+    def test_desmooth_complex_real(self):
+        g = make_grid(2, 1024, 16.0)
+        assert peak_grids(lambda: desmooth_complex(self.U_REAL, g)) <= 0.65
+
+
+REAL_SUMS = {
+    "2d-1024": (tensor(gaussian_1d(4.0), gaussian_1d(2.3, center=0.2)),
+                make_grid(2, 1024, 16.0)),
+    "2d-sum": (tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
+                      gaussian_1d(2.0))
+               + tensor(gaussian_1d(5.0, center=-0.6),
+                        gaussian_1d(3.3, power=2, coeff=-0.5)),
+               make_grid(2, 64, 4.0)),
+    "1d-power": (gaussian_1d(5.5, center=0.3, power=2, coeff=0.6)
+                 + gaussian_1d(2.0, power=1, coeff=-1.3), GRID_256),
+}
+
+
+def complex_route(u, g, strip=3.0, ynodes=64):
+    """Phi of a real sum on the complex route: i u has a complex
+    coefficient, so it takes the complex factors of the whole rule, and
+    the heat inverse is linear, so -i times its Phi is u's."""
+    return -1j * desmooth_complex(1j * u, g, strip, ynodes).result.values
+
+
+def whole_rule_factors(u, g, strip, ynodes):
+    """The factors of every node of ``gsnorm.strip_rule``, as complex128,
+    with the 2^-60 cut: the complex route, spelled out."""
+    start, step, wy = strip_rule(strip, ynodes)
+    factors = np.array([[strip_sum([f], g.axis_nodes(), start, step,
+                                   math.sqrt(2.0) * wy) for f in term]
+                        for term in u.terms], dtype=complex)
+    mag = np.abs(factors)
+    factors[mag < 2.0**-60 * mag.max(axis=-1, keepdims=True)] = 0.0
+    return factors
+
+
+class TestRealSums:
+    """A sum whose coefficients are all real runs the complex-shift
+    inverse in float64 on the nodes y >= 0 of the strip rule; one complex
+    coefficient keeps the complex factors of every node."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_SUMS))
+    def test_real_sum_is_float64(self, name):
+        u, g = REAL_SUMS[name]
+        assert u.has_real_coefficients()
+        factors = strip_factors(u, g)
+        assert factors.dtype == np.float64
+        assert smooth_factors(factors, g).dtype == np.float64
+        assert desmooth_complex(u, g).result.values.dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(REAL_SUMS))
+    def test_complex_coefficient_keeps_the_whole_rule(self, name):
+        real, g = REAL_SUMS[name]
+        first = replace(real.terms[0][0], coeff=0.3 + 0.2j)
+        u = AnalyticGaussianSum(real.dim, ((first,) + real.terms[0][1:],)
+                                + real.terms[1:])
+        assert not u.has_real_coefficients()
+        factors = strip_factors(u, g)
+        assert factors.dtype == np.complex128
+        assert np.array_equal(factors, whole_rule_factors(u, g, 3.0, 64))
+        phi = desmooth_complex(u, g).result.values
+        assert phi.dtype == np.complex128
+
+    @pytest.mark.parametrize("nodes", [4, 5, 64, 65, 129])
+    def test_half_rule_nodes_mirror_exactly(self, nodes):
+        start, step, weights = _half_rule(3.0, nodes)
+        full_start, full_step, full_weights = strip_rule(3.0, nodes)
+        assert step == full_step
+        assert start == (0.0 if nodes % 2 else 0.5 * step)
+        assert len(weights) == (nodes + 1) // 2
+        # the nodes as strip_sum forms them, and their mirror image
+        ys = start + step * np.arange(len(weights))
+        mirror = np.concatenate([-ys[::-1][:len(ys) - nodes % 2], ys])
+        assert np.array_equal(mirror, -mirror[::-1])
+        full = full_start + full_step * np.arange(nodes)
+        assert np.max(np.abs(mirror - full)) <= 4 * np.finfo(float).eps * 3.0
+        # each weight counts its node and the mirror, y = 0 once
+        halves = weights / 2
+        if nodes % 2:
+            halves[0] = weights[0]
+        spread = np.concatenate([halves[::-1][:len(ys) - nodes % 2], halves])
+        assert np.array_equal(spread, full_weights)
+
+    @pytest.mark.parametrize("name", sorted(REAL_SUMS))
+    def test_within_round_off_of_complex_route(self, name):
+        u, g = REAL_SUMS[name]
+        ref = complex_route(u, g).real
+        got = desmooth_complex(u, g).result.values
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(k for k in REAL_SUMS
+                                            if k.startswith("2d")))
+    def test_pair_within_round_off_of_complex_route(self, name):
+        u, g = REAL_SUMS[name]
+        symbol = sample(tensor(gaussian_1d(1.5, center=-0.4),
+                               gaussian_1d(2.5, center=0.3, coeff=0.7)), g)
+        assert symbol.values.dtype == np.float64
+        op = AntiWickFromSymbol(symbol)
+        got = antiwick_pair(op, u)
+        ref = antiwick_pair(op, 1j * u)
+        assert abs(got.value - (-1j * ref.value).real) \
+            <= 2e-15 * abs(ref.value)
+        assert residual_matches(got.residual, ref.residual)
+
+    @pytest.mark.parametrize("strip", [3.0, 5.0])
+    @pytest.mark.parametrize("a", [4.0, 5.0, 5.5, 6.0, 6.2])
+    def test_error_against_exact_inverse_no_larger(self, a, strip):
+        # the rows of the strip-truncation table: 1-d 256/8, 64 y nodes
+        u = gaussian_1d(a)
+        exact = sample(desmoothed(u), GRID_256).values
+        peak = np.max(np.abs(exact))
+        got = desmooth_complex(u, GRID_256, strip, 64).result.values
+        ref = complex_route(u, GRID_256, strip, 64)
+        err, ref_err = (np.max(np.abs(v - exact)) / peak for v in (got, ref))
+        assert err <= ref_err + 4 * np.finfo(float).eps

@@ -406,6 +406,77 @@ class TestFactoredPairAgainstDense:
             self.check(kernel, u, phase256)
 
 
+REAL_TESTS = {
+    **{name: u for name, u in TESTS_2D.items()
+       if u.has_real_coefficients()},
+    "real-sum": tensor(gaussian_1d(1.5, center=0.5, power=1, coeff=0.77),
+                       gaussian_1d(2.0))
+    + tensor(gaussian_1d(5.0, center=-0.6), gaussian_1d(3.3, coeff=-0.5)),
+}
+
+
+def real_operators(phase):
+    """A float64 anti-Wick symbol, the real part of ``random_symbol``, and
+    the dense kernel assembled from it."""
+    op = AntiWickFromSymbol(SampledField(
+        phase, random_symbol(phase, phase.npoints).values.real))
+    return {"antiwick": op,
+            "kernel": assemble_antiwick(op, position_grid_of(phase).refined())}
+
+
+REAL_OPS2 = real_operators(PHASE2)
+REAL_CASES = [(kind, name) for kind in REAL_OPS2 for name in REAL_TESTS]
+
+
+def contract_dtypes(monkeypatch) -> list:
+    """Spy on ``pairing._contract``: the (field, terms) dtypes of each call."""
+    seen, contract = [], pairing._contract
+
+    def spy(field, terms):
+        seen.append((field.dtype, terms.dtype))
+        return contract(field, terms)
+
+    monkeypatch.setattr(pairing, "_contract", spy)
+    return seen
+
+
+class TestRealTestFunctions:
+    """A test function whose coefficients are all real pairs through
+    float64 factors: with a float symbol in one real product, with a
+    kernel (whose xi factors are transformed) through complex terms; both
+    against the dense route at the tolerances of
+    ``TestFactoredPairAgainstDense``."""
+
+    @pytest.mark.parametrize("kind, name", REAL_CASES,
+                             ids=[f"{k}-{n}" for k, n in REAL_CASES])
+    def test_matches_dense_route(self, kind, name, monkeypatch):
+        seen = contract_dtypes(monkeypatch)
+        TestFactoredPairAgainstDense.check(REAL_OPS2[kind], REAL_TESTS[name],
+                                           PHASE2)
+        dtype = np.float64 if kind == "antiwick" else np.complex128
+        assert seen == [(dtype, dtype)]
+
+    @pytest.mark.parametrize("name", sorted(REAL_TESTS))
+    def test_reference_contracts_real_columns(self, name, monkeypatch):
+        symbol, u = REAL_OPS2["antiwick"].symbol, REAL_TESTS[name]
+        value, scale = antiwick_pair_reference_dense(symbol, u)
+        seen = contract_dtypes(monkeypatch)
+        got = antiwick_pair_reference(symbol, u)
+        assert seen == [(np.float64, np.float64)]
+        assert type(got) is complex
+        assert abs(got - value) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim, npts", [(2, 64), (4, 16)])
+    def test_real_product_matches_pairs_of_rows(self, dim, npts):
+        rng = np.random.default_rng(dim)
+        field = rng.standard_normal((npts,) * dim)
+        terms = rng.standard_normal((3, dim, npts))
+        got = pairing._contract(field, terms)
+        ref = pairing._contract(field, terms.astype(complex))
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestZeroFunction:
     """The zero function (a sum with no terms) pairs to 0 with residual 0
     on every operator route, as an empty coherent combination does."""

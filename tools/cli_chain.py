@@ -6,8 +6,8 @@ source trees, and compare what they write, file by file.
 SRC_A and SRC_B are repository roots (or their ``src`` directories).  The
 inputs are built once, into OUTDIR/inputs, with the awsym beside this
 script: a real and a complex 2-d 256/8 symbol, a zero field, real and
-complex smoothed 1-d 256/8 fields, Gaussian-sum test functions and
-operator specs.  Each run then executes in
+complex smoothed 1-d 256/8 fields, Gaussian-sum test functions (one with
+a complex coefficient) and operator specs.  Each run then executes in
 OUTDIR/<a|b>/<run>, with ``--outdir .`` and relative paths, so equal
 programs write equal bytes.  Every output file is printed as ``equal`` or
 ``DIFFERS`` beside the two exit codes; manifests are compared without
@@ -42,6 +42,8 @@ RUNS = {
     "desmooth-1d": ["desmooth", *FOURIER, "--input", IN + "S1.json"],
     "desmooth-1d-complex": ["desmooth", *FOURIER, "--input", IN + "S1c.json"],
     "desmooth-complex-shift": ["desmooth", "--input", IN + "ucs.json"],
+    "desmooth-complex-shift-complex": ["desmooth",
+                                       "--input", IN + "ucsc.json"],
     "antiwick-assemble": ["antiwick-assemble", "--symbol", IN + "F.json"],
     "weyl-from-kernel": ["weyl-from-kernel",
                          "--kernel", "../antiwick-assemble/kernel.json"],
@@ -55,6 +57,8 @@ RUNS = {
     "pair-fourier": ["pair", "--operator", IN + "op.json", *U, *FOURIER],
     "pair-complex-shift": ["pair", "--operator", IN + "op.json", *U],
     "pair-complex-symbol": ["pair", "--operator", IN + "opc.json", *U],
+    "pair-complex-test-function": ["pair", "--operator", IN + "op.json",
+                                   "--test-function", IN + "ucsc.json"],
     **{f"check-{suite}": ["check", suite] for suite in (
         "hermite-bound", "gs-constant", "holo-bound", "e-space", "gevrey",
         "heat-roundtrip", "pairing-consistency")},
@@ -79,6 +83,9 @@ def build_inputs(inputs: Path) -> None:
     write_json(inputs / "u.json", gaussian_to_obj(radial_gaussian(2, 3.0)))
     write_json(inputs / "ucs.json", gaussian_to_obj(
         tensor(gaussian_1d(4.0), gaussian_1d(2.0, center=0.3))))
+    write_json(inputs / "ucsc.json", gaussian_to_obj(
+        tensor(gaussian_1d(4.0),
+               gaussian_1d(2.0, center=0.3, coeff=0.3 + 0.2j))))
     for name, field in (("op.json", "F.json"), ("opc.json", "Fc.json")):
         write_json(inputs / name, {"type": "antiwick-symbol", "field": field})
 
