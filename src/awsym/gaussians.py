@@ -245,20 +245,22 @@ class AnalyticGaussianSum:
         """Evaluate on a tensor grid given 1-d node arrays per axis.
 
         Returns an ndarray of shape ``tuple(len(ax) for ax in axes)``: a
-        float64 one when every coefficient is real, else complex128.  Each
-        1-d factor is evaluated in complex arithmetic either way, and a
-        real sum keeps the factors' real parts before the outer products,
-        so its samples are the real parts of the complex evaluation, bit
-        for bit.
+        float64 one when every coefficient is real, else complex128, from
+        the outer products of :meth:`axis_values`, so a real sum's samples
+        are the real parts of the complex evaluation, bit for bit.
         """
         if len(axes) != self.dim:
             raise ValueError("axis count mismatch")
-        real = self.has_real_coefficients()
-        return _outer_sum([[f(ax).real if real else f(ax)
-                            for f, ax in zip(term, axes)]
-                           for term in self.terms],
+        return _outer_sum(self.axis_values(axes),
                           tuple(len(ax) for ax in axes),
-                          float if real else complex)
+                          float if self.has_real_coefficients() else complex)
+
+    def axis_values(self, axes: Sequence[np.ndarray]) -> list:
+        """``out[k][j]``: ``terms[k][j]`` evaluated in complex arithmetic on
+        ``axes[j]``, as its real part when every coefficient is real."""
+        real = self.has_real_coefficients()
+        return [[f(ax).real if real else f(ax) for f, ax in zip(term, axes)]
+                for term in self.terms]
 
     # -- structure queries --------------------------------------------------
 

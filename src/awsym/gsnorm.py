@@ -392,9 +392,10 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
 
     Trapezoid rules with 129 y nodes over the strip, summed by
     ``strip_sum`` in blocks of 12 nodes, and 2049 x nodes per axis over the
-    tail-safe ``_axis_extent``.  A sum with real coefficients has
-    |u(x - iy)| = |u(x + iy)|, so it sums the 65 nodes y >= 0 of
-    ``_half_rule`` (y = 0 once).
+    tail-safe ``_axis_extent``.  An integrand even in y sums the 65 nodes
+    y >= 0 of ``_half_rule`` (y = 0 once): one factor's modulus is even
+    whatever its coefficient (a single term, or dim > 1, where each strip
+    sum holds one factor), and a real sum has |u(x - iy)| = |u(x + iy)|.
 
     The y integrand of a width-a factor scales like e^{(a - 2 pi) y^2}, so
     widths a >= 2 pi (or a <= 0, which already breaks the x integral) are
@@ -407,8 +408,9 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if not 0 <= moment <= 16:
         raise ValueError(f"moment must lie in [0, 16], got {moment}")
-    start, step, wy = (_half_rule if u.has_real_coefficients()
-                       else strip_rule)(strip_halfwidth, 129)
+    even = u.dim > 1 or len(u.terms) == 1 or u.has_real_coefficients()
+    start, step, wy = (_half_rule if even else strip_rule)(strip_halfwidth,
+                                                           129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
     if u.is_zero():     # ``strip_sum`` needs at least one factor

@@ -397,11 +397,8 @@ def factored_residual(smoothed: np.ndarray, u: AnalyticGaussianSum,
     """
     if not u.terms:
         return 0.0
-    xs = g.axis_nodes()
-    samples = np.array([[-term[0](xs)] + [f(xs) for f in term[1:]]
-                        for term in u.terms])
-    if u.has_real_coefficients():
-        samples = samples.real
+    samples = np.array(u.axis_values([g.axis_nodes()] * g.dim))
+    samples[:, 0] = -samples[:, 0]
     terms = np.concatenate([smoothed, samples])
     head = np.ascontiguousarray(terms[:, 0].T)
     tail = np.stack([reduce(np.multiply.outer, t[1:], np.ones(())).ravel()

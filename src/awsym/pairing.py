@@ -316,13 +316,10 @@ def antiwick_pair_reference(symbol: SampledField,
             f"test function dimension {u.dim} != symbol dimension "
             f"{symbol.grid.dim}")
     nodes = symbol.grid.axis_nodes()
-    real = u.has_real_coefficients()
     # filled as (axis, node, term), the layout _contract reads: no copy
     cols = np.empty((u.dim, len(nodes), len(u.terms)),
-                    dtype=float if real else complex)
-    for t, term in enumerate(u.terms):
-        for a, f in enumerate(term):
-            vals = f(nodes)
-            cols[a, :, t] = vals.real if real else vals
+                    dtype=float if u.has_real_coefficients() else complex)
+    for t, term in enumerate(u.axis_values([nodes] * u.dim)):
+        cols[..., t] = term
     return complex(np.sum(_contract(symbol.values, cols.transpose(2, 0, 1)))
                    * symbol.grid.cell_volume)

@@ -63,15 +63,12 @@ axis pair is halved; in assembly its xi sums already ran over every axis,
 so its mirror reverses the other difference axes as well.  Both routes
 compute the same kernel, to round-off, whatever the values.
 
-Assembly's quadrature is a sum of Hermitian terms F(X) |Psi_X><Psi_X|, so
-for n = 1 the half route's kernel is exactly Hermitian.  A real sigma's
-kernel is Hermitian except for one term: the x frequency -L of the
-trigonometric interpolation (the Nyquist row of its coefficients) has no
-conjugate partner, and between the phase nodes it is complex.  So
-kernel_from_weyl mirrors a copy of the t >= 0 half in which that row's
-term P[s, -L] R[-L, delta] reads conj P[s, -L] instead, which is what
-the t < 0 half needs; the kernel is exactly Hermitian for n = 1 when
-that row is zero.
+A float64 symbol's kernel is exactly Hermitian for n = 1, from either
+builder.  Assembly's quadrature is a sum of Hermitian terms
+F(X) |Psi_X><Psi_X|.  kernel_from_weyl interpolates in x with the x
+frequency -L (the Nyquist row of its coefficients) split evenly between
++-L, as cos 2 pi L m, so a real sigma interpolates to real values between
+the phase nodes as well as on them.
 weyl_from_kernel returns float64 when its midpoint-slice table equals the
 conjugate of its own flip o -> -o (mod N) over the offsets, which makes
 the transform real; it keeps the complex transform and its real part, so
@@ -236,13 +233,17 @@ def coherent_state(point: Sequence[float], g: Grid) -> SampledField:
 
 
 def kernel_from_coherent(combo: CoherentCombo, pos_grid: Grid) -> DenseKernel:
-    """Densify sum_j c_j Psi_{X_j}(x_u) conj(Psi_{Y_j}(x_v))."""
+    """Densify sum_j c_j Psi_{X_j}(x_u) conj(Psi_{Y_j}(x_v)), each outer
+    product from real ones, (a c^T + b d^T) + i (b c^T - a d^T) for
+    a + ib and c + id, so a projector term is exactly Hermitian."""
     m = pos_grid.size
     mat = np.zeros((m, m), dtype=complex)
-    for c, x, y in combo.terms:
+    for coeff, x, y in combo.terms:
         left = coherent_state(x, pos_grid).values.ravel()
         right = coherent_state(y, pos_grid).values.ravel()
-        mat += c * np.outer(left, np.conj(right))
+        a, b, c, d = left.real, left.imag, right.real, right.imag
+        mat += coeff * ((np.outer(a, c) + np.outer(b, d))
+                        + 1j * (np.outer(b, c) - np.outer(a, d)))
     return DenseKernel(pos_grid, mat)
 
 
@@ -524,15 +525,13 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
     self-dual check within its 1e-12 tolerance is taken as exactly
     self-dual.
 
-    A float64 sigma takes the half route (module notes, "Real symbols"):
-    the first axis pair builds e_t and both products for delta >= 0 only
-    and mirrors them into delta < 0, with the term of the x coefficients'
-    Nyquist row (eta = -L), which has no conjugate row, corrected before
-    the mirror; column delta = 0 keeps only that term's imaginary part.
-    The kernel equals the complex route's on sigma as complex128 to
-    round-off, whatever the values, and for n = 1 it is exactly Hermitian
-    when the Nyquist row is zero.  A complex128 sigma keeps the complex
-    route.
+    The interpolation in x takes the Nyquist frequency eta = -L as
+    cos 2 pi L m, its even split between +-L, equal to e^{-2 i pi L m} on
+    the phase nodes.  A float64 sigma takes the half route (module notes,
+    "Real symbols"): the first axis pair builds e_t and both products for
+    delta >= 0 only, mirrors them and zeroes the imaginary part at
+    delta = 0.  It equals the complex route to round-off, and a float64
+    symbol's kernel is exactly Hermitian for n = 1.
     """
     phase = symbol.grid
     kgrid = position_grid_of(phase).refined()
@@ -567,24 +566,15 @@ def kernel_from_weyl(symbol: SampledField) -> DenseKernel:
             mids = np.arange(parity, 2 * nk - 1, 2,
                              dtype=np.int32) - 2 * np_axis
             p_tab = roots[np.multiply.outer(mids, ks - np_axis // 2) % mod]
+            # the Nyquist row eta = -L splits evenly between +-L: cos
+            p_tab[:, 0] = p_tab[:, 0].real
             # P[s, eta] R[eta, delta, ..]
-            prod = (p_tab @ r_tab.reshape(np_axis, -1)).reshape(
-                (-1,) + r_tab.shape[1:])
-            table[parity::2, lo::2] = prod
+            table[parity::2, lo::2] = (p_tab @ r_tab.reshape(
+                np_axis, -1)).reshape((-1,) + r_tab.shape[1:])
             if half:
-                # T[s, -delta] = conj T[s, delta] but for the term of the
-                # x Nyquist row eta = -L, which has no conjugate row: before
-                # the mirror, conj P[s, -L] stands in for P[s, -L] there.
-                # P[s, -L] repeats every 4 rows of a parity class
-                for i in range(4):
-                    prod[i::4] -= 2j * p_tab[i, 0].imag * r_tab[0]
-                np.conjugate(np.flip(prod[:, 1 - parity:], 1),
-                             out=table[parity::2, cols:np_axis:2])
-                if parity == 0:
-                    # delta = 0: only the Nyquist row's term is complex
-                    table[::2, np_axis].imag = np.multiply.outer(
-                        p_tab[:, 0], r_tab[0, 0]).imag
-            del prod
+                _mirror(table[parity::2], np_axis, cols, 0)
+        if half:
+            table[::2, np_axis].imag = 0.0      # delta = 0 is its own mirror
         del coeff, e_t, r_tab, p_tab    # the pair read sets the peak memory
         tab = np.moveaxis(_read_pairs(table, nk), (0, 1), (j, n + j))
     # tab axes: (u_1..u_n, v_1..v_n)

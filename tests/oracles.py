@@ -262,7 +262,9 @@ def kernel_from_weyl_literal(symbol) -> np.ndarray:
     For each refined node pair, m = (x_u + x_v)/2 and t = x_u - x_v:
     K[u, v] = h sum_k S(m, xi_k) e^{2 i pi xi_k t} when |u - v| <= N
     (|t| <= L), else 0, where S is the trigonometric interpolation in x,
-    S(m, xi_k) = sum_r C[r, k] e^{2 i pi m eta_r} with
+    S(m, xi_k) = sum_r C[r, k] b_r(m) with b_r(m) = e^{2 i pi m eta_r},
+    except b_0(m) = cos(2 pi m eta_0) for the Nyquist frequency
+    eta_0 = -L, and
     C[r, k] = (1/N) sum_j sigma(x_j, xi_k) e^{-2 i pi x_j eta_r}.
     """
     phase = symbol.grid
@@ -273,7 +275,9 @@ def kernel_from_weyl_literal(symbol) -> np.ndarray:
     for u in range(2 * n):
         m = (pos[u] + pos) / 2.0
         t = pos[u] - pos
-        interp = np.exp(1j * TWO_PI * np.outer(m, nodes)) @ coeff
+        basis = np.exp(1j * TWO_PI * np.outer(m, nodes))
+        basis[:, 0] = np.cos(TWO_PI * m * nodes[0])
+        interp = basis @ coeff
         wave = np.exp(1j * TWO_PI * np.outer(t, nodes))
         out[u] = h * np.sum(interp * wave, axis=1)
     idx = np.arange(2 * n)

@@ -9,8 +9,8 @@ from awsym import (WeightParams, e_space_norm, gaussian_1d,
                    phi_weight, psi_weight)
 from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
                              gaussian_derivative_values, tensor)
-from awsym.gsnorm import (MAX_HERMITE_ORDER, _hermite_table,
-                          e_space_divergent)
+from awsym.gsnorm import (MAX_HERMITE_ORDER, _axis_extent, _half_rule,
+                          _hermite_table, e_space_divergent, strip_sum)
 from oracles import (e_space_norm_per_node, gaussian_derivative_recurrence,
                      gs_constant_brute_force, hermite_function_reference)
 
@@ -215,6 +215,36 @@ class TestESpace:
         value = e_space_norm(u, moment, 3.0).value
         ref = e_space_norm_per_node(u, moment, 3.0)
         assert abs(value - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("width", [1.0, math.pi, 5.0, 6.0])
+    @pytest.mark.parametrize("moment", [0, 2])
+    @pytest.mark.parametrize("kind", ["single", "tensor"])
+    def test_complex_factor_half_rule_equals_per_node_loop(self, kind,
+                                                           moment, width):
+        # one factor's modulus is even in y whatever its coefficient: a
+        # single term, and each strip sum of a tensor product, take the
+        # 65 nodes y >= 0, against all 129
+        u = gaussian_1d(width, center=0.3, power=1, coeff=0.8 - 0.1j)
+        if kind == "tensor":
+            u = tensor(u, gaussian_1d(width, center=-0.2, power=2)) \
+                + tensor(gaussian_1d(2.0, coeff=0.5j), gaussian_1d(1.0))
+        assert not u.has_real_coefficients()
+        value = e_space_norm(u, moment, 3.0).value
+        ref = e_space_norm_per_node(u, moment, 3.0)
+        assert abs(value - ref) <= 2e-15 * ref
+
+    def test_complex_1d_sum_keeps_the_whole_rule(self):
+        # |u(x + iy)| is not even in y here: the half rule is far off
+        u = gaussian_1d(2.0, coeff=1j) + gaussian_1d(3.0, center=0.5)
+        ref = e_space_norm_per_node(u, 0, 3.0)
+        assert abs(e_space_norm(u, 0, 3.0).value - ref) <= 2e-15 * ref
+        start, step, wy = _half_rule(3.0, 129)
+        ext = _axis_extent(u, 0, 0)
+        xs = np.linspace(-ext, ext, 2049)
+        half = strip_sum([t[0] for t in u.terms], xs, start, step,
+                         wy * (xs[1] - xs[0]),
+                         lambda slab: np.sum(np.abs(slab), axis=1))
+        assert abs(half - ref) > 0.1 * ref
 
     @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan, math.inf])
     def test_strip_halfwidth_validation(self, strip):

@@ -92,6 +92,18 @@ class TestKernelFromCoherent:
         assert_allclose(k.matrix, 1j * np.outer(left, np.conj(right)),
                         atol=1e-14)
 
+    @pytest.mark.parametrize("dim, npoints, half_extent, point", [
+        (1, 256, 8.0, (1.0, 2.0)),
+        (2, 16, 2.0, (0.3, -0.2, 0.5, -0.25))], ids=["1d-512", "2d-32"])
+    def test_projector_is_exactly_hermitian(self, dim, npoints, half_extent,
+                                            point):
+        g = make_grid(dim, npoints, half_extent).refined()
+        k = kernel_from_coherent(CoherentCombo(((1.0, point, point),)),
+                                 g).matrix
+        assert np.array_equal(k, k.conj().T)
+        psi = coherent_state(point, g).values.ravel()
+        assert route_rel_err(k, np.outer(psi, psi.conj())) <= 1e-15
+
 
 class TestAssemble:
     def test_zero_symbol(self, phase64, grid64):
@@ -368,7 +380,7 @@ class TestKernelFromWeyl:
                              [(16, 2.0), (36, 3.0), (64, 4.0), (100, 5.0)])
     def test_real_noise_matches_literal_sums(self, npoints, half_extent):
         # a float64 sigma takes the half route; real noise fills the x
-        # Nyquist row, the one term that route does not mirror
+        # Nyquist row, which the interpolation takes as a cosine
         phase = make_grid(2, npoints, half_extent)
         rng = np.random.default_rng(npoints)
         sigma = SampledField(phase, rng.standard_normal(phase.shape))
@@ -661,8 +673,8 @@ class TestHermitianRoutes:
     """A float64 F or sigma takes the half route: the t >= 0 half of the
     first axis pair's midpoint x difference table, mirrored.  It matches
     the complex route on the same values as complex128 to round-off.  For
-    n = 1 an assembled kernel is exactly Hermitian, and so is a Weyl
-    symbol's kernel once its x Nyquist row is zero."""
+    n = 1 a float64 symbol's kernel is exactly Hermitian, from either
+    builder."""
 
     @pytest.mark.parametrize("refined", [False, True], ids=["256", "512"])
     def test_assembly_is_exactly_hermitian(self, phase256, grid256, refined):
@@ -683,19 +695,18 @@ class TestHermitianRoutes:
         assert ref.dtype == np.complex128
         assert route_rel_err(k, ref) <= 1e-14
 
-    @pytest.mark.parametrize("kind", ["multiplier", "paired"])
+    @pytest.mark.parametrize("kind", ["multiplier", "paired", "noise"])
     def test_kernel_from_weyl_is_exactly_hermitian(self, phase256, kind):
-        # the x Nyquist coefficient, sum_j (-1)^j sigma(x_j, xi), is the
-        # one term of a real sigma's kernel that is not Hermitian; it is
-        # zero for a Fourier multiplier g(xi) and for samples repeated in
-        # pairs along x, whose kernels are then exactly Hermitian
+        # a Fourier multiplier g(xi), samples repeated in pairs along x
+        # (both with a zero x Nyquist row) and real noise, which fills it
         x, xi = phase256.meshgrid()
         values = np.exp(-2.0 * (xi - 0.3) ** 2) * xi
         if kind == "paired":
             values = values * np.exp(-(x[1::2] - 0.4) ** 2).repeat(2, axis=0)
-        else:
+        elif kind == "multiplier":
             values = values + 0.0 * x
-        assert not np.any(quantize.centered_fft(values, axes=(0,))[0])
+        else:
+            values = np.random.default_rng(256).standard_normal(x.shape)
         k = kernel_from_weyl(SampledField(phase256, values)).matrix
         assert np.array_equal(k, k.conj().T)
         ref = kernel_from_weyl(SampledField(phase256, values.astype(complex)))
@@ -764,12 +775,37 @@ class TestHermitianRoutes:
                              [(2, 64, 4.0), (4, 16, 2.0)], ids=["2d", "4d"])
     def test_real_noise_matches_complex_route(self, phase_dim, npoints,
                                               half_extent):
-        # noise fills the x Nyquist row, whose term keeps a real sigma's
-        # kernel from being Hermitian; the half route adds it as the
-        # complex route does, so the kernel does not depend on the dtype
+        # noise fills the x Nyquist row; the kernel does not depend on the
+        # dtype and is Hermitian (exactly for n = 1, where the half route
+        # mirrors every difference)
         phase = make_grid(phase_dim, npoints, half_extent)
         values = np.random.default_rng(npoints).standard_normal(phase.shape)
         got = kernel_from_weyl(SampledField(phase, values)).matrix
         ref = kernel_from_weyl(SampledField(phase, values.astype(complex)))
         assert route_rel_err(got, ref.matrix) <= 1e-14
-        assert route_rel_err(got, got.conj().T) > 1e-3
+        if phase_dim == 2:
+            assert np.array_equal(got, got.conj().T)
+        else:
+            assert route_rel_err(got.conj().T, got) <= 1e-14
+
+    @pytest.mark.parametrize("npoints, half_extent", [(36, 3.0), (64, 4.0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pure_nyquist_row_is_a_cosine(self, npoints, half_extent,
+                                          dtype):
+        # sigma(x_j, xi_k) = (-1)^j g(xi_k) is the x Nyquist row alone; its
+        # kernel is cos(2 pi L (m + L)) h sum_k g(xi_k) e^{2 i pi xi_k t},
+        # written here with plain float phases
+        phase = make_grid(2, npoints, half_extent)
+        nodes, h = phase.axis_nodes(), phase.spacing
+        g = np.exp(-(nodes - 0.3) ** 2) * (1.0 + 0.5 * nodes)
+        signs = (-1.0) ** np.arange(npoints)
+        sigma = SampledField(phase, np.outer(signs, g).astype(dtype))
+        pos = -half_extent + 0.5 * h * np.arange(2 * npoints)
+        m = np.add.outer(pos, pos) / 2.0
+        t = np.subtract.outer(pos, pos)
+        ref = np.cos(2.0 * math.pi * half_extent * (m + half_extent)) \
+            * (h * np.exp(2j * math.pi * np.multiply.outer(t, nodes)) @ g)
+        idx = np.arange(2 * npoints)
+        ref[np.abs(np.subtract.outer(idx, idx)) > npoints] = 0.0
+        got = kernel_from_weyl(sigma).matrix
+        assert route_rel_err(got, ref) <= 1e-12

@@ -5,7 +5,8 @@ source trees, and compare what they write, file by file.
 
 SRC_A and SRC_B are repository roots (or their ``src`` directories).  The
 inputs are built once, into OUTDIR/inputs, with the awsym beside this
-script: a real and a complex 2-d 256/8 symbol, a zero field, real and
+script: a real and a complex 2-d 256/8 symbol, seeded real noise on the
+same grid (its x Nyquist row is nonzero), a zero field, real and
 complex smoothed 1-d 256/8 fields, Gaussian-sum test functions (one with
 a complex coefficient) and operator specs.  Each run then executes in
 OUTDIR/<a|b>/<run>, with ``--outdir .`` and relative paths, so equal
@@ -22,10 +23,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from awsym import (gaussian_1d, make_grid, radial_gaussian, sample, smooth,
-                   tensor)
+from awsym import (SampledField, gaussian_1d, make_grid, radial_gaussian,
+                   sample, smooth, tensor)
 from awsym.fieldio import gaussian_to_obj, save_field, write_json
 
 IN = "../../inputs/"
@@ -54,6 +57,8 @@ RUNS = {
                                  "--symbol", IN + "Fc.json"],
     "kernel-from-weyl-chain": ["kernel-from-weyl", "--symbol",
                                "../weyl-from-kernel/weyl-symbol.json"],
+    "kernel-from-weyl-noise": ["kernel-from-weyl",
+                               "--symbol", IN + "Fn.json"],
     "pair-fourier": ["pair", "--operator", IN + "op.json", *U, *FOURIER],
     "pair-complex-shift": ["pair", "--operator", IN + "op.json", *U],
     "pair-complex-symbol": ["pair", "--operator", IN + "opc.json", *U],
@@ -75,6 +80,8 @@ def build_inputs(inputs: Path) -> None:
     save_field(sample(tensor(gaussian_1d(1.5, center=-0.4),
                              gaussian_1d(2.5, coeff=0.3 + 0.2j)), g),
                inputs / "Fc.json")
+    save_field(SampledField(g, np.random.default_rng(29).standard_normal(
+        g.shape)), inputs / "Fn.json")
     save_field(0.0 * sample(radial_gaussian(2, 1.0), g), inputs / "Z.json")
     g1 = make_grid(1, 256, 8.0)
     for name, coeff in (("S1.json", 0.8), ("S1c.json", 0.4 + 0.7j)):
