@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import phase_table
-from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, scaled_hermite_orders,
-                        sum_derivatives)
+from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, GaussFactor,
+                        scaled_hermite_orders, sum_derivatives)
 
 __all__ = [
     "WeightParams",
@@ -178,8 +178,9 @@ def gs_constant(u: AnalyticGaussianSum, lam: float, mu: float,
     without Gaussian decay (constants, e^{+z^2}) are reported as unbounded
     with a_est = inf.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lambda and mu must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
+        raise ValueError("lambda and mu must be positive and finite, got "
+                         f"{lam} and {mu}")
     if min(max_alpha, max_beta) < 0:
         raise ValueError(f"max_alpha and max_beta must be >= 0, got "
                          f"{max_alpha} and {max_beta}")
@@ -301,39 +302,35 @@ def e_space_divergent(u: AnalyticGaussianSum) -> bool:
 
 def strip_rule(strip_halfwidth: float,
                nodes: int) -> tuple[float, float, np.ndarray]:
-    """Trapezoid rule over the strip |y| <= strip_halfwidth: its first
-    node, its step and its weights, with node k at start + k step."""
+    """Trapezoid rule of ``nodes`` nodes over the strip |y| <= strip_halfwidth,
+    for an integrand whose values at -y and y are conjugate (or of equal
+    modulus), on its nodes y >= 0: first node, step and weights, with node
+    j at start + j step.  The start is 0 for an odd count and step/2 for an
+    even one, so the mirror of every node is exact; each weight counts its
+    node and its mirror -y, except the y = 0 node of an odd rule, which
+    counts once."""
     if nodes < 4:
         raise ValueError("need at least 4 y nodes")
     if not (math.isfinite(strip_halfwidth) and strip_halfwidth > 0.0):
         raise ValueError("strip half-width must be finite and positive, "
                          f"got {strip_halfwidth}")
     step = 2.0 * strip_halfwidth / (nodes - 1)
-    wy = np.full(nodes, step)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    return -strip_halfwidth, step, wy
-
-
-def _half_rule(strip_halfwidth: float,
-               nodes: int) -> tuple[float, float, np.ndarray]:
-    """The nodes y >= 0 of ``strip_rule``, for an integrand whose values at
-    -y and y are conjugate (or of equal modulus): first node, step and
-    weights in ``strip_rule``'s form.  Node j is y0 + j step with y0 = 0
-    for an odd count and step/2 for an even one, so the mirror of every
-    node is exact (the full rule's rounded -Y + k step need not be); each
-    weight counts its node and its mirror, except the y = 0 node of an
-    odd rule, which counts once."""
-    _, step, wy = strip_rule(strip_halfwidth, nodes)
-    weights = 2.0 * wy[nodes // 2:]
+    weights = np.full((nodes + 1) // 2, 2.0 * step)
+    weights[-1] = step      # the ends +-strip_halfwidth
     if nodes % 2:
-        weights[0] = wy[nodes // 2]
+        weights[0] = step   # y = 0
     return (0.0 if nodes % 2 else 0.5 * step), step, weights
 
 
-def strip_sum(factors, xs, start, step, weights, rows=lambda slab: slab):
-    """sum_k weights[k] rows(S)[k] for S[k] = sum_f f(xs + i y_k)
-    e^{-2 pi y_k^2} over the strip nodes y_k = start + k step.
+def _factor_sum(slabs):
+    """The per-factor slabs added up (one factor's slab as it is)."""
+    return slabs[0] if len(slabs) == 1 else slabs.sum(axis=0)
+
+
+def strip_sum(factors, xs, start, step, weights, rows=_factor_sum):
+    """sum_k weights[k] rows(S)[k] for the per-factor slabs
+    S[f, k] = f(xs + i y_k) e^{-2 pi y_k^2} over the strip nodes
+    y_k = start + k step; the default ``rows`` sums the factors.
 
     For a factor c (z - b)^p e^{-a (z - b)^2} and w = x - b,
 
@@ -342,47 +339,46 @@ def strip_sum(factors, xs, start, step, weights, rows=lambda slab: slab):
 
     and only the last factor is grid sized.  The nodes go in blocks of
     R = ceil(sqrt(K)) rows; block m's phases are the coarse row
-    e^{-2 i a w (start + R m step)} times the R x N fine table
-    e^{-2 i a w r step}, both from ``core.phase_table``, and the block adds
-    in as one weights @ rows(slab) product.  For the callers' widths
+    e^{-2 i a w (start + R m step)}, which carries c e^{-a w^2}, times the
+    R x N fine table e^{-2 i a w r step}, both from ``core.phase_table``,
+    and the block adds in as one weights @ rows(slabs) product (rows'
+    result is indexed by node first).  For the callers' widths
     0 < a < 2 pi no real exponent is positive, so only the coefficient
     and the power can overflow.
     """
     count = len(weights)
     block = math.isqrt(count - 1) + 1
     ys = start + step * np.arange(count)
-    tables = []
-    for f in factors:
-        w = xs - f.center
-        scale = -2.0 * f.width
-        tables.append((f.power, w, f.coeff * np.exp(-f.width * w * w),
-                       np.exp((f.width - TWO_PI) * ys * ys)[:, None],
-                       phase_table(w, scale, 0.0, step, block),
-                       phase_table(w, scale, start, block * step,
-                                   -(-count // block))))
-
     # every block reuses these buffers: fresh ones fault their pages in
     # again per block, which cost more than the arithmetic
-    slab = np.empty((block, len(xs)), dtype=complex)
-    part, z = np.empty_like(slab), np.empty_like(slab)
+    slabs = np.empty((len(factors), block, len(xs)), dtype=complex)
+    z = np.empty_like(slabs[0])
     total = 0.0
     # an overflow shows as Inf/NaN in the returned sum, not as a warning:
     # ``heat.strip_factors`` raises on it, ``e_space_norm`` returns it
     with np.errstate(over="ignore", invalid="ignore"):
+        tables = []
+        for f in factors:
+            w = xs - f.center
+            scale = -2.0 * f.width
+            coarse = phase_table(w, scale, start, block * step,
+                                 -(-count // block))
+            coarse *= f.coeff * np.exp(-f.width * w * w)
+            tables.append((f.power, w,
+                           np.exp((f.width - TWO_PI) * ys * ys)[:, None],
+                           phase_table(w, scale, 0.0, step, block), coarse))
         for m, lo in enumerate(range(0, count, block)):
             n = min(block, count - lo)
-            for i, (power, w, head, damp, fine, coarse) in enumerate(tables):
-                vals = part[:n] if i else slab[:n]
-                np.multiply(fine[:n], coarse[m] * head, out=vals)
+            for i, (power, w, damp, fine, coarse) in enumerate(tables):
+                vals = slabs[i, :n]
+                np.multiply(fine[:n], coarse[m], out=vals)
                 real = vals.view(float)  # real damping: scale (re, im)
                 real *= damp[lo:lo + n]
                 if power:
                     z[:n].real, z[:n].imag = w, ys[lo:lo + n, None]
                     for _ in range(power):      # faster than ** for small p
                         vals *= z[:n]
-                if i:
-                    slab[:n] += vals
-            total = total + weights[lo:lo + n] @ rows(slab[:n])
+            total = total + weights[lo:lo + n] @ rows(slabs[:, :n])
     return total
 
 
@@ -390,12 +386,15 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
                  strip_halfwidth: float = 3.0) -> ESpaceReport:
     """Truncated-strip quadrature of  int e^{-2 pi |Im z|^2} (1+|Re z|)^m |u|.
 
-    Trapezoid rules with 129 y nodes over the strip, summed by
-    ``strip_sum`` in blocks of 12 nodes, and 2049 x nodes per axis over the
-    tail-safe ``_axis_extent``.  An integrand even in y sums the 65 nodes
-    y >= 0 of ``_half_rule`` (y = 0 once): one factor's modulus is even
-    whatever its coefficient (a single term, or dim > 1, where each strip
-    sum holds one factor), and a real sum has |u(x - iy)| = |u(x + iy)|.
+    Trapezoid rules with 129 y nodes over the strip, summed on the 65 nodes
+    y >= 0 of ``strip_rule`` by ``strip_sum`` in blocks of 9 nodes, and
+    2049 x nodes per axis over the tail-safe ``_axis_extent``.  Centres
+    and widths are real, so |u(x - iy)| = |ubar(x + iy)|, ubar being u
+    with conjugated coefficients.  One factor's modulus is thus even in y
+    (a single term, or dim > 1, where each strip sum holds one factor), and
+    so is a real sum's; a 1-d sum of two or more terms with a complex
+    coefficient takes the mean of |u| and |ubar| from one set of phase
+    tables.
 
     The y integrand of a width-a factor scales like e^{(a - 2 pi) y^2}, so
     widths a >= 2 pi (or a <= 0, which already breaks the x integral) are
@@ -408,28 +407,36 @@ def e_space_norm(u: AnalyticGaussianSum, moment: int = 0,
     """
     if not 0 <= moment <= 16:
         raise ValueError(f"moment must lie in [0, 16], got {moment}")
-    even = u.dim > 1 or len(u.terms) == 1 or u.has_real_coefficients()
-    start, step, wy = (_half_rule if even else strip_rule)(strip_halfwidth,
-                                                           129)
+    start, step, wy = strip_rule(strip_halfwidth, 129)
     if e_space_divergent(u):
         return ESpaceReport(math.inf, True, strip_halfwidth, moment)
     if u.is_zero():     # ``strip_sum`` needs at least one factor
         return ESpaceReport(0.0, False, strip_halfwidth, moment)
 
-    def axis_integral(factors, j):
-        """Strip integral over axis j of |sum of the factors|, weighted."""
+    def axis_integral(factors, j,
+                      modulus=lambda slabs: np.abs(_factor_sum(slabs))):
+        """Strip integral over axis j of the factors' modulus, weighted."""
         ext = _axis_extent(u, j, moment)
         xs = np.linspace(-ext, ext, 2049)
         weight = (1.0 + np.abs(xs)) ** moment
         return strip_sum(factors, xs, start, step, wy * (xs[1] - xs[0]),
-                         lambda slab: np.sum(np.abs(slab) * weight, axis=1))
+                         lambda slabs: np.sum(modulus(slabs) * weight, axis=1))
 
-    if u.dim == 1:
-        total = axis_integral([term[0] for term in u.terms], 0)
-    else:
+    if u.dim > 1:
         total = sum(math.prod(axis_integral([f], j)
                               for j, f in enumerate(term))
                     for term in u.terms)
+    elif len(u.terms) == 1 or u.has_real_coefficients():
+        total = axis_integral([term[0] for term in u.terms], 0)
+    else:
+        # the factors at unit coefficient, combined with c and conj c
+        factors = [term[0] for term in u.terms]
+        c = np.array([complex(f.coeff) for f in factors])
+        units = [GaussFactor(1.0, f.power, f.width, f.center)
+                 for f in factors]
+        total = axis_integral(units, 0, lambda slabs: 0.5 * (
+            np.abs(np.tensordot(c, slabs, 1))
+            + np.abs(np.tensordot(c.conj(), slabs, 1))))
     return ESpaceReport(float(total), False, strip_halfwidth, moment)
 
 

@@ -56,15 +56,15 @@ instead of hiding it:
   of the factors' 1-d smooths, one band pass along the node axis, compared
   with u's samples, also taken per axis, without a dense transform.
 
-  A sum whose coefficients are all real (centres and widths always are)
-  has u(x - iy) = conj u(x + iy), so each pair of nodes +-y of the
-  symmetric trapezoid rule adds up to 2 Re of one, and every factor is
-  real.  Such a sum runs in float64 from end to end: the strip sums
-  evaluate the nodes y >= 0 alone (``gsnorm._half_rule``, whose nodes
-  mirror exactly; the y = 0 node of an odd rule counts once) and keep
-  the real part, so Phi is float64, its factors take ``_smooth_axes``'
-  real route and the residual's block products are real.  A complex
-  coefficient keeps the complex factors of the whole rule.
+  Centres and widths are real, so each factor at unit coefficient,
+  g = f / c, has g(x - iy) = conj g(x + iy): each pair of nodes +-y of the
+  symmetric trapezoid rule adds up to 2 Re of one.  The strip sums
+  evaluate the nodes y >= 0 alone (``gsnorm.strip_rule``, whose nodes
+  mirror exactly; the y = 0 node of an odd rule counts once), keep the
+  real part and scale it by c.  A sum whose coefficients are all real
+  therefore runs in float64 from end to end: its factors and Phi are
+  float64, the factors take ``_smooth_axes``' real route and the
+  residual's block products are real.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ from typing import Optional
 import numpy as np
 
 from .core import BAND_HALFWIDTH, RELATIVE_CUT, Grid, SampledField
-from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, OverflowGuardError,
-                        _outer_sum)
-from .gsnorm import _half_rule, e_space_divergent, strip_rule, strip_sum
+from .gaussians import (_EXP_GUARD, AnalyticGaussianSum, GaussFactor,
+                        OverflowGuardError, _outer_sum)
+from .gsnorm import e_space_divergent, strip_rule, strip_sum
 
 __all__ = [
     "DesmoothReport",
@@ -340,23 +340,19 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
     The input must be numerically in the strip-integrable class: every
     axis width below 2 pi (checked before any evaluation; divergent inputs
     raise :class:`ESpaceDivergenceError`).  Each factor is the trapezoid
-    sum sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} of ``gsnorm.strip_sum``
-    on the axis nodes, its phases formed by angle addition from the
-    strip rule's start and step; its entries below 2^-60 of its peak are
-    zeroed, so tails hold exact zeros, not subnormals.  An overflow raises
+    sum sqrt(2) sum_y w_y f(x + iy) e^{-2 pi y^2} on the axis nodes, formed
+    as c 2 Re sum_{y >= 0} w_y g(x + iy) e^{-2 pi y^2} from the factor
+    g = f / c at unit coefficient (see the module notes): ``gsnorm.strip_sum``
+    on the nodes y >= 0 of ``gsnorm.strip_rule``, its phases formed by angle
+    addition.  So the array is float64 exactly when every coefficient of u
+    is real.  Entries below 2^-60 of a factor's peak are zeroed, so tails
+    hold exact zeros, not subnormals.  An overflow raises
     ``FloatingPointError``; the zero function (no terms) gives an empty
     array.
-
-    The array is float64 when every coefficient of u is real: the sum then
-    runs over the nodes y >= 0 of the rule, each weighted for itself and
-    its mirror -y, and keeps the real part (see the module notes).  Any
-    complex coefficient gives complex128 from every node of the rule.
     """
     if u.dim != g.dim:
         raise ValueError(f"function dimension {u.dim} != grid dimension {g.dim}")
-    real = u.has_real_coefficients()
-    start, step, wy = (_half_rule if real else strip_rule)(strip_halfwidth,
-                                                           y_nodes)
+    start, step, wy = strip_rule(strip_halfwidth, y_nodes)
     u.require_gaussian_decay("complex-shift desmoothing")
     if e_space_divergent(u):
         raise ESpaceDivergenceError(
@@ -365,11 +361,18 @@ def strip_factors(u: AnalyticGaussianSum, g: Grid,
 
     xs = g.axis_nodes()
     weights = math.sqrt(2.0) * wy
-    factors = np.array([[strip_sum([f], xs, start, step, weights)
-                         for f in term] for term in u.terms],
-                       dtype=complex).reshape(len(u.terms), g.dim, g.npoints)
-    if real:    # each weight counts a node and its mirror: 2 Re
-        factors = factors.real.copy()
+    real = u.has_real_coefficients()
+
+    def factor(f):
+        # each weight counts a node and its mirror: 2 Re of the unit sum
+        c = complex(f.coeff)
+        unit = strip_sum([GaussFactor(1.0, f.power, f.width, f.center)], xs,
+                         start, step, weights)
+        return (c.real if real else c) * unit.real
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.array([factor(f) for term in u.terms for f in term])
+    factors = factors.reshape(len(u.terms), g.dim, g.npoints)
     if not np.isfinite(factors).all():
         raise FloatingPointError("strip factors overflow to NaN/Inf")
     mag = np.abs(factors)

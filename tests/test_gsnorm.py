@@ -9,8 +9,8 @@ from awsym import (WeightParams, e_space_norm, gaussian_1d,
                    phi_weight, psi_weight)
 from awsym.gaussians import (AnalyticGaussianSum, GaussFactor,
                              gaussian_derivative_values, tensor)
-from awsym.gsnorm import (MAX_HERMITE_ORDER, _axis_extent, _half_rule,
-                          _hermite_table, e_space_divergent, strip_sum)
+from awsym.gsnorm import (MAX_HERMITE_ORDER, _axis_extent, _hermite_table,
+                          e_space_divergent, strip_rule, strip_sum)
 from oracles import (e_space_norm_per_node, gaussian_derivative_recurrence,
                      gs_constant_brute_force, hermite_function_reference)
 
@@ -85,6 +85,14 @@ class TestGSConstant:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             gs_constant(gaussian_1d(1.0), 0.5, 0.5, 50, 10)
+
+    @pytest.mark.parametrize("lam, mu", [(math.nan, 0.5), (0.5, math.nan),
+                                         (math.inf, 0.5)])
+    def test_exponent_outside_positive_reals_is_value_error(self, lam, mu):
+        # NaN compares False against 0, so a sign test alone lets it through
+        with pytest.raises(ValueError,
+                           match="lambda and mu must be positive and finite"):
+            gs_constant(gaussian_1d(math.pi), lam, mu, 4, 4)
 
     @pytest.mark.parametrize("max_alpha, max_beta", [(-1, 5), (5, -2)])
     def test_negative_order_is_value_error(self, max_alpha, max_beta):
@@ -234,16 +242,19 @@ class TestESpace:
         assert abs(value - ref) <= 2e-15 * ref
 
     def test_complex_1d_sum_keeps_the_whole_rule(self):
-        # |u(x + iy)| is not even in y here: the half rule is far off
+        # |u(x + iy)| is not even in y here: the mean of |u| and |ubar| on
+        # the nodes y >= 0 matches every node of the whole rule, u alone is
+        # far off
         u = gaussian_1d(2.0, coeff=1j) + gaussian_1d(3.0, center=0.5)
         ref = e_space_norm_per_node(u, 0, 3.0)
         assert abs(e_space_norm(u, 0, 3.0).value - ref) <= 2e-15 * ref
-        start, step, wy = _half_rule(3.0, 129)
+        start, step, wy = strip_rule(3.0, 129)
         ext = _axis_extent(u, 0, 0)
         xs = np.linspace(-ext, ext, 2049)
         half = strip_sum([t[0] for t in u.terms], xs, start, step,
                          wy * (xs[1] - xs[0]),
-                         lambda slab: np.sum(np.abs(slab), axis=1))
+                         lambda slabs: np.sum(np.abs(slabs.sum(axis=0)),
+                                              axis=1))
         assert abs(half - ref) > 0.1 * ref
 
     @pytest.mark.parametrize("strip", [0.0, -1.0, math.nan, math.inf])

@@ -12,12 +12,17 @@ a complex coefficient) and operator specs.  Each run then executes in
 OUTDIR/<a|b>/<run>, with ``--outdir .`` and relative paths, so equal
 programs write equal bytes.  Every output file is printed as ``equal`` or
 ``DIFFERS`` beside the two exit codes; manifests are compared without
-``wall_time_s``.  Exit status 0 when every exit code and file agrees.
+``wall_time_s``.  A differing file present on both sides shows how far
+apart it is: a ``.bin`` payload its largest |a - b| over its peak |a|, a
+JSON file the largest relative change among its numbers and the count of
+other values that differ (a manifest's digests, say).  Exit status 0 when
+every exit code and file agrees.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,12 +114,51 @@ def run_all(src: Path, side: Path) -> dict[str, int]:
     return codes
 
 
+def parsed(path: Path):
+    """A JSON file's value; a manifest's without ``wall_time_s``."""
+    value = json.loads(path.read_text())
+    if path.name.endswith(".manifest.json"):
+        value.pop("wall_time_s", None)
+    return value
+
+
 def content(path: Path):
     if path.name.endswith(".manifest.json"):
-        manifest = json.loads(path.read_text())
-        manifest.pop("wall_time_s", None)
-        return manifest
+        return parsed(path)
     return path.read_bytes()
+
+
+def changes(x, y) -> tuple[list[float], int]:
+    """(relative changes of the numbers, count of other differing values)
+    of two JSON values, compared place by place."""
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        parts = [changes(x[k], y[k]) for k in x]
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        parts = [changes(p, q) for p, q in zip(x, y)]
+    elif {type(x), type(y)} <= {int, float}:
+        if x == y or math.isnan(x) and math.isnan(y):
+            return [0.0], 0
+        rel = abs(x - y) / max(abs(x), abs(y))
+        return [math.inf if math.isnan(rel) else rel], 0
+    else:
+        return [], int(x != y)
+    return [r for rel, _ in parts for r in rel], sum(n for _, n in parts)
+
+
+def difference(a: Path, b: Path) -> str:
+    """How far apart two differing files are, or "" for other formats."""
+    if a.suffix == ".bin":
+        x, y = (np.fromfile(p, dtype="<c16") for p in (a, b))
+        if x.shape != y.shape:
+            return f"{x.size} / {y.size} samples"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.max(np.abs(x - y)) / np.max(np.abs(x))
+        return f"max |a - b| / peak {rel:.3g}"
+    if a.suffix == ".json":
+        rel, other = changes(parsed(a), parsed(b))
+        return f"max rel change {max(rel, default=0.0):.3g}, " \
+            f"{other} other values differ"
+    return ""
 
 
 def main(argv: list[str]) -> int:
@@ -131,10 +175,13 @@ def main(argv: list[str]) -> int:
         print(f"{name}: exit {codes[0][name]} / {codes[1][name]}")
         same &= codes[0][name] == codes[1][name]
         for file in sorted({p.name for p in (*a.iterdir(), *b.iterdir())}):
-            equal = (a / file).exists() and (b / file).exists() \
-                and content(a / file) == content(b / file)
+            both = (a / file).exists() and (b / file).exists()
+            equal = both and content(a / file) == content(b / file)
             same &= equal
-            print(f"  {file}: {'equal' if equal else 'DIFFERS'}")
+            size = difference(a / file, b / file) if both and not equal \
+                else ""
+            print(f"  {file}: {'equal' if equal else 'DIFFERS'}"
+                  + (f" ({size})" if size else ""))
     return 0 if same else 1
 
 
